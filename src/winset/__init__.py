@@ -11,6 +11,7 @@ worst-case state-complexity sequence by exhaustive search.
 """
 
 from .automata import (
+    BudgetExceededError,
     Dfa,
     FormatError,
     Nfa,
@@ -24,7 +25,6 @@ from .automata import (
     parse_nfa,
 )
 from .game import (
-    BudgetExceededError,
     GameState,
     game_state,
     game_states_equivalent,

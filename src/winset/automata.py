@@ -17,8 +17,16 @@ TURNS = ("A", "B")
 _ALPHABETS = {"01": BINARY, "AB": TURNS}
 
 
+# Default cap on the states one subset construction may materialize.
+STATE_BUDGET = 2_000_000
+
+
 class FormatError(ValueError):
     """Raised for malformed automaton text."""
+
+
+class BudgetExceededError(RuntimeError):
+    """A construction hit its configured resource cap (not a wrong answer)."""
 
 
 @dataclass(frozen=True)
@@ -131,6 +139,85 @@ def nfa_accepts(n: Nfa, word: str) -> bool:
 # text format
 
 
+def _tokenize(text: str) -> list[tuple[int, list[str]]]:
+    """Numbered token lists of the non-blank lines; ``#`` starts a comment."""
+    lines = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            lines.append((lineno, tokens))
+    if not lines:
+        raise FormatError("empty input")
+    return lines
+
+
+def _fail(lineno: int, msg: str):
+    raise FormatError(f"line {lineno}: {msg}")
+
+
+def _read_automaton(text: str, kind: str):
+    """Read the text format shared by DFAs (``kind`` ``dfa``) and NFAs (``nfa``).
+
+    Returns the state count, the alphabet, the initial states, the final
+    states and the transitions as ``{(state, symbol index): target}``.  A
+    DFA needs at least one state, exactly one initial state and exactly one
+    target per transition line; an NFA allows any number of each, and its
+    targets are lists.
+    """
+    dfa = kind == "dfa"
+    many = "" if dfa else "..."
+    lines = _tokenize(text)
+    lineno, header = lines[0]
+    if len(header) != 3 or header[0] != kind:
+        _fail(lineno, f"expected header '{kind} <state_count> <alphabet>'")
+    try:
+        n = int(header[1])
+    except ValueError:
+        _fail(lineno, f"bad state count {header[1]!r}")
+    least = 1 if dfa else 0
+    if n < least:
+        _fail(lineno, f"state count must be at least {least}")
+    alphabet = _ALPHABETS.get(header[2])
+    if alphabet is None:
+        _fail(lineno, f"alphabet must be 01 or AB, got {header[2]!r}")
+
+    def state(tok: str, lineno: int) -> int:
+        try:
+            q = int(tok)
+        except ValueError:
+            _fail(lineno, f"bad state index {tok!r}")
+        if not 0 <= q < n:
+            _fail(lineno, f"state index {q} out of range 0..{n - 1}")
+        return q
+
+    if len(lines) < 3:
+        raise FormatError("missing 'initial' or 'finals' line")
+    lineno, init_line = lines[1]
+    if init_line[0] != "initial" or (dfa and len(init_line) != 2):
+        _fail(lineno, f"expected 'initial <q>{many}'")
+    initial = [state(tok, lineno) for tok in init_line[1:]]
+    lineno, finals_line = lines[2]
+    if finals_line[0] != "finals":
+        _fail(lineno, "expected 'finals <q>...'")
+    finals = frozenset(state(tok, lineno) for tok in finals_line[1:])
+
+    table: dict[tuple[int, int], int | list[int]] = {}
+    for lineno, parts in lines[3:]:
+        if len(parts) < 2 or (dfa and len(parts) != 3):
+            _fail(lineno, f"expected '<state> <symbol> <target>{many}'")
+        q = state(parts[0], lineno)
+        if parts[1] not in alphabet:
+            _fail(lineno, f"symbol {parts[1]!r} not in alphabet")
+        i = alphabet.index(parts[1])
+        if (q, i) in table:
+            _fail(lineno, f"duplicate transition for state {q} symbol {parts[1]}")
+        if dfa:
+            table[(q, i)] = state(parts[2], lineno)
+        else:
+            table[(q, i)] = [state(tok, lineno) for tok in parts[2:]]
+    return n, alphabet, initial, finals, table
+
+
 def parse_dfa(text: str) -> Dfa:
     """Parse the line-oriented DFA text format.
 
@@ -139,71 +226,13 @@ def parse_dfa(text: str) -> Dfa:
     (state, symbol) pair.  ``#`` starts a comment; blank lines are ignored.
     Missing or duplicate transitions are errors.
     """
-    lines: list[tuple[int, list[str]]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            lines.append((lineno, stripped.split()))
-
-    def fail(lineno: int, msg: str):
-        raise FormatError(f"line {lineno}: {msg}")
-
-    if not lines:
-        raise FormatError("empty input")
-    lineno, header = lines[0]
-    if len(header) != 3 or header[0] != "dfa":
-        fail(lineno, "expected header 'dfa <state_count> <alphabet>'")
-    try:
-        n = int(header[1])
-    except ValueError:
-        fail(lineno, f"bad state count {header[1]!r}")
-    if n <= 0:
-        fail(lineno, "state count must be positive")
-    alphabet = _ALPHABETS.get(header[2])
-    if alphabet is None:
-        fail(lineno, f"alphabet must be 01 or AB, got {header[2]!r}")
-
-    def state(tok: str, lineno: int) -> int:
-        try:
-            q = int(tok)
-        except ValueError:
-            fail(lineno, f"bad state index {tok!r}")
-        if not 0 <= q < n:
-            fail(lineno, f"state index {q} out of range 0..{n - 1}")
-        return q
-
-    if len(lines) < 3:
-        raise FormatError("missing 'initial' or 'finals' line")
-    lineno, init_line = lines[1]
-    if len(init_line) != 2 or init_line[0] != "initial":
-        fail(lineno, "expected 'initial <q>'")
-    initial = state(init_line[1], lineno)
-
-    lineno, finals_line = lines[2]
-    if finals_line[0] != "finals":
-        fail(lineno, "expected 'finals <q>...'")
-    finals = frozenset(state(tok, lineno) for tok in finals_line[1:])
-
-    table: dict[tuple[int, int], int] = {}
-    for lineno, parts in lines[3:]:
-        if len(parts) != 3:
-            fail(lineno, "expected '<state> <symbol> <target>'")
-        q = state(parts[0], lineno)
-        if parts[1] not in alphabet:
-            fail(lineno, f"symbol {parts[1]!r} not in alphabet")
-        i = alphabet.index(parts[1])
-        if (q, i) in table:
-            fail(lineno, f"duplicate transition for state {q} symbol {parts[1]}")
-        table[(q, i)] = state(parts[2], lineno)
-
+    n, alphabet, (initial,), finals, table = _read_automaton(text, "dfa")
     delta = []
     for q in range(n):
-        row = []
         for i, sym in enumerate(alphabet):
             if (q, i) not in table:
                 raise FormatError(f"missing transition for state {q} symbol {sym}")
-            row.append(table[(q, i)])
-        delta.append((row[0], row[1]))
+        delta.append((table[(q, 0)], table[(q, 1)]))
     return Dfa(alphabet=alphabet, delta=tuple(delta), initial=initial, finals=finals)
 
 
@@ -225,64 +254,15 @@ def parse_nfa(text: str) -> Nfa:
     ``<q> <symbol> <target>...`` with zero or more targets, at most one line
     per (state, symbol) pair.  Omitted pairs mean no successor.
     """
-    for raw in text.splitlines():
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            if stripped.split()[0] == "dfa":
-                return as_nfa(parse_dfa(text))
-            break
-
-    lines: list[tuple[int, list[str]]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            lines.append((lineno, stripped.split()))
-
-    def fail(lineno: int, msg: str):
-        raise FormatError(f"line {lineno}: {msg}")
-
-    if not lines:
-        raise FormatError("empty input")
-    lineno, header = lines[0]
-    if len(header) != 3 or header[0] != "nfa":
-        fail(lineno, "expected header 'nfa <state_count> <alphabet>'")
-    n = int(header[1])
-    alphabet = _ALPHABETS.get(header[2])
-    if alphabet is None:
-        fail(lineno, f"alphabet must be 01 or AB, got {header[2]!r}")
-
-    def state(tok: str, lineno: int) -> int:
-        q = int(tok)
-        if not 0 <= q < n:
-            fail(lineno, f"state index {q} out of range")
-        return q
-
-    lineno, init_line = lines[1]
-    if init_line[0] != "initial":
-        fail(lineno, "expected 'initial <q>...'")
-    initial = frozenset(state(t, lineno) for t in init_line[1:])
-    lineno, finals_line = lines[2]
-    if finals_line[0] != "finals":
-        fail(lineno, "expected 'finals <q>...'")
-    finals = frozenset(state(t, lineno) for t in finals_line[1:])
-
-    table: dict[tuple[int, int], frozenset[int]] = {}
-    for lineno, parts in lines[3:]:
-        if len(parts) < 2:
-            fail(lineno, "expected '<state> <symbol> <target>...'")
-        q = state(parts[0], lineno)
-        if parts[1] not in alphabet:
-            fail(lineno, f"symbol {parts[1]!r} not in alphabet")
-        i = alphabet.index(parts[1])
-        if (q, i) in table:
-            fail(lineno, f"duplicate transition line for state {q}")
-        table[(q, i)] = frozenset(state(t, lineno) for t in parts[2:])
-
-    empty = frozenset()
+    _, header = _tokenize(text)[0]
+    if header[0] == "dfa":
+        return as_nfa(parse_dfa(text))
+    n, alphabet, initial, finals, table = _read_automaton(text, "nfa")
     delta = tuple(
-        (table.get((q, 0), empty), table.get((q, 1), empty)) for q in range(n)
+        (frozenset(table.get((q, 0), ())), frozenset(table.get((q, 1), ())))
+        for q in range(n)
     )
-    return Nfa(alphabet=alphabet, delta=delta, initial=initial, finals=finals)
+    return Nfa(alphabet=alphabet, delta=delta, initial=frozenset(initial), finals=finals)
 
 
 def nfa_to_text(n: Nfa) -> str:
@@ -338,32 +318,64 @@ def dfa_to_json(d: Dfa) -> str:
     )
 
 
+def explore(start, successors, budget: int, what: str):
+    """Breadth-first numbering of everything reachable from ``start``.
+
+    Returns ``(order, rows)``: ``order[i]`` is the i-th state discovered,
+    and ``rows[i]`` the tuple of the numbers of ``successors(order[i])``, in
+    the order they come.  States are numbered in discovery order, so equal
+    inputs give byte-identical automata.  Raises
+    :class:`BudgetExceededError` when more than ``budget`` states would be
+    discovered; ``what`` names them in the message.
+    """
+    index = {start: 0}
+    order = [start]
+    rows = []
+    # iterating a list while appending to it visits the appended items too
+    for x in order:
+        row = []
+        for y in successors(x):
+            j = index.get(y)
+            if j is None:
+                if len(order) >= budget:
+                    raise BudgetExceededError(f"more than {budget} {what} materialized")
+                j = index[y] = len(order)
+                order.append(y)
+            row.append(j)
+        rows.append(tuple(row))
+    return order, rows
+
+
+def _mask(states: Iterable[int]) -> int:
+    m = 0
+    for q in states:
+        m |= 1 << q
+    return m
+
+
 def determinize(n: Nfa) -> Dfa:
     """Subset construction; only reachable subsets are materialized.
 
     The empty subset becomes an explicit (rejecting) sink state when it is
-    reachable, keeping the result a complete DFA.
+    reachable, keeping the result a complete DFA.  Raises
+    :class:`BudgetExceededError` past :data:`STATE_BUDGET` subsets.
     """
-    start = frozenset(n.initial)
-    index: dict[frozenset[int], int] = {start: 0}
-    order = [start]
-    delta: list[tuple[int, int]] = []
-    i = 0
-    while i < len(order):
-        subset = order[i]
-        row = []
-        for sym in range(2):
-            target = frozenset().union(*(n.delta[q][sym] for q in subset)) if subset else frozenset()
-            if target not in index:
-                index[target] = len(order)
-                order.append(target)
-            row.append(index[target])
-        delta.append((row[0], row[1]))
-        i += 1
-    finals = frozenset(
-        index[s] for s in order if s & n.finals
-    )
-    return Dfa(alphabet=n.alphabet, delta=tuple(delta), initial=0, finals=finals)
+    succ0 = [_mask(row[0]) for row in n.delta]
+    succ1 = [_mask(row[1]) for row in n.delta]
+
+    def successors(m: int) -> tuple[int, int]:
+        t0 = t1 = 0
+        while m:
+            q = (m & -m).bit_length() - 1
+            m &= m - 1
+            t0 |= succ0[q]
+            t1 |= succ1[q]
+        return t0, t1
+
+    order, rows = explore(_mask(n.initial), successors, STATE_BUDGET, "subsets")
+    fmask = _mask(n.finals)
+    finals = frozenset(i for i, m in enumerate(order) if m & fmask)
+    return Dfa(alphabet=n.alphabet, delta=tuple(rows), initial=0, finals=finals)
 
 
 def _reachable(d: Dfa) -> list[int]:
@@ -448,62 +460,15 @@ def minimize(d: Dfa) -> Dfa:
     block_of = _hopcroft_classes(d, states)
 
     # canonical BFS renumbering over the quotient
-    start = block_of[d.initial]
-    number = {start: 0}
-    order = [start]
     rep = {block_of[q]: q for q in reversed(states)}
-    i = 0
-    while i < len(order):
-        b = order[i]
-        q = rep[b]
-        for sym in range(2):
-            t = block_of[d.delta[q][sym]]
-            if t not in number:
-                number[t] = len(order)
-                order.append(t)
-        i += 1
-    delta = []
-    for b in order:
-        q = rep[b]
-        delta.append(tuple(number[block_of[d.delta[q][sym]]] for sym in range(2)))
-    finals = frozenset(number[b] for b in order if rep[b] in d.finals)
-    return Dfa(alphabet=d.alphabet, delta=tuple(delta), initial=0, finals=finals)
 
+    def successors(b: int) -> tuple[int, int]:
+        t0, t1 = d.delta[rep[b]]
+        return block_of[t0], block_of[t1]
 
-def minimize_moore(d: Dfa) -> Dfa:
-    """Moore's algorithm; kept as an independent check of :func:`minimize`."""
-    states = _reachable(d)
-    cls = {q: int(q in d.finals) for q in states}
-    while True:
-        sig = {
-            q: (cls[q], cls[d.delta[q][0]], cls[d.delta[q][1]]) for q in states
-        }
-        renum: dict[tuple[int, int, int], int] = {}
-        new_cls = {}
-        for q in states:
-            new_cls[q] = renum.setdefault(sig[q], len(renum))
-        if len(set(new_cls.values())) == len(set(cls.values())):
-            cls = new_cls
-            break
-        cls = new_cls
-    start = cls[d.initial]
-    rep = {cls[q]: q for q in reversed(states)}
-    number = {start: 0}
-    order = [start]
-    i = 0
-    while i < len(order):
-        q = rep[order[i]]
-        for sym in range(2):
-            t = cls[d.delta[q][sym]]
-            if t not in number:
-                number[t] = len(order)
-                order.append(t)
-        i += 1
-    delta = tuple(
-        tuple(number[cls[d.delta[rep[b]][sym]]] for sym in range(2)) for b in order
-    )
-    finals = frozenset(number[b] for b in order if rep[b] in d.finals)
-    return Dfa(alphabet=d.alphabet, delta=delta, initial=0, finals=finals)
+    order, rows = explore(block_of[d.initial], successors, len(states), "blocks")
+    finals = frozenset(i for i, b in enumerate(order) if rep[b] in d.finals)
+    return Dfa(alphabet=d.alphabet, delta=tuple(rows), initial=0, finals=finals)
 
 
 def equivalent(a: Dfa, b: Dfa) -> bool:

@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import automata, circuits, decision, enumeration, gadgets, game, oracle
-from .automata import Dfa, FormatError
+from .automata import BudgetExceededError, Dfa, FormatError
 
 
 def _read_dfa(path: str) -> Dfa:
@@ -154,9 +154,6 @@ def _cmd_gadget_circuit(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    if args.jobs != 1:
-        print("note: running on a single worker", file=sys.stderr)
-
     def progress(done: int, total: int):
         if done % 500 == 0:
             print(f"{done}/{total} structures", file=sys.stderr)
@@ -239,7 +236,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="worst-case winning-set size for n states")
     p.add_argument("n", type=int)
     p.add_argument("--budget", type=float, default=None, metavar="SECONDS")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--emit-witness", metavar="FILE")
     p.set_defaults(func=_cmd_enumerate)
     return parser
@@ -250,10 +246,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except game.BudgetExceededError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (FormatError, ValueError, OSError) as e:
+    except (BudgetExceededError, FormatError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
-from .automata import Dfa, Nfa
-from .game import BudgetExceededError, reverse_winset_dfa
+from .automata import BudgetExceededError, Dfa, Nfa
+from .game import reverse_winset_dfa
 
 DEFAULT_PRODUCT_BUDGET = 10_000_000
 

@@ -203,6 +203,20 @@ def state_word(n: int, antichain: Iterable[Iterable[int]]) -> str:
     return "".join("A" + subset_word(n, s) + "A" * n for s in members)
 
 
+def _add_testing(b: GraphBuilder, n: int):
+    """States q_1..q_2n, r and r' of the tester, entered at q_1."""
+    for i in range(1, 2 * n):
+        if i == n:
+            b.arc(f"q{n}", "r", f"q{n + 1}")
+        else:
+            b.arc(f"q{i}", f"q{i + 1}")
+    b.arc(f"q{2 * n}", "r'")
+    b.arc("r", "r")
+    b.arc("r'", "r'")
+    for i in range(n + 1, 2 * n + 1):
+        b.state(f"q{i}", final=True)
+
+
 def testing(n: int) -> Gadget:
     """Chain q_1..q_2n with accepting upper half; B at the midpoint kills.
 
@@ -214,16 +228,7 @@ def testing(n: int) -> Gadget:
         raise ValueError("n must be >= 1")
     b = GraphBuilder()
     b.state("q1")
-    for i in range(1, 2 * n):
-        if i == n:
-            b.arc(f"q{n}", "r", f"q{n + 1}")
-        else:
-            b.arc(f"q{i}", f"q{i + 1}")
-    b.arc(f"q{2 * n}", "r'")
-    b.arc("r", "r")
-    b.arc("r'", "r'")
-    for i in range(n + 1, 2 * n + 1):
-        b.state(f"q{i}", final=True)
+    _add_testing(b, n)
     return Gadget(dfa=b.build("q1"), labels=b.labels, entry="q1")
 
 
@@ -243,16 +248,7 @@ def lower_bound_gadget(n: int) -> Gadget:
     b = GraphBuilder()
     b.state("a1")
     _add_gen_state(b, n, "q1")
-    for i in range(1, 2 * n):
-        if i == n:
-            b.arc(f"q{n}", "r", f"q{n + 1}")
-        else:
-            b.arc(f"q{i}", f"q{i + 1}")
-    b.arc(f"q{2 * n}", "r'")
-    b.arc("r", "r")
-    b.arc("r'", "r'")
-    for i in range(n + 1, 2 * n + 1):
-        b.state(f"q{i}", final=True)
+    _add_testing(b, n)
     return Gadget(dfa=b.build("a1"), labels=b.labels, entry="a1")
 
 

@@ -15,26 +15,24 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .automata import Dfa, Nfa, minimize
+from .automata import (  # noqa: F401  BudgetExceededError is re-exported
+    STATE_BUDGET,
+    BudgetExceededError,
+    Dfa,
+    Nfa,
+    _mask,
+    explore,
+    minimize,
+)
 
 GameState = tuple[int, ...]
 
 TURNS = ("A", "B")
 
 
-class BudgetExceededError(RuntimeError):
-    """A construction hit its configured resource cap (not a wrong answer)."""
-
-
 def game_state(sets: Iterable[Iterable[int]]) -> GameState:
     """Build a (possibly unnormalized) game state from collections of states."""
-    masks = set()
-    for s in sets:
-        m = 0
-        for q in s:
-            m |= 1 << q
-        masks.add(m)
-    return tuple(sorted(masks))
+    return tuple(sorted({_mask(s) for s in sets}))
 
 
 def state_sets(g: GameState) -> list[list[int]]:
@@ -99,78 +97,101 @@ def parse_game_state(text: str) -> GameState:
 # per-host tables
 
 
-@dataclass(frozen=True)
-class _HostTables:
-    fmask: int
-    coacc: int       # states with some path into F
-    acc_sink: int    # final states looping to themselves on both symbols
+# The memos of the A images and the B image of host subsets depend only on
+# the transition table.  They are kept for the last table only:
+# max_winset_complexity runs every final set of one table back to back, and
+# without this reuse enumerate 4 took about 20 % longer.
+@lru_cache(maxsize=1)
+def _image_memos(delta: tuple[tuple[int, int], ...]) -> tuple[dict, dict]:
+    return {}, {}
 
 
-@lru_cache(maxsize=None)
-def _tables(host: Dfa) -> _HostTables:
-    fmask = 0
-    for q in host.finals:
-        fmask |= 1 << q
-    # reverse BFS from the finals
-    preds: list[set[int]] = [set() for _ in range(host.state_count)]
-    for q, (t0, t1) in enumerate(host.delta):
-        preds[t0].add(q)
-        preds[t1].add(q)
-    coacc = set(host.finals)
-    frontier = list(host.finals)
-    while frontier:
-        nxt = []
-        for q in frontier:
-            for p in preds[q]:
-                if p not in coacc:
-                    coacc.add(p)
-                    nxt.append(p)
-        frontier = nxt
-    coacc_mask = 0
-    for q in coacc:
-        coacc_mask |= 1 << q
-    acc_sink = 0
-    for q in host.finals:
-        if host.delta[q] == (q, q):
-            acc_sink |= 1 << q
-    return _HostTables(fmask=fmask, coacc=coacc_mask, acc_sink=acc_sink)
+class _Host:
+    """A host DFA compiled for the game: state-set masks and image memos."""
 
+    def __init__(self, host: Dfa):
+        self.delta = host.delta
+        self.fmask = _mask(host.finals)
+        # states with some path into F, by reverse BFS from the finals
+        preds: list[set[int]] = [set() for _ in range(host.state_count)]
+        for q, (t0, t1) in enumerate(host.delta):
+            preds[t0].add(q)
+            preds[t1].add(q)
+        coacc = set(host.finals)
+        frontier = list(host.finals)
+        while frontier:
+            frontier = [p for q in frontier for p in preds[q] if p not in coacc]
+            coacc.update(frontier)
+        self.coacc = _mask(coacc)
+        # final states looping to themselves on both symbols
+        self.acc_sink = _mask(q for q in host.finals if host.delta[q] == (q, q))
+        self._a, self._b = _image_memos(host.delta)
 
-@lru_cache(maxsize=None)
-def _a_images(delta: tuple[tuple[int, int], ...], mask: int) -> tuple[int, ...]:
-    """All images of the set ``mask`` under choice functions into {0,1}."""
-    images = [0]
-    m = mask
-    while m:
-        q = (m & -m).bit_length() - 1
-        m &= m - 1
-        t0, t1 = delta[q]
-        b0, b1 = 1 << t0, 1 << t1
-        if b0 == b1:
-            images = [img | b0 for img in images]
-        else:
-            seen = set()
-            nxt = []
-            for img in images:
-                for b in (b0, b1):
-                    x = img | b
-                    if x not in seen:
-                        seen.add(x)
-                        nxt.append(x)
-            images = nxt
-    return tuple(sorted(set(images)))
+    def a_images(self, mask: int) -> tuple[int, ...]:
+        """All images of the set ``mask`` under choice functions into {0,1}."""
+        images = self._a.get(mask)
+        if images is not None:
+            return images
+        out = {0}
+        m = mask
+        while m:
+            q = (m & -m).bit_length() - 1
+            m &= m - 1
+            t0, t1 = self.delta[q]
+            b0, b1 = 1 << t0, 1 << t1
+            if b0 == b1:
+                out = {img | b0 for img in out}
+            else:
+                out = {img | b for img in out for b in (b0, b1)}
+        images = self._a[mask] = tuple(sorted(out))
+        return images
 
+    def b_image(self, mask: int) -> int:
+        """The set of all successors of the set ``mask``."""
+        image = self._b.get(mask)
+        if image is not None:
+            return image
+        out = 0
+        m = mask
+        while m:
+            q = (m & -m).bit_length() - 1
+            m &= m - 1
+            t0, t1 = self.delta[q]
+            out |= (1 << t0) | (1 << t1)
+        self._b[mask] = out
+        return out
 
-@lru_cache(maxsize=None)
-def _b_image(delta: tuple[tuple[int, int], ...], mask: int) -> int:
-    out = 0
-    m = mask
-    while m:
-        q = (m & -m).bit_length() - 1
-        m &= m - 1
-        t0, t1 = delta[q]
-        out |= (1 << t0) | (1 << t1)
-    return out
+    def successors(self, g: Iterable[int], c: str) -> set[int]:
+        """The unnormalized members of the game state after turn ``c``."""
+        if c == "A":
+            out = set()
+            for m in g:
+                out.update(self.a_images(m))
+            return out
+        if c == "B":
+            return {self.b_image(m) for m in g}
+        raise ValueError(f"turn symbol must be A or B, got {c!r}")
+
+    def normalize(self, g: Iterable[int]) -> GameState:
+        keep, dead = ~self.acc_sink, ~self.coacc
+        members = set()
+        for m in g:
+            m &= keep
+            if not m & dead:
+                members.add(m)
+        # supersets last, so a kept mask can only be covered by an earlier one
+        kept: list[int] = []
+        for m in sorted(members, key=lambda m: (m.bit_count(), m)):
+            if not any(k & m == k for k in kept):
+                kept.append(m)
+        return tuple(sorted(kept))
+
+    def step(self, g: GameState, c: str) -> GameState:
+        return self.normalize(self.successors(g, c))
+
+    def accepting(self, g: GameState) -> bool:
+        fmask = self.fmask
+        return any(m & ~fmask == 0 for m in g)
 
 
 # ---------------------------------------------------------------------------
@@ -186,30 +207,12 @@ def normalize(host: Dfa, g: Iterable[int]) -> GameState:
     drop strict supersets of other members (more uncertainty never helps
     Alice).  Result is a sorted antichain.
     """
-    t = _tables(host)
-    members = set()
-    for m in g:
-        m &= ~t.acc_sink
-        if m & ~t.coacc:
-            continue
-        members.add(m)
-    # supersets last, so a kept mask can only be covered by an earlier one
-    ordered = sorted(members, key=lambda m: (_popcount(m), m))
-    kept: list[int] = []
-    for m in ordered:
-        if not any(k & m == k for k in kept):
-            kept.append(m)
-    return tuple(sorted(kept))
-
-
-def _popcount(m: int) -> int:
-    return bin(m).count("1")
+    return _Host(host).normalize(g)
 
 
 def is_accepting(host: Dfa, g: GameState) -> bool:
     """A game state accepts iff some member is contained in the finals."""
-    fmask = _tables(host).fmask
-    return any(m & ~fmask == 0 for m in g)
+    return _Host(host).accepting(g)
 
 
 def winning_step(host: Dfa, g: Iterable[int], c: str, *, normalized: bool = True) -> GameState:
@@ -218,23 +221,17 @@ def winning_step(host: Dfa, g: Iterable[int], c: str, *, normalized: bool = True
     On A every member expands to its images under all choice functions; on B
     each member collapses to the single set of all possible successors.
     """
-    out = set()
-    if c == "A":
-        for m in g:
-            out.update(_a_images(host.delta, m))
-    elif c == "B":
-        for m in g:
-            out.add(_b_image(host.delta, m))
-    else:
-        raise ValueError(f"turn symbol must be A or B, got {c!r}")
-    raw = tuple(sorted(out))
-    return normalize(host, raw) if normalized else raw
+    h = _Host(host)
+    out = h.successors(g, c)
+    return h.normalize(out) if normalized else tuple(sorted(out))
 
 
 def winning_run(host: Dfa, g: Iterable[int], word: str, *, normalized: bool = True) -> GameState:
-    cur = normalize(host, g) if normalized else tuple(sorted(set(g)))
+    h = _Host(host)
+    cur = h.normalize(g) if normalized else tuple(sorted(set(g)))
     for c in word:
-        cur = winning_step(host, cur, c, normalized=normalized)
+        out = h.successors(cur, c)
+        cur = h.normalize(out) if normalized else tuple(sorted(out))
     return cur
 
 
@@ -255,35 +252,24 @@ def winset_nfa(host: Dfa) -> Nfa:
     """The canonical NFA for the winning set of the host's language.
 
     States are the host state-sets reachable from {q0}; a set is final iff
-    it sits inside the host finals.  Only reachable sets are materialized.
+    it sits inside the host finals.  Only reachable sets are materialized,
+    at most :data:`~winset.automata.STATE_BUDGET` of them.
     """
     _require_binary(host)
-    start = 1 << host.initial
-    index = {start: 0}
-    order = [start]
-    rows: list[tuple[frozenset[int], frozenset[int]]] = []
-    i = 0
-    while i < len(order):
-        m = order[i]
-        a_targets = _a_images(host.delta, m)
-        b_target = _b_image(host.delta, m)
-        for tm in a_targets:
-            if tm not in index:
-                index[tm] = len(order)
-                order.append(tm)
-        if b_target not in index:
-            index[b_target] = len(order)
-            order.append(b_target)
-        rows.append(
-            (frozenset(index[tm] for tm in a_targets), frozenset({index[b_target]}))
-        )
-        i += 1
-    fmask = _tables(host).fmask
-    finals = frozenset(index[m] for m in order if m & ~fmask == 0)
-    return Nfa(alphabet=TURNS, delta=tuple(rows), initial=frozenset({0}), finals=finals)
+    h = _Host(host)
+    order, rows = explore(
+        1 << host.initial,
+        lambda m: (*h.a_images(m), h.b_image(m)),
+        STATE_BUDGET,
+        "host subsets",
+    )
+    # a row is the A images followed by the B image
+    delta = tuple((frozenset(row[:-1]), frozenset(row[-1:])) for row in rows)
+    finals = frozenset(i for i, m in enumerate(order) if m & ~h.fmask == 0)
+    return Nfa(alphabet=TURNS, delta=delta, initial=frozenset({0}), finals=finals)
 
 
-def winset_dfa(host: Dfa, *, max_game_states: int = 2_000_000) -> Dfa:
+def winset_dfa(host: Dfa, *, max_game_states: int = STATE_BUDGET) -> Dfa:
     """Minimal DFA for the winning set, via subset construction over
     normalized game states.
 
@@ -292,28 +278,15 @@ def winset_dfa(host: Dfa, *, max_game_states: int = 2_000_000) -> Dfa:
     exponential in the host, so silent truncation is never an option.
     """
     _require_binary(host)
-    start = normalize(host, (1 << host.initial,))
-    index: dict[GameState, int] = {start: 0}
-    order = [start]
-    delta: list[tuple[int, int]] = []
-    i = 0
-    while i < len(order):
-        g = order[i]
-        row = []
-        for c in TURNS:
-            h = winning_step(host, g, c)
-            if h not in index:
-                if len(order) >= max_game_states:
-                    raise BudgetExceededError(
-                        f"more than {max_game_states} game states materialized"
-                    )
-                index[h] = len(order)
-                order.append(h)
-            row.append(index[h])
-        delta.append((row[0], row[1]))
-        i += 1
-    finals = frozenset(i for i, g in enumerate(order) if is_accepting(host, g))
-    return minimize(Dfa(alphabet=TURNS, delta=tuple(delta), initial=0, finals=finals))
+    h = _Host(host)
+    order, rows = explore(
+        h.normalize((1 << host.initial,)),
+        lambda g: (h.step(g, "A"), h.step(g, "B")),
+        max_game_states,
+        "game states",
+    )
+    finals = frozenset(i for i, g in enumerate(order) if h.accepting(g))
+    return minimize(Dfa(alphabet=TURNS, delta=tuple(rows), initial=0, finals=finals))
 
 
 def _require_binary(host: Dfa):
@@ -338,7 +311,7 @@ class ReversalDfa:
 
     @property
     def initial_mask(self) -> int:
-        return _tables(self.host).fmask
+        return _mask(self.host.finals)
 
     def step(self, mask: int, c: str) -> int:
         if c not in TURNS:
@@ -360,29 +333,16 @@ class ReversalDfa:
             m = self.step(m, c)
         return self.is_final(m)
 
-    def to_dfa(self, *, max_states: int = 2_000_000) -> Dfa:
+    def to_dfa(self, *, max_states: int = STATE_BUDGET) -> Dfa:
         """Materialize the reachable part as an explicit DFA."""
-        index = {self.initial_mask: 0}
-        order = [self.initial_mask]
-        delta: list[tuple[int, int]] = []
-        i = 0
-        while i < len(order):
-            m = order[i]
-            row = []
-            for c in TURNS:
-                t = self.step(m, c)
-                if t not in index:
-                    if len(order) >= max_states:
-                        raise BudgetExceededError(
-                            f"more than {max_states} subset states materialized"
-                        )
-                    index[t] = len(order)
-                    order.append(t)
-                row.append(index[t])
-            delta.append((row[0], row[1]))
-            i += 1
+        order, rows = explore(
+            self.initial_mask,
+            lambda m: (self.step(m, "A"), self.step(m, "B")),
+            max_states,
+            "subset states",
+        )
         finals = frozenset(i for i, m in enumerate(order) if self.is_final(m))
-        return Dfa(alphabet=TURNS, delta=tuple(delta), initial=0, finals=finals)
+        return Dfa(alphabet=TURNS, delta=tuple(rows), initial=0, finals=finals)
 
 
 def reverse_winset_dfa(host: Dfa) -> ReversalDfa:
@@ -395,8 +355,9 @@ def game_states_equivalent(host: Dfa, g: Iterable[int], h: Iterable[int]) -> boo
     Lazy bisimulation with union-find: merge the pair, bail out on an
     acceptance mismatch, and chase successors of merged representatives only.
     """
-    gn = normalize(host, g)
-    hn = normalize(host, h)
+    tables = _Host(host)
+    gn = tables.normalize(g)
+    hn = tables.normalize(h)
     parent: dict[GameState, GameState] = {}
 
     def find(x: GameState) -> GameState:
@@ -410,9 +371,9 @@ def game_states_equivalent(host: Dfa, g: Iterable[int], h: Iterable[int]) -> boo
         rp, rq = find(p), find(q)
         if rp == rq:
             continue
-        if is_accepting(host, rp) != is_accepting(host, rq):
+        if tables.accepting(rp) != tables.accepting(rq):
             return False
         parent[rq] = rp
         for c in TURNS:
-            stack.append((winning_step(host, rp, c), winning_step(host, rq, c)))
+            stack.append((tables.step(rp, c), tables.step(rq, c)))
     return True

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .automata import Dfa, accepts
+from .automata import BudgetExceededError, Dfa, accepts
 
 SLICE_LIMIT = 24  # 2^n table entries; past this the "oracle" stops being one
 
@@ -33,13 +33,16 @@ def alice_wins(t: TargetPredicate, w: str) -> bool:
 
     Positions are filled left to right; at an A the builder picks the bit,
     at a B the opponent does.  Memoized on the constructed prefix, whose
-    length always matches the number of turns consumed.
+    length always matches the number of turns consumed.  Words longer than
+    ``SLICE_LIMIT`` raise :class:`BudgetExceededError`.
     """
     if len(w) != t.length:
         raise ValueError(f"turn word length {len(w)} != target length {t.length}")
     for c in w:
         if c not in ("A", "B"):
             raise ValueError(f"turn symbol must be A or B, got {c!r}")
+    if len(w) > SLICE_LIMIT:
+        raise BudgetExceededError(f"turn word length {len(w)} exceeds the limit {SLICE_LIMIT}")
     memo: dict[str, bool] = {}
 
     def wins(prefix: str) -> bool:

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from winset.automata import (
+    BudgetExceededError,
     Dfa,
     FormatError,
     Nfa,
@@ -16,17 +17,55 @@ from winset.automata import (
     dfa_to_text,
     enumerate_words,
     equivalent,
+    explore,
     language_slice,
     minimize,
-    minimize_moore,
     nfa_accepts,
     nfa_to_text,
     parse_dfa,
     parse_nfa,
     to_dot,
     transformation,
+    _reachable,
 )
 from .conftest import random_host, words_upto
+
+
+def minimize_moore(d: Dfa) -> Dfa:
+    """Moore's algorithm; kept as an independent check of :func:`minimize`."""
+    states = _reachable(d)
+    cls = {q: int(q in d.finals) for q in states}
+    while True:
+        sig = {
+            q: (cls[q], cls[d.delta[q][0]], cls[d.delta[q][1]]) for q in states
+        }
+        renum: dict[tuple[int, int, int], int] = {}
+        new_cls = {}
+        for q in states:
+            new_cls[q] = renum.setdefault(sig[q], len(renum))
+        if len(set(new_cls.values())) == len(set(cls.values())):
+            cls = new_cls
+            break
+        cls = new_cls
+    start = cls[d.initial]
+    rep = {cls[q]: q for q in reversed(states)}
+    number = {start: 0}
+    order = [start]
+    i = 0
+    while i < len(order):
+        q = rep[order[i]]
+        for sym in range(2):
+            t = cls[d.delta[q][sym]]
+            if t not in number:
+                number[t] = len(order)
+                order.append(t)
+        i += 1
+    delta = tuple(
+        tuple(number[cls[d.delta[rep[b]][sym]]] for sym in range(2)) for b in order
+    )
+    finals = frozenset(number[b] for b in order if rep[b] in d.finals)
+    return Dfa(alphabet=d.alphabet, delta=delta, initial=0, finals=finals)
+
 
 PARITY_TEXT = """\
 # odd number of 1s
@@ -125,6 +164,22 @@ def test_equivalent_matches_slice_comparison():
             accepts(a, w) == accepts(b, w) for w in words_upto("01", 5)
         )
         assert equivalent(a, b) == brute
+
+
+# a -> c, b;  c -> d, a;  b -> d;  d has no successors
+GRAPH = {"a": ("c", "b"), "b": ("d",), "c": ("d", "a"), "d": ()}
+
+
+def test_explore_numbers_states_in_bfs_discovery_order():
+    order, rows = explore("a", GRAPH.__getitem__, 4, "nodes")
+    assert order == ["a", "c", "b", "d"]
+    assert rows == [(1, 2), (3, 0), (3,), ()]  # tuples, in successor order
+
+
+def test_explore_budget_is_exact():
+    assert len(explore("a", GRAPH.__getitem__, 4, "nodes")[0]) == 4
+    with pytest.raises(BudgetExceededError, match="more than 3 nodes"):
+        explore("a", GRAPH.__getitem__, 3, "nodes")
 
 
 def test_determinize_preserves_language():

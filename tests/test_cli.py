@@ -103,6 +103,24 @@ def test_decide_intersect(tmp_path, parity_file, capsys):
     assert capsys.readouterr().out.strip() == "BA"
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "nfa 2 AB\n",
+        "nfa 2 AB\ninitial 0\n",
+        "nfa two AB\ninitial 0\nfinals 0\n",
+        "nfa 2 AB\ninitial zero\nfinals 0\n",
+        "nfa 2 AB\ninitial 0\nfinals 0\n0 A one\n",
+    ],
+)
+def test_decide_intersect_malformed_nfa(tmp_path, parity_file, capsys, text):
+    nfa = tmp_path / "bad.nfa"
+    nfa.write_text(text)
+    assert main(["decide", "intersect", parity_file, str(nfa)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "line" in err and "Traceback" not in err
+
+
 def test_decide_intersect_budget(tmp_path, parity_file, capsys):
     nfa = tmp_path / "a.nfa"
     nfa.write_text("nfa 1 AB\ninitial 0\nfinals 0\n0 A 0\n")
@@ -113,6 +131,8 @@ def test_oracle_member_builtin(capsys):
     assert main(["oracle", "member", "parity", "BBA"]) == 0
     assert main(["oracle", "member", "parity", "BBB"]) == 1
     assert main(["oracle", "member", "dyck", "AAB"]) == 2  # odd length
+    assert main(["oracle", "member", "parity", "A" * 40]) == 2  # over the limit
+    assert "exceeds the limit" in capsys.readouterr().err
 
 
 def test_oracle_slice(capsys):

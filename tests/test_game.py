@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -7,9 +8,11 @@ from winset.automata import (
     accepts,
     count_words,
     determinize,
+    dfa_to_text,
     enumerate_words,
     equivalent,
     minimize,
+    nfa_to_text,
 )
 from winset.game import (
     BudgetExceededError,
@@ -26,7 +29,7 @@ from winset.game import (
     winset_dfa,
     winset_nfa,
 )
-from winset.gadgets import lower_bound_dfa
+from winset.gadgets import exact_ones_dfa, lower_bound_dfa
 from .conftest import random_host, words_upto
 
 PARITY = Dfa(alphabet=("0", "1"), delta=((0, 1), (1, 0)), initial=0, finals=frozenset({1}))
@@ -216,3 +219,35 @@ def test_game_states_equivalent_is_consistent(sampled_hosts):
 def test_winset_budget_is_enforced():
     with pytest.raises(BudgetExceededError):
         winset_dfa(lower_bound_dfa(1), max_game_states=5)
+
+
+# sha256 of the serialized constructions over the <= 3-state corpus and the
+# gadget families: they pin every state number, not just the languages
+GADGETS = [exact_ones_dfa(n) for n in range(1, 9)] + [lower_bound_dfa(n) for n in (1, 2)]
+PINNED = {
+    "winset_dfa": (
+        lambda h: dfa_to_text(winset_dfa(h)), GADGETS,
+        "47dbd151e62fc73a669944a267edffb4af58187277a76d0c05a2b32655cd87f8",
+    ),
+    "winset_nfa": (
+        lambda h: nfa_to_text(winset_nfa(h)), GADGETS,
+        "0316019f4dbab2c5751b2ce7416b4c4784cc63264d513f680becdb80cb1ec5c6",
+    ),
+    "determinize": (
+        lambda h: dfa_to_text(determinize(winset_nfa(h))), GADGETS[:6],
+        "3be4049bcd92ce465445cdca09d81668d3fbff47288d36553f3ca0ff66850ae2",
+    ),
+    "reversal": (
+        lambda h: dfa_to_text(reverse_winset_dfa(h).to_dfa()), GADGETS,
+        "c6b65263bc7a54942fdb016a7a4fea15ff5d0927ce60919a2e802ce767e08a4f",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_serialized_output_is_pinned(name, small_hosts):
+    build, gadgets, digest = PINNED[name]
+    h = hashlib.sha256()
+    for host in small_hosts + gadgets:
+        h.update(build(host).encode())
+    assert h.hexdigest() == digest

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from winset.automata import enumerate_words
+from winset.automata import BudgetExceededError, enumerate_words
 from winset.oracle import (
     SLICE_LIMIT,
     TargetPredicate,
@@ -77,6 +77,8 @@ def test_input_validation():
         alice_wins(t, "AXB")
     with pytest.raises(ValueError):
         winning_slice(parity_predicate(SLICE_LIMIT + 1))
+    with pytest.raises(BudgetExceededError):
+        alice_wins(parity_predicate(SLICE_LIMIT + 1), "A" * (SLICE_LIMIT + 1))
     with pytest.raises(ValueError):
         TargetPredicate(length=-1, member=lambda v: True)
 
