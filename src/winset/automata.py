@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections import deque
-from typing import Iterable
+from operator import itemgetter
+from typing import Callable, Iterable
 
 BINARY = ("0", "1")
 TURNS = ("A", "B")
@@ -177,6 +178,8 @@ def _read_automaton(text: str, kind: str):
     least = 1 if dfa else 0
     if n < least:
         _fail(lineno, f"state count must be at least {least}")
+    if n > STATE_BUDGET:
+        _fail(lineno, f"state count {n} exceeds the budget of {STATE_BUDGET}")
     alphabet = _ALPHABETS.get(header[2])
     if alphabet is None:
         _fail(lineno, f"alphabet must be 01 or AB, got {header[2]!r}")
@@ -258,11 +261,14 @@ def parse_nfa(text: str) -> Nfa:
     if header[0] == "dfa":
         return as_nfa(parse_dfa(text))
     n, alphabet, initial, finals, table = _read_automaton(text, "nfa")
-    delta = tuple(
-        (frozenset(table.get((q, 0), ())), frozenset(table.get((q, 1), ())))
-        for q in range(n)
+    # states without transitions share one empty row
+    none = frozenset()
+    delta = [(none, none)] * n
+    for q in {q for q, _ in table}:
+        delta[q] = (frozenset(table.get((q, 0), ())), frozenset(table.get((q, 1), ())))
+    return Nfa(
+        alphabet=alphabet, delta=tuple(delta), initial=frozenset(initial), finals=finals
     )
-    return Nfa(alphabet=alphabet, delta=delta, initial=frozenset(initial), finals=finals)
 
 
 def nfa_to_text(n: Nfa) -> str:
@@ -378,6 +384,45 @@ def determinize(n: Nfa) -> Dfa:
     return Dfa(alphabet=n.alphabet, delta=tuple(rows), initial=0, finals=finals)
 
 
+def preimages(delta: tuple[tuple[int, int], ...]) -> Callable[[int], tuple[int, int]]:
+    """Compile a two-symbol transition table into its preimage map.
+
+    The returned ``pre(mask)`` gives ``(p0, p1)``, where bit q of ``p_i`` is
+    bit ``delta[q][i]`` of ``mask``: the states that move into ``mask`` on
+    symbol i.  Both come from one gather over the binary digits of
+    ``mask``: a few passes of C-level work rather than a Python loop over
+    the states.  Bits of ``mask`` at or above ``len(delta)`` are ignored.
+    """
+    n = len(delta)
+    full = (1 << n) - 1
+    guard = full + 1
+    # bin(mask | guard) is "0b1" and then bit t at index n+2-t; the gathered
+    # 2n digits are p0 then p1, most significant first
+    pick = itemgetter(*[n + 2 - row[i] for i in (0, 1) for row in reversed(delta)])
+
+    def pre(mask: int) -> tuple[int, int]:
+        x = int("".join(pick(bin(mask & full | guard))), 2)
+        return x >> n, x & full
+
+    return pre
+
+
+def determinize_reverse(d: Dfa, budget: int = STATE_BUDGET) -> Dfa:
+    """Subset construction on the reverse of ``d``: a DFA for the reversed
+    language, numbered breadth-first like :func:`minimize`.
+
+    When every state of ``d`` is reachable, the result is the minimal DFA
+    of the reversed language (Brzozowski 1962): the states' reversed
+    languages are then nonempty and pairwise disjoint, so distinct subsets
+    accept distinct languages.
+    Raises :class:`BudgetExceededError` past ``budget`` subsets.
+    """
+    order, rows = explore(_mask(d.finals), preimages(d.delta), budget, "subsets")
+    init = 1 << d.initial
+    finals = frozenset(i for i, m in enumerate(order) if m & init)
+    return Dfa(alphabet=d.alphabet, delta=tuple(rows), initial=0, finals=finals)
+
+
 def _reachable(d: Dfa) -> list[int]:
     seen = {d.initial}
     queue = deque([d.initial])
@@ -390,6 +435,22 @@ def _reachable(d: Dfa) -> list[int]:
                 order.append(t)
                 queue.append(t)
     return order
+
+
+def coaccessible(d: Dfa) -> set[int]:
+    """The states with a path into the finals, by reverse BFS from them."""
+    preds: list[list[int]] = [[] for _ in range(d.state_count)]
+    for q, row in enumerate(d.delta):
+        for t in row:
+            preds[t].append(q)
+    seen = set(d.finals)
+    queue = deque(d.finals)
+    while queue:
+        for p in preds[queue.popleft()]:
+            if p not in seen:
+                seen.add(p)
+                queue.append(p)
+    return seen
 
 
 def _hopcroft_classes(d: Dfa, states: list[int]) -> dict[int, int]:

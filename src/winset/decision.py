@@ -12,7 +12,7 @@ from collections import deque
 from typing import Optional
 
 from .automata import BudgetExceededError, Dfa, Nfa
-from .game import reverse_winset_dfa
+from .game import TURNS, reverse_winset_dfa
 
 DEFAULT_PRODUCT_BUDGET = 10_000_000
 
@@ -21,7 +21,7 @@ def member(host: Dfa, w: str) -> bool:
     """Is the turn word in the winning set of the host's language?
 
     Simulates the reversal automaton on the reversed word, carrying a single
-    subset of host states; O(|w| * state_count^2) time, no materialization.
+    subset of host states; O(|w| * state_count) time, no materialization.
     """
     rev = reverse_winset_dfa(host)
     m = rev.initial_mask
@@ -86,17 +86,17 @@ def intersect_nonempty(
         hmask, bmask = state
         if rev.is_final(hmask) and bmask & b_init_mask:
             return witness(state)
-        for sym, c in ((0, "A"), (1, "B")):
+        for sym, nh in enumerate(rev.successors(hmask)):
             nb = b_step(bmask, sym)
             if not nb:
                 continue  # b's run died; no word extends through here
-            nxt = (rev.step(hmask, c), nb)
+            nxt = (nh, nb)
             if nxt not in seen:
                 if len(seen) >= budget:
                     raise BudgetExceededError(
                         f"more than {budget} product states visited"
                     )
                 seen.add(nxt)
-                parent[nxt] = (state, c)
+                parent[nxt] = (state, TURNS[sym])
                 queue.append(nxt)
     return None

@@ -17,14 +17,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from .automata import Dfa
-from .game import (
-    GameState,
-    game_state,
-    game_states_equivalent,
-    normalize,
-    winning_step,
-)
+from .automata import Dfa, _reachable, coaccessible
+from .game import GameState, _Host, game_state, game_states_equivalent
 
 
 class GraphBuilder:
@@ -340,27 +334,7 @@ def cycle_profile(host: Dfa) -> tuple[tuple[int, ...], int]:
     Raises ValueError when some trim state lies on two cycles — those hosts
     have non-bounded languages and the A-period bound does not apply.
     """
-    reach = {host.initial}
-    stack = [host.initial]
-    while stack:
-        q = stack.pop()
-        for t in host.delta[q]:
-            if t not in reach:
-                reach.add(t)
-                stack.append(t)
-    preds: list[set[int]] = [set() for _ in range(host.state_count)]
-    for q, (t0, t1) in enumerate(host.delta):
-        preds[t0].add(q)
-        preds[t1].add(q)
-    coacc = set(host.finals)
-    stack = list(host.finals)
-    while stack:
-        q = stack.pop()
-        for p in preds[q]:
-            if p not in coacc:
-                coacc.add(p)
-                stack.append(p)
-    trim = reach & coacc
+    trim = coaccessible(host).intersection(_reachable(host))
 
     # Tarjan over the trim subgraph
     index: dict[int, int] = {}
@@ -452,9 +426,10 @@ def a_period_bound_check(
     k_bound = lcm_all + 2 * host.state_count + pair
     m_bound = lcm_all
 
-    iterates = [normalize(host, tuple(g))]
+    h = _Host(host)
+    iterates = [h.normalize(g)]
     for _ in range(k_bound + m_bound):
-        iterates.append(winning_step(host, iterates[-1], "A"))
+        iterates.append(h.step(iterates[-1], "A"))
     for k in range(k_bound + 1):
         for m in range(1, m_bound + 1):
             if game_states_equivalent(host, iterates[k], iterates[k + m]):

@@ -11,9 +11,8 @@ set and stays empty forever.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Optional
 
 from .automata import (  # noqa: F401  BudgetExceededError is re-exported
     STATE_BUDGET,
@@ -21,8 +20,11 @@ from .automata import (  # noqa: F401  BudgetExceededError is re-exported
     Dfa,
     Nfa,
     _mask,
+    coaccessible,
+    determinize_reverse,
     explore,
     minimize,
+    preimages,
 )
 
 GameState = tuple[int, ...]
@@ -97,35 +99,18 @@ def parse_game_state(text: str) -> GameState:
 # per-host tables
 
 
-# The memos of the A images and the B image of host subsets depend only on
-# the transition table.  They are kept for the last table only:
-# max_winset_complexity runs every final set of one table back to back, and
-# without this reuse enumerate 4 took about 20 % longer.
-@lru_cache(maxsize=1)
-def _image_memos(delta: tuple[tuple[int, int], ...]) -> tuple[dict, dict]:
-    return {}, {}
-
-
 class _Host:
     """A host DFA compiled for the game: state-set masks and image memos."""
 
     def __init__(self, host: Dfa):
         self.delta = host.delta
         self.fmask = _mask(host.finals)
-        # states with some path into F, by reverse BFS from the finals
-        preds: list[set[int]] = [set() for _ in range(host.state_count)]
-        for q, (t0, t1) in enumerate(host.delta):
-            preds[t0].add(q)
-            preds[t1].add(q)
-        coacc = set(host.finals)
-        frontier = list(host.finals)
-        while frontier:
-            frontier = [p for q in frontier for p in preds[q] if p not in coacc]
-            coacc.update(frontier)
-        self.coacc = _mask(coacc)
+        # states with some path into F
+        self.coacc = _mask(coaccessible(host))
         # final states looping to themselves on both symbols
         self.acc_sink = _mask(q for q in host.finals if host.delta[q] == (q, q))
-        self._a, self._b = _image_memos(host.delta)
+        self._a: dict[int, tuple[int, ...]] = {}
+        self._b: dict[int, int] = {}
 
     def a_images(self, mask: int) -> tuple[int, ...]:
         """All images of the set ``mask`` under choice functions into {0,1}."""
@@ -269,15 +254,52 @@ def winset_nfa(host: Dfa) -> Nfa:
     return Nfa(alphabet=TURNS, delta=delta, initial=frozenset({0}), finals=finals)
 
 
-def winset_dfa(host: Dfa, *, max_game_states: int = STATE_BUDGET) -> Dfa:
-    """Minimal DFA for the winning set, via subset construction over
-    normalized game states.
+# Reversal subsets past which winset_dfa leaves the reversal engine for the
+# forward one.  Measured: the reversal engine lost only on the game-state
+# factory and lower-bound gadgets, with many reversal subsets (589 to
+# 143,983) but small winning sets, by 3 ms at 589 and 64 ms at 3,947
+# subsets.  It won on every other host, by up to 600x on random 15-state
+# hosts, and a random 23-state host with 1,033 subsets took it 0.5 s where
+# the forward engine ran for over 6 minutes.  Giving up here costs ~7 ms.
+REVERSAL_SUBSETS = 2048
 
-    Raises :class:`BudgetExceededError` once more than ``max_game_states``
-    distinct game states get materialized; the winning-set DFA can be doubly
-    exponential in the host, so silent truncation is never an option.
+
+def winset_dfa(host: Dfa, *, max_game_states: int = STATE_BUDGET) -> Dfa:
+    """Minimal DFA for the winning set, states numbered breadth-first.
+
+    Two engines give byte-identical results.  The reversal engine explores
+    the host subsets of :class:`ReversalDfa` and determinizes the reverse
+    of that automaton, which yields the minimal DFA directly (Brzozowski's
+    double reversal).  It runs first; if the reversal automaton has more
+    than :data:`REVERSAL_SUBSETS` subsets, it gives up and the forward
+    engine runs instead: subset construction over normalized game states,
+    then Hopcroft minimization.
+
+    ``max_game_states`` caps the states of the result on the reversal
+    route, and the normalized game states materialized before minimizing
+    on the forward route.  Past it :class:`BudgetExceededError` is raised;
+    the winning-set DFA can be doubly exponential in the host, so silent
+    truncation is never an option.
     """
     _require_binary(host)
+    out = _reversal_winset_dfa(host, max_game_states, REVERSAL_SUBSETS)
+    return _forward_winset_dfa(host, max_game_states) if out is None else out
+
+
+def _reversal_winset_dfa(
+    host: Dfa, max_game_states: int = STATE_BUDGET, max_subsets: int = STATE_BUDGET
+) -> Optional[Dfa]:
+    """The reversal engine; None if the reversal automaton has more than
+    ``max_subsets`` subsets."""
+    try:
+        rev = ReversalDfa(host).to_dfa(max_states=max_subsets)
+    except BudgetExceededError:
+        return None
+    return determinize_reverse(rev, max_game_states)
+
+
+def _forward_winset_dfa(host: Dfa, max_game_states: int = STATE_BUDGET) -> Dfa:
+    """The forward engine: normalized game states, then minimization."""
     h = _Host(host)
     order, rows = explore(
         h.normalize((1 << host.initial,)),
@@ -299,30 +321,37 @@ class ReversalDfa:
     """Lazy DFA on host state-sets recognizing the reversed winning set.
 
     Start at the host finals; reading A keeps the states with *some*
-    predecessor move into the current set, reading B those with *both*.
-    A set is final iff it contains the host initial state.  Transitions are
-    computed per step, so membership queries never materialize 2^n states.
+    successor in the current set, reading B those with *both*: with
+    pre₀/pre₁ the preimages under the host's two symbols, A maps m to
+    pre₀(m) | pre₁(m) and B to pre₀(m) & pre₁(m).  A set is final iff it
+    contains the host initial state.  Transitions are computed per step, so
+    membership queries never materialize 2^n states.
     """
 
     host: Dfa
+    _pre: Callable[[int], tuple[int, int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _require_binary(self.host)
+        object.__setattr__(self, "_pre", preimages(self.host.delta))
 
     @property
     def initial_mask(self) -> int:
         return _mask(self.host.finals)
 
+    def successors(self, mask: int) -> tuple[int, int]:
+        """The A and the B successor of ``mask``."""
+        p0, p1 = self._pre(mask)
+        return p0 | p1, p0 & p1
+
     def step(self, mask: int, c: str) -> int:
-        if c not in TURNS:
-            raise ValueError(f"turn symbol must be A or B, got {c!r}")
-        out = 0
-        for q, (t0, t1) in enumerate(self.host.delta):
-            in0 = (mask >> t0) & 1
-            in1 = (mask >> t1) & 1
-            hit = (in0 | in1) if c == "A" else (in0 & in1)
-            out |= hit << q
-        return out
+        if c == "A":
+            p0, p1 = self._pre(mask)
+            return p0 | p1
+        if c == "B":
+            p0, p1 = self._pre(mask)
+            return p0 & p1
+        raise ValueError(f"turn symbol must be A or B, got {c!r}")
 
     def is_final(self, mask: int) -> bool:
         return bool((mask >> self.host.initial) & 1)
@@ -335,12 +364,7 @@ class ReversalDfa:
 
     def to_dfa(self, *, max_states: int = STATE_BUDGET) -> Dfa:
         """Materialize the reachable part as an explicit DFA."""
-        order, rows = explore(
-            self.initial_mask,
-            lambda m: (self.step(m, "A"), self.step(m, "B")),
-            max_states,
-            "subset states",
-        )
+        order, rows = explore(self.initial_mask, self.successors, max_states, "subset states")
         finals = frozenset(i for i, m in enumerate(order) if self.is_final(m))
         return Dfa(alphabet=TURNS, delta=tuple(rows), initial=0, finals=finals)
 

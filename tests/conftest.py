@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from winset.automata import Dfa
 from winset.enumeration import host_corpus
@@ -24,6 +25,16 @@ def random_host(rng: random.Random, n: int) -> Dfa:
         (rng.randrange(n), rng.randrange(n)) for _ in range(n)
     )
     finals = frozenset(q for q in range(n) if rng.random() < 0.5)
+    return Dfa(alphabet=("0", "1"), delta=delta, initial=0, finals=finals)
+
+
+@st.composite
+def dfas(draw, max_states: int = 4) -> Dfa:
+    """Complete binary DFAs with 1 to ``max_states`` states, initial state 0."""
+    n = draw(st.integers(min_value=1, max_value=max_states))
+    targets = st.integers(min_value=0, max_value=n - 1)
+    delta = tuple((draw(targets), draw(targets)) for _ in range(n))
+    finals = frozenset(q for q in range(n) if draw(st.booleans()))
     return Dfa(alphabet=("0", "1"), delta=delta, initial=0, finals=finals)
 
 

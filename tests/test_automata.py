@@ -9,10 +9,13 @@ from winset.automata import (
     Dfa,
     FormatError,
     Nfa,
+    STATE_BUDGET,
     accepts,
+    coaccessible,
     congruent,
     count_words,
     determinize,
+    determinize_reverse,
     dfa_to_json,
     dfa_to_text,
     enumerate_words,
@@ -28,7 +31,7 @@ from winset.automata import (
     transformation,
     _reachable,
 )
-from .conftest import random_host, words_upto
+from .conftest import dfas, random_host, words_upto
 
 
 def minimize_moore(d: Dfa) -> Dfa:
@@ -133,6 +136,24 @@ def test_parse_nfa_accepts_dfa_text():
 def test_parse_dfa_errors(text, fragment):
     with pytest.raises(FormatError, match=fragment):
         parse_dfa(text)
+
+
+def test_parse_nfa_shares_the_row_of_states_without_transitions():
+    n = parse_nfa("nfa 4 AB\ninitial 0\nfinals 3\n0 A 1\n2 B\n")
+    assert n.delta[1] is n.delta[3]
+    assert n.delta[1] == (frozenset(), frozenset())
+    assert n.delta[0] == (frozenset({1}), frozenset())
+    assert n.delta[2] == (frozenset(), frozenset())
+
+
+@pytest.mark.parametrize("kind,alphabet", [("nfa", "AB"), ("dfa", "01")])
+def test_parse_rejects_state_counts_over_the_budget(kind, alphabet):
+    parse = parse_nfa if kind == "nfa" else parse_dfa
+    header = f"{kind} {STATE_BUDGET + 1} {alphabet}\ninitial 0\nfinals 0\n"
+    with pytest.raises(FormatError, match="line 1: .*budget"):
+        parse(header)
+    with pytest.raises(FormatError, match="budget"):
+        parse(f"{kind} 3000000 {alphabet}\ninitial 0\nfinals 0\n")
 
 
 def test_minimize_agrees_with_moore():
@@ -240,22 +261,6 @@ def test_dot_and_json_exports():
     assert '"initial": 0' in blob
 
 
-@st.composite
-def dfas(draw):
-    n = draw(st.integers(min_value=1, max_value=4))
-    delta = tuple(
-        (
-            draw(st.integers(min_value=0, max_value=n - 1)),
-            draw(st.integers(min_value=0, max_value=n - 1)),
-        )
-        for _ in range(n)
-    )
-    finals = frozenset(
-        q for q in range(n) if draw(st.booleans())
-    )
-    return Dfa(alphabet=("0", "1"), delta=delta, initial=0, finals=finals)
-
-
 @settings(max_examples=60, deadline=None)
 @given(dfas(), st.text(alphabet="01", max_size=8))
 def test_minimize_acceptance_property(d, w):
@@ -266,3 +271,44 @@ def test_minimize_acceptance_property(d, w):
 @given(dfas())
 def test_text_round_trip_property(d):
     assert parse_dfa(dfa_to_text(d)) == d
+
+
+@settings(max_examples=60, deadline=None)
+@given(dfas())
+def test_coaccessible_matches_forward_search(d):
+    # q is co-accessible iff the finals meet the states reachable from q
+    def reach(q):
+        return set(_reachable(Dfa(d.alphabet, d.delta, q, d.finals)))
+
+    assert coaccessible(d) == {q for q in range(d.state_count) if reach(q) & d.finals}
+
+
+def reverse_nfa(d: Dfa) -> Nfa:
+    rows = [[set(), set()] for _ in range(d.state_count)]
+    for q, row in enumerate(d.delta):
+        for i, t in enumerate(row):
+            rows[t][i].add(q)
+    return Nfa(
+        alphabet=d.alphabet,
+        delta=tuple((frozenset(a), frozenset(b)) for a, b in rows),
+        initial=d.finals,
+        finals=frozenset({d.initial}),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(dfas())
+def test_determinize_reverse_is_minimal_on_accessible_dfas(d):
+    # the accessible part of d, then Brzozowski's reversal against the
+    # textbook route: reverse, determinize, minimize
+    order, rows = explore(d.initial, d.delta.__getitem__, d.state_count, "states")
+    finals = frozenset(i for i, q in enumerate(order) if q in d.finals)
+    acc = Dfa(d.alphabet, tuple(rows), 0, finals)
+    assert dfa_to_text(determinize_reverse(acc)) == dfa_to_text(
+        minimize(determinize(reverse_nfa(acc)))
+    )
+    size = determinize_reverse(acc).state_count
+    if size > 1:  # explore always numbers the start state
+        with pytest.raises(BudgetExceededError):
+            determinize_reverse(acc, budget=size - 1)
+

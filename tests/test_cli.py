@@ -111,6 +111,7 @@ def test_decide_intersect(tmp_path, parity_file, capsys):
         "nfa two AB\ninitial 0\nfinals 0\n",
         "nfa 2 AB\ninitial zero\nfinals 0\n",
         "nfa 2 AB\ninitial 0\nfinals 0\n0 A one\n",
+        "nfa 3000000 AB\ninitial 0\nfinals 0\n",
     ],
 )
 def test_decide_intersect_malformed_nfa(tmp_path, parity_file, capsys, text):

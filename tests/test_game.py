@@ -2,7 +2,10 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from winset import game
 from winset.automata import (
     Dfa,
     accepts,
@@ -15,7 +18,12 @@ from winset.automata import (
     nfa_to_text,
 )
 from winset.game import (
+    REVERSAL_SUBSETS,
+    TURNS,
     BudgetExceededError,
+    ReversalDfa,
+    _forward_winset_dfa,
+    _reversal_winset_dfa,
     format_game_state,
     game_state,
     game_states_equivalent,
@@ -29,8 +37,8 @@ from winset.game import (
     winset_dfa,
     winset_nfa,
 )
-from winset.gadgets import exact_ones_dfa, lower_bound_dfa
-from .conftest import random_host, words_upto
+from winset.gadgets import chain_dfa, exact_ones_dfa, exact_ones_wsize, lower_bound_dfa
+from .conftest import dfas, random_host, words_upto
 
 PARITY = Dfa(alphabet=("0", "1"), delta=((0, 1), (1, 0)), initial=0, finals=frozenset({1}))
 
@@ -251,3 +259,107 @@ def test_serialized_output_is_pinned(name, small_hosts):
     for host in small_hosts + gadgets:
         h.update(build(host).encode())
     assert h.hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# the gather-based reversal step
+
+
+def reference_step(host: Dfa, mask: int, c: str) -> int:
+    """The reversal step as a loop over the host states."""
+    out = 0
+    for q, (t0, t1) in enumerate(host.delta):
+        in0, in1 = mask >> t0 & 1, mask >> t1 & 1
+        out |= ((in0 | in1) if c == "A" else (in0 & in1)) << q
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(dfas(max_states=12), st.data())
+def test_gather_step_matches_the_per_state_loop(host, data):
+    # masks reach 8 bits past the states; the stray bits must be ignored
+    mask = data.draw(st.integers(min_value=0, max_value=(1 << host.state_count + 8) - 1))
+    rev = ReversalDfa(host)
+    want = tuple(reference_step(host, mask, c) for c in TURNS)
+    assert rev.successors(mask) == want
+    assert tuple(rev.step(mask, c) for c in TURNS) == want
+
+
+def test_gather_step_on_one_state_hosts():
+    for finals in (frozenset(), frozenset({0})):
+        host = Dfa(alphabet=("0", "1"), delta=((0, 0),), initial=0, finals=finals)
+        rev = ReversalDfa(host)
+        for mask in range(8):
+            want = tuple(reference_step(host, mask, c) for c in TURNS)
+            assert rev.successors(mask) == want == (mask & 1, mask & 1)
+            assert tuple(rev.step(mask, c) for c in TURNS) == want
+        with pytest.raises(ValueError):
+            rev.step(1, "0")
+
+
+# ---------------------------------------------------------------------------
+# the two winset_dfa engines
+
+
+ENGINE_GADGETS = (
+    [exact_ones_dfa(n) for n in range(1, 13)]
+    + [chain_dfa(n, range(first, n - 1, 2)) for n in range(2, 11) for first in (0, 1)]
+    + [lower_bound_dfa(n) for n in (1, 2)]
+)
+
+
+def test_engines_agree_on_corpus_and_gadgets(small_hosts):
+    for host in small_hosts + ENGINE_GADGETS:
+        assert dfa_to_text(_reversal_winset_dfa(host)) == dfa_to_text(_forward_winset_dfa(host))
+
+
+@settings(max_examples=40, deadline=None)
+@given(dfas(max_states=7))
+def test_engines_agree_on_random_hosts(host):
+    assert dfa_to_text(_reversal_winset_dfa(host)) == dfa_to_text(_forward_winset_dfa(host))
+
+
+def test_hosts_over_the_threshold_take_the_forward_route(monkeypatch):
+    deep, wide = lower_bound_dfa(2), exact_ones_dfa(6)
+    assert len(reverse_winset_dfa(deep).to_dfa().delta) > REVERSAL_SUBSETS
+    assert _reversal_winset_dfa(deep, max_subsets=REVERSAL_SUBSETS) is None
+    forward, calls = game._forward_winset_dfa, []
+
+    def spy(host, max_game_states):
+        calls.append(host)
+        return forward(host, max_game_states)
+
+    monkeypatch.setattr(game, "_forward_winset_dfa", spy)
+    assert winset_dfa(wide).state_count == exact_ones_wsize(6)
+    assert calls == []
+    assert winset_dfa(deep).state_count == 215
+    assert calls == [deep]
+
+
+def test_reversal_route_budget_caps_the_result():
+    host, size = exact_ones_dfa(4), exact_ones_wsize(4)
+    assert winset_dfa(host, max_game_states=size).state_count == size
+    with pytest.raises(BudgetExceededError):
+        winset_dfa(host, max_game_states=size - 1)
+
+
+# ---------------------------------------------------------------------------
+# complement duality: by determinacy, on every turn order one side forces
+# its goal, so Alice wins for the complement on w exactly when she loses
+# for L on w with the roles swapped
+
+
+def test_complement_duality(small_hosts):
+    swap = str.maketrans("AB", "BA")
+    words = words_upto("AB", 8)
+    for host in small_hosts:
+        co = Dfa(
+            alphabet=host.alphabet,
+            delta=host.delta,
+            initial=host.initial,
+            finals=frozenset(range(host.state_count)) - host.finals,
+        )
+        w, wc = winset_dfa(host), winset_dfa(co)
+        assert wc.state_count == w.state_count
+        for word in words:
+            assert accepts(wc, word) != accepts(w, word.translate(swap)), (host, word)
