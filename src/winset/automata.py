@@ -332,8 +332,10 @@ def explore(start, successors, budget: int, what: str):
     the order they come.  States are numbered in discovery order, so equal
     inputs give byte-identical automata.  Raises
     :class:`BudgetExceededError` when more than ``budget`` states would be
-    discovered; ``what`` names them in the message.
+    discovered, ``start`` included; ``what`` names them in the message.
     """
+    if budget < 1:
+        raise BudgetExceededError(f"more than {budget} {what} materialized")
     index = {start: 0}
     order = [start]
     rows = []
@@ -424,17 +426,8 @@ def determinize_reverse(d: Dfa, budget: int = STATE_BUDGET) -> Dfa:
 
 
 def _reachable(d: Dfa) -> list[int]:
-    seen = {d.initial}
-    queue = deque([d.initial])
-    order = [d.initial]
-    while queue:
-        q = queue.popleft()
-        for t in d.delta[q]:
-            if t not in seen:
-                seen.add(t)
-                order.append(t)
-                queue.append(t)
-    return order
+    """The states reachable from the initial one, in BFS discovery order."""
+    return explore(d.initial, d.delta.__getitem__, d.state_count, "states")[0]
 
 
 def coaccessible(d: Dfa) -> set[int]:
@@ -532,33 +525,45 @@ def minimize(d: Dfa) -> Dfa:
     return Dfa(alphabet=d.alphabet, delta=tuple(rows), initial=0, finals=finals)
 
 
-def equivalent(a: Dfa, b: Dfa) -> bool:
-    """Language equality, decided by Hopcroft-Karp union-find on the product."""
-    if a.alphabet != b.alphabet:
-        raise ValueError("alphabet mismatch")
-    parent: dict[tuple[int, int], tuple[int, int]] = {}
+def _bisimilar(p, q, accepting, successors) -> bool:
+    """Do states ``p`` and ``q`` accept the same language?
+
+    Hopcroft-Karp union-find: merge the pair, bail out on an acceptance
+    mismatch, and chase the successors (in symbol order) of merged
+    representatives only.
+    """
+    parent = {}
 
     def find(x):
         while x in parent:
             x = parent[x]
         return x
 
-    stack = [((0, a.initial), (1, b.initial))]
+    stack = [(p, q)]
     while stack:
         p, q = stack.pop()
         rp, rq = find(p), find(q)
         if rp == rq:
             continue
-        p_final = (rp[1] in a.finals) if rp[0] == 0 else (rp[1] in b.finals)
-        q_final = (rq[1] in a.finals) if rq[0] == 0 else (rq[1] in b.finals)
-        if p_final != q_final:
+        if accepting(rp) != accepting(rq):
             return False
         parent[rq] = rp
-        for sym in range(2):
-            sp = (0, a.delta[rp[1]][sym]) if rp[0] == 0 else (1, b.delta[rp[1]][sym])
-            sq = (0, a.delta[rq[1]][sym]) if rq[0] == 0 else (1, b.delta[rq[1]][sym])
-            stack.append((sp, sq))
+        stack.extend(zip(successors(rp), successors(rq)))
     return True
+
+
+def equivalent(a: Dfa, b: Dfa) -> bool:
+    """Language equality, by bisimulation on the disjoint union, whose
+    states are ``(0, q)`` for ``a`` and ``(1, q)`` for ``b``."""
+    if a.alphabet != b.alphabet:
+        raise ValueError("alphabet mismatch")
+    sides = (a, b)
+    return _bisimilar(
+        (0, a.initial),
+        (1, b.initial),
+        lambda x: x[1] in sides[x[0]].finals,
+        lambda x: [(x[0], t) for t in sides[x[0]].delta[x[1]]],
+    )
 
 
 def transformation(d: Dfa, word: str) -> tuple[int, ...]:

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
-from .automata import Dfa
+from .automata import Dfa, FormatError, _fail, _tokenize
 
 GATE_ARITY = {"AND": 2, "OR": 2, "NOT": 1}
 
@@ -79,33 +79,27 @@ class Circuit:
 
 def parse_circuit(text: str) -> Circuit:
     """Line format: ``input x``, ``gate g OR a b`` (or the shorthand
-    ``or g a b`` / ``and`` / ``not``), ``output y src``; # comments."""
+    ``or g a b`` / ``and`` / ``not``), ``output y src``; # comments.
+    Malformed text raises :class:`~winset.automata.FormatError`."""
     inputs: list[str] = []
     gates: list[tuple[str, str, tuple[str, ...]]] = []
     outputs: list[tuple[str, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        parts = stripped.split()
+    for lineno, parts in _tokenize(text):
         head = parts[0].lower()
-        try:
-            if head == "input" and len(parts) == 2:
-                inputs.append(parts[1])
-            elif head == "gate" and len(parts) >= 3:
-                gates.append((parts[1], parts[2].upper(), tuple(parts[3:])))
-            elif head in ("and", "or", "not") and len(parts) >= 2:
-                gates.append((parts[1], head.upper(), tuple(parts[2:])))
-            elif head == "output" and len(parts) == 3:
-                outputs.append((parts[1], parts[2]))
-            else:
-                raise ValueError(f"unrecognized line {stripped!r}")
-        except ValueError as e:
-            raise ValueError(f"line {lineno}: {e}") from None
+        if head == "input" and len(parts) == 2:
+            inputs.append(parts[1])
+        elif head == "gate" and len(parts) >= 3:
+            gates.append((parts[1], parts[2].upper(), tuple(parts[3:])))
+        elif head in ("and", "or", "not") and len(parts) >= 2:
+            gates.append((parts[1], head.upper(), tuple(parts[2:])))
+        elif head == "output" and len(parts) == 3:
+            outputs.append((parts[1], parts[2]))
+        else:
+            _fail(lineno, f"unrecognized line {' '.join(parts)!r}")
     try:
         return Circuit(tuple(inputs), tuple(gates), tuple(outputs))
     except ValueError as e:
-        raise ValueError(str(e)) from None
+        raise FormatError(str(e)) from None
 
 
 @dataclass(frozen=True)

@@ -115,10 +115,11 @@ _GADGETS = {
 
 
 def _cmd_gadget(args) -> int:
+    if args.n is None:
+        what = "circuit file" if args.name == "circuit" else "gadget size"
+        raise FormatError(f"{what} argument required")
     if args.name == "circuit":
         return _cmd_gadget_circuit(args)
-    if args.n is None:
-        raise FormatError("gadget size argument required")
     n = int(args.n)
     if args.name == "chain":
         d = gadgets.chain_dfa(n, args.finals or [])

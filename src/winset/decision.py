@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
-from .automata import BudgetExceededError, Dfa, Nfa
+from .automata import BudgetExceededError, Dfa, Nfa, _mask
 from .game import TURNS, reverse_winset_dfa
 
 DEFAULT_PRODUCT_BUDGET = 10_000_000
@@ -52,12 +52,8 @@ def intersect_nonempty(
         for sym in range(2):
             for t in b.delta[q][sym]:
                 pred[sym][t] |= 1 << q
-    b_init_mask = 0
-    for q in b.initial:
-        b_init_mask |= 1 << q
-    b_start = 0
-    for q in b.finals:
-        b_start |= 1 << q
+    b_init_mask = _mask(b.initial)
+    b_start = _mask(b.finals)
 
     def b_step(mask: int, sym: int) -> int:
         out = 0

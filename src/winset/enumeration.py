@@ -53,6 +53,23 @@ def _is_canonical(delta: tuple[tuple[int, int], ...], n: int) -> bool:
     return True
 
 
+def _structures(n: int, canonical: bool) -> Iterator[tuple[int, tuple[tuple[int, int], ...]]]:
+    """``(position, delta)`` for every transition structure that reaches all
+    n states (and, with ``canonical``, is canonical); ``position`` counts
+    the candidates tried so far, kept or not, out of ``(n(n+1)/2)^n``."""
+    pairs = [(a, b) for a in range(n) for b in range(a, n)]
+    for position, delta in enumerate(product(pairs, repeat=n), start=1):
+        if _reaches_all(delta, n) and (not canonical or _is_canonical(delta, n)):
+            yield position, delta
+
+
+def _hosts(delta: tuple[tuple[int, int], ...], n: int) -> Iterator[Dfa]:
+    """The 2^n hosts on one structure, one per final set."""
+    for fmask in range(1 << n):
+        finals = frozenset(q for q in range(n) if fmask >> q & 1)
+        yield Dfa(alphabet=("0", "1"), delta=delta, initial=0, finals=finals)
+
+
 def host_corpus(n: int, *, canonical: bool = True) -> Iterator[Dfa]:
     """Every complete n-state binary host, all final sets included.
 
@@ -63,15 +80,8 @@ def host_corpus(n: int, *, canonical: bool = True) -> Iterator[Dfa]:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    pairs = [(a, b) for a in range(n) for b in range(a, n)]
-    for delta in product(pairs, repeat=n):
-        if not _reaches_all(delta, n):
-            continue
-        if canonical and not _is_canonical(delta, n):
-            continue
-        for fmask in range(1 << n):
-            finals = frozenset(q for q in range(n) if fmask >> q & 1)
-            yield Dfa(alphabet=("0", "1"), delta=delta, initial=0, finals=finals)
+    for _, delta in _structures(n, canonical):
+        yield from _hosts(delta, n)
 
 
 def max_winset_complexity(
@@ -92,23 +102,14 @@ def max_winset_complexity(
     if not 1 <= n <= SIZE_GUARD:
         raise ValueError(f"n must be between 1 and {SIZE_GUARD}")
     deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
-    pairs = [(a, b) for a in range(n) for b in range(a, n)]
-    total = len(pairs) ** n
+    total = (n * (n + 1) // 2) ** n
 
     best_size = 0
     best: Optional[Dfa] = None
-    done = 0
-    for delta in product(pairs, repeat=n):
-        done += 1
+    for done, delta in _structures(n, canonical=True):
         if deadline is not None and time.monotonic() > deadline:
             return EnumerationResult(best_size, best, False)
-        if not _reaches_all(delta, n):
-            continue
-        if not _is_canonical(delta, n):
-            continue
-        for fmask in range(1 << n):
-            finals = frozenset(q for q in range(n) if fmask >> q & 1)
-            host = Dfa(alphabet=("0", "1"), delta=delta, initial=0, finals=finals)
+        for host in _hosts(delta, n):
             size = winset_dfa(host).state_count
             if observe is not None:
                 observe(size)

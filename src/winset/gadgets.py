@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from .automata import Dfa, _reachable, coaccessible
+from .automata import Dfa, _reachable, coaccessible, explore
 from .game import GameState, _Host, game_state, game_states_equivalent
 
 
@@ -336,60 +336,25 @@ def cycle_profile(host: Dfa) -> tuple[tuple[int, ...], int]:
     """
     trim = coaccessible(host).intersection(_reachable(host))
 
-    # Tarjan over the trim subgraph
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on: set[int] = set()
-    order: list[int] = []
-    sccs: list[list[int]] = []
-    counter = [0]
-
-    def strong(v: int):
-        work = [(v, iter([t for t in host.delta[v] if t in trim]))]
-        index[v] = low[v] = counter[0]
-        counter[0] += 1
-        order.append(v)
-        on.add(v)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for t in it:
-                if t not in index:
-                    index[t] = low[t] = counter[0]
-                    counter[0] += 1
-                    order.append(t)
-                    on.add(t)
-                    work.append((t, iter([u for u in host.delta[t] if u in trim])))
-                    advanced = True
-                    break
-                elif t in on:
-                    low[node] = min(low[node], index[t])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                low[work[-1][0]] = min(low[work[-1][0]], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = order.pop()
-                    on.discard(w)
-                    comp.append(w)
-                    if w == node:
-                        break
-                sccs.append(comp)
-
-    for v in sorted(trim):
-        if v not in index:
-            strong(v)
-
+    pred: dict[int, list[int]] = {v: [] for v in trim}
+    for q in trim:
+        for t in host.delta[q]:
+            if t in trim:
+                pred[t].append(q)
     cycles: list[int] = []
     ell = 0
-    for comp in sccs:
-        members = set(comp)
-        inner = sum(
-            1 for q in comp for t in host.delta[q] if t in members
-        )
+    placed: set[int] = set()
+    for v in sorted(trim):  # by least state, so the first failure is fixed
+        if v in placed:
+            continue
+        # v's strongly connected part: the states v reaches among those that
+        # reach v; the parts placed so far are left out of both searches
+        back = set(explore(v, lambda u: [p for p in pred[u] if p not in placed],
+                           len(trim), "states")[0])
+        comp = set(explore(v, lambda u: [t for t in host.delta[u] if t in back],
+                           len(trim), "states")[0])
+        placed |= comp
+        inner = sum(1 for q in comp for t in host.delta[q] if t in comp)
         if len(comp) == 1:
             if inner == 0:
                 ell += 1

@@ -19,6 +19,7 @@ from .automata import (  # noqa: F401  BudgetExceededError is re-exported
     BudgetExceededError,
     Dfa,
     Nfa,
+    _bisimilar,
     _mask,
     coaccessible,
     determinize_reverse,
@@ -376,28 +377,13 @@ def reverse_winset_dfa(host: Dfa) -> ReversalDfa:
 def game_states_equivalent(host: Dfa, g: Iterable[int], h: Iterable[int]) -> bool:
     """Do two game states accept the same turn-order language?
 
-    Lazy bisimulation with union-find: merge the pair, bail out on an
-    acceptance mismatch, and chase successors of merged representatives only.
+    Lazy bisimulation of the normalized game states, as in
+    :func:`~winset.automata.equivalent`.
     """
-    tables = _Host(host)
-    gn = tables.normalize(g)
-    hn = tables.normalize(h)
-    parent: dict[GameState, GameState] = {}
-
-    def find(x: GameState) -> GameState:
-        while x in parent:
-            x = parent[x]
-        return x
-
-    stack = [(gn, hn)]
-    while stack:
-        p, q = stack.pop()
-        rp, rq = find(p), find(q)
-        if rp == rq:
-            continue
-        if tables.accepting(rp) != tables.accepting(rq):
-            return False
-        parent[rq] = rp
-        for c in TURNS:
-            stack.append((tables.step(rp, c), tables.step(rq, c)))
-    return True
+    compiled = _Host(host)
+    return _bisimilar(
+        compiled.normalize(g),
+        compiled.normalize(h),
+        compiled.accepting,
+        lambda x: (compiled.step(x, "A"), compiled.step(x, "B")),
+    )

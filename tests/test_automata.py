@@ -31,6 +31,7 @@ from winset.automata import (
     transformation,
     _reachable,
 )
+from winset.circuits import parse_circuit
 from .conftest import dfas, random_host, words_upto
 
 
@@ -201,6 +202,11 @@ def test_explore_budget_is_exact():
     assert len(explore("a", GRAPH.__getitem__, 4, "nodes")[0]) == 4
     with pytest.raises(BudgetExceededError, match="more than 3 nodes"):
         explore("a", GRAPH.__getitem__, 3, "nodes")
+    # below 1, even the start state is over the budget
+    with pytest.raises(BudgetExceededError, match="more than 0 x"):
+        explore(0, lambda x: (), 0, "x")
+    with pytest.raises(BudgetExceededError, match="more than -1 nodes"):
+        explore("a", GRAPH.__getitem__, -1, "nodes")
 
 
 def test_determinize_preserves_language():
@@ -259,6 +265,24 @@ def test_dot_and_json_exports():
     assert "digraph" in dot and "->" in dot
     blob = dfa_to_json(d)
     assert '"initial": 0' in blob
+
+
+# words of all three text formats, so the soup gets past the headers
+_TOKENS = ("dfa", "nfa", "01", "AB", "initial", "finals", "0", "1", "2", "-1",
+           "x", "A", "B", "input", "gate", "and", "or", "not", "output", "AND", "XOR", "#")
+_token_soup = st.lists(
+    st.lists(st.sampled_from(_TOKENS), max_size=5).map(" ".join), max_size=8
+).map("\n".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_token_soup, st.text()))
+def test_parsers_raise_only_format_errors(text):
+    for parse in (parse_dfa, parse_nfa, parse_circuit):
+        try:
+            parse(text)
+        except FormatError:
+            pass
 
 
 @settings(max_examples=60, deadline=None)

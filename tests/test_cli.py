@@ -161,6 +161,8 @@ def test_gadget_chain(capsys):
 def test_gadget_errors(capsys):
     assert main(["gadget", "frobnicate", "3"]) == 2
     assert main(["gadget", "gen-subset"]) == 2
+    assert main(["gadget", "circuit"]) == 2
+    assert "circuit file argument required" in capsys.readouterr().err
 
 
 def test_gadget_circuit_value(tmp_path, capsys):

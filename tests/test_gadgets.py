@@ -213,6 +213,20 @@ def test_cycle_profile_of_families():
     cycles, ell = cycle_profile(exact_ones_dfa(3))
     assert cycles == (1, 1, 1, 1) and ell == 0
 
+    from winset.automata import Dfa
+
+    def host(delta, finals):
+        return Dfa(alphabet=("0", "1"), delta=delta, initial=0, finals=frozenset(finals))
+
+    # a 3-cycle 1-2-3, a 2-cycle 4-5, transit states 0 and 6, dead sink 7
+    delta = ((1, 4), (2, 7), (3, 7), (1, 7), (5, 7), (4, 6), (3, 7), (7, 7))
+    assert cycle_profile(host(delta, {1, 4})) == ((2, 3), 2)
+    # the trim part {0, 1, 2} is strongly connected with a chord 1 -> 0
+    with pytest.raises(ValueError):
+        cycle_profile(host(((1, 3), (2, 0), (0, 3), (3, 3)), {0}))
+    # no finals: the trim part is empty
+    assert cycle_profile(host(((1, 1), (0, 0)), ())) == ((), 0)
+
 
 def test_cycle_profile_rejects_overlapping_cycles():
     from winset.automata import Dfa

@@ -227,6 +227,13 @@ def test_game_states_equivalent_is_consistent(sampled_hosts):
 def test_winset_budget_is_enforced():
     with pytest.raises(BudgetExceededError):
         winset_dfa(lower_bound_dfa(1), max_game_states=5)
+    # a budget of 0 is exceeded even by a one-state result, on both routes
+    empty = Dfa(alphabet=("0", "1"), delta=((0, 0),), initial=0, finals=frozenset())
+    assert winset_dfa(empty).state_count == 1
+    with pytest.raises(BudgetExceededError):
+        winset_dfa(empty, max_game_states=0)
+    with pytest.raises(BudgetExceededError):
+        _forward_winset_dfa(empty, 0)
 
 
 # sha256 of the serialized constructions over the <= 3-state corpus and the
