@@ -446,59 +446,54 @@ def coaccessible(d: Dfa) -> set[int]:
     return seen
 
 
-def _hopcroft_classes(d: Dfa, states: list[int]) -> dict[int, int]:
-    """Hopcroft partition refinement restricted to ``states``.
+def _hopcroft_classes(rows: list[tuple[int, int]], finals: Iterable[int]) -> list[int]:
+    """Hopcroft partition refinement of a complete two-symbol row table.
 
-    Returns a map from state to block id.  Blocks are not canonically
-    numbered; callers renumber.
+    States are ``0..len(rows)-1``, ``rows[q]`` holds the successors of q
+    and ``finals`` lists the accepting states.  Returns ``block_of``, the
+    block id of every state.  Blocks are not canonically numbered; callers
+    renumber.
     """
-    state_set = set(states)
-    finals = d.finals & state_set
-    nonfinals = state_set - finals
-    # reverse transition table
-    preimage: list[dict[int, set[int]]] = [dict() for _ in range(2)]
-    for q in states:
-        for sym in range(2):
-            preimage[sym].setdefault(d.delta[q][sym], set()).add(q)
+    n = len(rows)
+    pre = ([[] for _ in range(n)], [[] for _ in range(n)])
+    for q, (t0, t1) in enumerate(rows):
+        pre[0][t0].append(q)
+        pre[1][t1].append(q)
 
-    blocks: list[set[int]] = []
-    block_of: dict[int, int] = {}
-
-    def add_block(b: set[int]) -> int:
-        idx = len(blocks)
-        blocks.append(b)
-        for q in b:
-            block_of[q] = idx
-        return idx
-
-    for part in (finals, nonfinals):
-        if part:
-            add_block(set(part))
-    worklist = set(range(len(blocks)))
+    accepting = set(finals)
+    blocks = [b for b in sorted((accepting, set(range(n)) - accepting), key=len) if b]
+    block_of = [0] * n
+    for i, block in enumerate(blocks):
+        for q in block:
+            block_of[q] = i
+    # the smaller of the two starting blocks is the only splitter needed; a
+    # block index enters the worklist once, when it is made
+    worklist = [0]
     while worklist:
-        a = worklist.pop()
-        splitter = set(blocks[a])
-        for sym in range(2):
-            x = set()
+        # a copy, since the splitter itself may be split below
+        splitter = list(blocks[worklist.pop()])
+        for p in pre:
+            touched: dict[int, list[int]] = {}
             for q in splitter:
-                x |= preimage[sym].get(q, set())
-            touched: dict[int, set[int]] = {}
-            for q in x:
-                touched.setdefault(block_of[q], set()).add(q)
-            for bidx, inter in touched.items():
-                block = blocks[bidx]
+                for r in p[q]:
+                    touched.setdefault(block_of[r], []).append(r)
+            for b, inter in touched.items():
+                block = blocks[b]
                 if len(inter) == len(block):
                     continue
-                rest = block - inter
-                blocks[bidx] = inter
-                for q in inter:
-                    block_of[q] = bidx
-                new_idx = add_block(rest)
-                if bidx in worklist:
-                    worklist.add(new_idx)
+                # split off the smaller half, so each split costs O(|inter|)
+                # and a state moves O(log n) times (Hopcroft's bound); if b
+                # is pending, it stays pending as the larger half
+                if 2 * len(inter) <= len(block):
+                    small = set(inter)
                 else:
-                    worklist.add(new_idx if len(rest) < len(inter) else bidx)
-                    # refining by the smaller half keeps Hopcroft's bound
+                    small = block.difference(inter)
+                block -= small
+                new = len(blocks)
+                blocks.append(small)
+                for r in small:
+                    block_of[r] = new
+                worklist.append(new)
     return block_of
 
 
@@ -510,19 +505,21 @@ def minimize(d: Dfa) -> Dfa:
     breadth-first order from the initial state, visiting symbols in alphabet
     order, so equal languages give byte-identical serializations.
     """
-    states = _reachable(d)
-    block_of = _hopcroft_classes(d, states)
+    # the reachable part, numbered 0..k-1 in BFS order with the initial at 0
+    order, rows = explore(d.initial, d.delta.__getitem__, d.state_count, "states")
+    finals = {i for i, q in enumerate(order) if q in d.finals}
+    block_of = _hopcroft_classes(rows, finals)
 
     # canonical BFS renumbering over the quotient
-    rep = {block_of[q]: q for q in reversed(states)}
+    rep = {block_of[q]: q for q in reversed(range(len(rows)))}
 
     def successors(b: int) -> tuple[int, int]:
-        t0, t1 = d.delta[rep[b]]
+        t0, t1 = rows[rep[b]]
         return block_of[t0], block_of[t1]
 
-    order, rows = explore(block_of[d.initial], successors, len(states), "blocks")
-    finals = frozenset(i for i, b in enumerate(order) if rep[b] in d.finals)
-    return Dfa(alphabet=d.alphabet, delta=tuple(rows), initial=0, finals=finals)
+    blocks, quotient = explore(block_of[0], successors, len(rows), "blocks")
+    accepting = frozenset(i for i, b in enumerate(blocks) if rep[b] in finals)
+    return Dfa(alphabet=d.alphabet, delta=tuple(quotient), initial=0, finals=accepting)
 
 
 def _bisimilar(p, q, accepting, successors) -> bool:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from .automata import Dfa, _reachable, coaccessible, explore
+from .automata import Dfa, coaccessible, explore
 from .game import GameState, _Host, game_state, game_states_equivalent
 
 
@@ -334,27 +334,47 @@ def cycle_profile(host: Dfa) -> tuple[tuple[int, ...], int]:
     Raises ValueError when some trim state lies on two cycles — those hosts
     have non-bounded languages and the A-period bound does not apply.
     """
-    trim = coaccessible(host).intersection(_reachable(host))
+    # Kosaraju: one forward DFS from the initial state finishes every
+    # reachable state; the trim part is closed under paths between its
+    # states, so its strongly connected parts are those of the whole graph
+    delta = host.delta
+    finish: list[int] = []
+    seen = {host.initial}
+    stack = [(host.initial, iter(delta[host.initial]))]
+    while stack:
+        v, targets = stack[-1]
+        for t in targets:
+            if t not in seen:
+                seen.add(t)
+                stack.append((t, iter(delta[t])))
+                break
+        else:
+            stack.pop()
+            finish.append(v)
+    trim = coaccessible(host).intersection(finish)
 
     pred: dict[int, list[int]] = {v: [] for v in trim}
     for q in trim:
-        for t in host.delta[q]:
+        for t in delta[q]:
             if t in trim:
                 pred[t].append(q)
+    # in decreasing finish order, the unplaced states that reach a state
+    # are exactly its strongly connected part
+    parts: list[list[int]] = []
+    placed: set[int] = set()
+    for v in reversed(finish):
+        if v in trim and v not in placed:
+            part = explore(v, lambda u: [p for p in pred[u] if p not in placed],
+                           len(trim), "states")[0]
+            placed.update(part)
+            parts.append(part)
+
     cycles: list[int] = []
     ell = 0
-    placed: set[int] = set()
-    for v in sorted(trim):  # by least state, so the first failure is fixed
-        if v in placed:
-            continue
-        # v's strongly connected part: the states v reaches among those that
-        # reach v; the parts placed so far are left out of both searches
-        back = set(explore(v, lambda u: [p for p in pred[u] if p not in placed],
-                           len(trim), "states")[0])
-        comp = set(explore(v, lambda u: [t for t in host.delta[u] if t in back],
-                           len(trim), "states")[0])
-        placed |= comp
-        inner = sum(1 for q in comp for t in host.delta[q] if t in comp)
+    # by least state, so the first failure is fixed
+    for part in sorted(parts, key=min):
+        comp = set(part)
+        inner = sum(1 for q in comp for t in delta[q] if t in comp)
         if len(comp) == 1:
             if inner == 0:
                 ell += 1

@@ -100,6 +100,19 @@ def parse_game_state(text: str) -> GameState:
 # per-host tables
 
 
+def _minimal(members: set[int]) -> GameState:
+    """The members of ``members`` with no proper subset among them, sorted."""
+    kept: list[int] = []
+    # fewer bits first, so a mask can only be covered by one kept before it
+    for m in sorted(members, key=int.bit_count):
+        for k in kept:
+            if k & m == k:
+                break
+        else:
+            kept.append(m)
+    return tuple(sorted(kept))
+
+
 class _Host:
     """A host DFA compiled for the game: state-set masks and image memos."""
 
@@ -112,6 +125,8 @@ class _Host:
         self.acc_sink = _mask(q for q in host.finals if host.delta[q] == (q, q))
         self._a: dict[int, tuple[int, ...]] = {}
         self._b: dict[int, int] = {}
+        # per member mask, its normalized successors on each turn
+        self._step_memo: dict[str, dict[int, GameState]] = {"A": {}, "B": {}}
 
     def a_images(self, mask: int) -> tuple[int, ...]:
         """All images of the set ``mask`` under choice functions into {0,1}."""
@@ -165,15 +180,22 @@ class _Host:
             m &= keep
             if not m & dead:
                 members.add(m)
-        # supersets last, so a kept mask can only be covered by an earlier one
-        kept: list[int] = []
-        for m in sorted(members, key=lambda m: (m.bit_count(), m)):
-            if not any(k & m == k for k in kept):
-                kept.append(m)
-        return tuple(sorted(kept))
+        return _minimal(members)
 
     def step(self, g: GameState, c: str) -> GameState:
-        return self.normalize(self.successors(g, c))
+        """``normalize(successors(g, c))``, from per-member memos: the
+        minimal members of a union are those of the union of its parts'
+        minimal members."""
+        memo = self._step_memo.get(c)
+        if memo is None:
+            raise ValueError(f"turn symbol must be A or B, got {c!r}")
+        members = set()
+        for m in g:
+            image = memo.get(m)
+            if image is None:
+                image = memo[m] = self.normalize(self.successors((m,), c))
+            members.update(image)
+        return _minimal(members)
 
     def accepting(self, g: GameState) -> bool:
         fmask = self.fmask
@@ -309,6 +331,7 @@ def _forward_winset_dfa(host: Dfa, max_game_states: int = STATE_BUDGET) -> Dfa:
         "game states",
     )
     finals = frozenset(i for i, g in enumerate(order) if h.accepting(g))
+    del order, h  # free the game states before minimize reaches its peak
     return minimize(Dfa(alphabet=TURNS, delta=tuple(rows), initial=0, finals=finals))
 
 

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -163,6 +164,29 @@ def test_minimize_agrees_with_moore():
         d = random_host(rng, rng.randint(1, 5))
         a, b = minimize(d), minimize_moore(d)
         assert a == b  # both are canonical, so equality is the right bar
+
+
+@settings(max_examples=200, deadline=None)
+@given(dfas(max_states=12))
+def test_minimize_agrees_with_moore_property(d):
+    assert minimize(d) == minimize_moore(d)
+
+
+def test_minimize_scales_on_a_long_counter():
+    # length mod N with one final state is already minimal; a split that
+    # pays for the larger half makes Hopcroft quadratic on it
+    n = 20_000
+    d = Dfa(
+        alphabet=("0", "1"),
+        delta=tuple(((q + 1) % n, (q + 1) % n) for q in range(n)),
+        initial=0,
+        finals=frozenset({0}),
+    )
+    t0 = time.perf_counter()
+    m = minimize(d)
+    elapsed = time.perf_counter() - t0
+    assert m == d
+    assert elapsed < 5.0, f"minimize of a {n}-state counter took {elapsed:.1f} s"
 
 
 def test_minimize_preserves_language_and_shrinks():

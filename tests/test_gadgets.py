@@ -226,6 +226,12 @@ def test_cycle_profile_of_families():
         cycle_profile(host(((1, 3), (2, 0), (0, 3), (3, 3)), {0}))
     # no finals: the trim part is empty
     assert cycle_profile(host(((1, 1), (0, 0)), ())) == ((), 0)
+    # a 1,999-state transit chain numbered against its edges, from the
+    # initial state 1999 down to the final state 1, then a dead sink 0
+    n = 2000
+    delta = ((0, 0), (0, 0)) + tuple((q - 1, q - 1) for q in range(2, n))
+    chain = Dfa(alphabet=("0", "1"), delta=delta, initial=n - 1, finals=frozenset({1}))
+    assert cycle_profile(chain) == ((), n - 1)
 
 
 def test_cycle_profile_rejects_overlapping_cycles():

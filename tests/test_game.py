@@ -14,6 +14,7 @@ from winset.automata import (
     dfa_to_text,
     enumerate_words,
     equivalent,
+    explore,
     minimize,
     nfa_to_text,
 )
@@ -234,6 +235,28 @@ def test_winset_budget_is_enforced():
         winset_dfa(empty, max_game_states=0)
     with pytest.raises(BudgetExceededError):
         _forward_winset_dfa(empty, 0)
+
+
+def test_forward_route_budget_counts_normalized_game_states():
+    host = lower_bound_dfa(2)
+    assert winset_dfa(host, max_game_states=622).state_count == 215
+    with pytest.raises(BudgetExceededError):
+        winset_dfa(host, max_game_states=621)
+
+
+def test_step_is_normalized_successors(sampled_hosts):
+    for host in sampled_hosts:
+        h = game._Host(host)
+        order, _ = explore(
+            h.normalize((1 << host.initial,)),
+            lambda g: (h.step(g, "A"), h.step(g, "B")),
+            10_000,
+            "game states",
+        )
+        fresh = game._Host(host)
+        for g in order:
+            for c in TURNS:
+                assert h.step(g, c) == fresh.normalize(fresh.successors(g, c))
 
 
 # sha256 of the serialized constructions over the <= 3-state corpus and the
