@@ -361,6 +361,16 @@ def _mask(states: Iterable[int]) -> int:
     return m
 
 
+def _image(mask: int, succ: list[int]) -> int:
+    """The union of the masks ``succ[q]`` over the set bits q of ``mask``."""
+    out = 0
+    while mask:
+        q = (mask & -mask).bit_length() - 1
+        mask &= mask - 1
+        out |= succ[q]
+    return out
+
+
 def determinize(n: Nfa) -> Dfa:
     """Subset construction; only reachable subsets are materialized.
 
@@ -372,13 +382,7 @@ def determinize(n: Nfa) -> Dfa:
     succ1 = [_mask(row[1]) for row in n.delta]
 
     def successors(m: int) -> tuple[int, int]:
-        t0 = t1 = 0
-        while m:
-            q = (m & -m).bit_length() - 1
-            m &= m - 1
-            t0 |= succ0[q]
-            t1 |= succ1[q]
-        return t0, t1
+        return _image(m, succ0), _image(m, succ1)
 
     order, rows = explore(_mask(n.initial), successors, STATE_BUDGET, "subsets")
     fmask = _mask(n.finals)
@@ -423,11 +427,6 @@ def determinize_reverse(d: Dfa, budget: int = STATE_BUDGET) -> Dfa:
     init = 1 << d.initial
     finals = frozenset(i for i, m in enumerate(order) if m & init)
     return Dfa(alphabet=d.alphabet, delta=tuple(rows), initial=0, finals=finals)
-
-
-def _reachable(d: Dfa) -> list[int]:
-    """The states reachable from the initial one, in BFS discovery order."""
-    return explore(d.initial, d.delta.__getitem__, d.state_count, "states")[0]
 
 
 def coaccessible(d: Dfa) -> set[int]:
@@ -508,6 +507,14 @@ def minimize(d: Dfa) -> Dfa:
     # the reachable part, numbered 0..k-1 in BFS order with the initial at 0
     order, rows = explore(d.initial, d.delta.__getitem__, d.state_count, "states")
     finals = {i for i, q in enumerate(order) if q in d.finals}
+    return _quotient(d.alphabet, rows, finals)
+
+
+def _quotient(
+    alphabet: tuple[str, str], rows: list[tuple[int, int]], finals: set[int]
+) -> Dfa:
+    """:func:`minimize` of a row table whose states are all reachable from
+    state 0, the initial one; ``finals`` is the set of accepting states."""
     block_of = _hopcroft_classes(rows, finals)
 
     # canonical BFS renumbering over the quotient
@@ -519,7 +526,7 @@ def minimize(d: Dfa) -> Dfa:
 
     blocks, quotient = explore(block_of[0], successors, len(rows), "blocks")
     accepting = frozenset(i for i, b in enumerate(blocks) if rep[b] in finals)
-    return Dfa(alphabet=d.alphabet, delta=tuple(quotient), initial=0, finals=accepting)
+    return Dfa(alphabet=alphabet, delta=tuple(quotient), initial=0, finals=accepting)
 
 
 def _bisimilar(p, q, accepting, successors) -> bool:

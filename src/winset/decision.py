@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
-from .automata import BudgetExceededError, Dfa, Nfa, _mask
+from .automata import BudgetExceededError, Dfa, Nfa, _image, _mask
 from .game import TURNS, reverse_winset_dfa
 
 DEFAULT_PRODUCT_BUDGET = 10_000_000
@@ -23,11 +23,7 @@ def member(host: Dfa, w: str) -> bool:
     Simulates the reversal automaton on the reversed word, carrying a single
     subset of host states; O(|w| * state_count) time, no materialization.
     """
-    rev = reverse_winset_dfa(host)
-    m = rev.initial_mask
-    for c in reversed(w):
-        m = rev.step(m, c)
-    return rev.is_final(m)
+    return reverse_winset_dfa(host).accepts(w[::-1])
 
 
 def intersect_nonempty(
@@ -55,15 +51,6 @@ def intersect_nonempty(
     b_init_mask = _mask(b.initial)
     b_start = _mask(b.finals)
 
-    def b_step(mask: int, sym: int) -> int:
-        out = 0
-        m = mask
-        while m:
-            q = (m & -m).bit_length() - 1
-            m &= m - 1
-            out |= pred[sym][q]
-        return out
-
     start = (rev.initial_mask, b_start)
     parent: dict[tuple[int, int], tuple[tuple[int, int], str]] = {}
     seen = {start}
@@ -83,7 +70,7 @@ def intersect_nonempty(
         if rev.is_final(hmask) and bmask & b_init_mask:
             return witness(state)
         for sym, nh in enumerate(rev.successors(hmask)):
-            nb = b_step(bmask, sym)
+            nb = _image(bmask, pred[sym])
             if not nb:
                 continue  # b's run died; no word extends through here
             nxt = (nh, nb)

@@ -318,14 +318,18 @@ def bounded_upper_bound(cycle_lengths: Sequence[int], ell: int) -> int:
     if ell < 0:
         raise ValueError("ell must be >= 0")
     p = len(ks)
-    if p >= 2:
-        pair = max(math.lcm(x, y) for x, y in combinations(ks, 2))
-    elif p == 1:
-        pair = ks[0]
-    else:
-        pair = 0
-    base = p * pair + 2 * ell + 2 * math.lcm(*ks)
+    pair, lcm_all = _lcm_terms(ks)
+    base = p * pair + 2 * ell + 2 * lcm_all
     return sum(base**m for m in range(ell + p + 2))
+
+
+def _lcm_terms(ks: Sequence[int]) -> tuple[int, int]:
+    """The largest lcm of two of the cycle lengths ``ks`` (the one length
+    if there is one, 0 if none) and the lcm of them all (1 if none)."""
+    pair = max(
+        (math.lcm(x, y) for x, y in combinations(ks, 2)), default=ks[0] if ks else 0
+    )
+    return pair, math.lcm(*ks)
 
 
 def cycle_profile(host: Dfa) -> tuple[tuple[int, ...], int]:
@@ -400,14 +404,7 @@ def a_period_bound_check(
     which would refute the bound.
     """
     ks, _ = cycle_profile(host)
-    p = len(ks)
-    lcm_all = math.lcm(*ks) if p else 1
-    if p >= 2:
-        pair = max(math.lcm(x, y) for x, y in combinations(ks, 2))
-    elif p == 1:
-        pair = ks[0]
-    else:
-        pair = 0
+    pair, lcm_all = _lcm_terms(ks)
     k_bound = lcm_all + 2 * host.state_count + pair
     m_bound = lcm_all
 

@@ -20,11 +20,12 @@ from .automata import (  # noqa: F401  BudgetExceededError is re-exported
     Dfa,
     Nfa,
     _bisimilar,
+    _image,
     _mask,
+    _quotient,
     coaccessible,
     determinize_reverse,
     explore,
-    minimize,
     preimages,
 )
 
@@ -114,53 +115,37 @@ def _minimal(members: set[int]) -> GameState:
 
 
 class _Host:
-    """A host DFA compiled for the game: state-set masks and image memos."""
+    """A host DFA compiled for the game: state-set masks and step memos."""
 
     def __init__(self, host: Dfa):
         self.delta = host.delta
+        # per state, the mask of its successors on either symbol
+        self.succ = [(1 << t0) | (1 << t1) for t0, t1 in host.delta]
         self.fmask = _mask(host.finals)
         # states with some path into F
         self.coacc = _mask(coaccessible(host))
         # final states looping to themselves on both symbols
         self.acc_sink = _mask(q for q in host.finals if host.delta[q] == (q, q))
-        self._a: dict[int, tuple[int, ...]] = {}
-        self._b: dict[int, int] = {}
         # per member mask, its normalized successors on each turn
         self._step_memo: dict[str, dict[int, GameState]] = {"A": {}, "B": {}}
 
     def a_images(self, mask: int) -> tuple[int, ...]:
         """All images of the set ``mask`` under choice functions into {0,1}."""
-        images = self._a.get(mask)
-        if images is not None:
-            return images
         out = {0}
-        m = mask
-        while m:
-            q = (m & -m).bit_length() - 1
-            m &= m - 1
+        while mask:
+            q = (mask & -mask).bit_length() - 1
+            mask &= mask - 1
             t0, t1 = self.delta[q]
             b0, b1 = 1 << t0, 1 << t1
             if b0 == b1:
                 out = {img | b0 for img in out}
             else:
                 out = {img | b for img in out for b in (b0, b1)}
-        images = self._a[mask] = tuple(sorted(out))
-        return images
+        return tuple(sorted(out))
 
     def b_image(self, mask: int) -> int:
         """The set of all successors of the set ``mask``."""
-        image = self._b.get(mask)
-        if image is not None:
-            return image
-        out = 0
-        m = mask
-        while m:
-            q = (m & -m).bit_length() - 1
-            m &= m - 1
-            t0, t1 = self.delta[q]
-            out |= (1 << t0) | (1 << t1)
-        self._b[mask] = out
-        return out
+        return _image(mask, self.succ)
 
     def successors(self, g: Iterable[int], c: str) -> set[int]:
         """The unnormalized members of the game state after turn ``c``."""
@@ -330,9 +315,10 @@ def _forward_winset_dfa(host: Dfa, max_game_states: int = STATE_BUDGET) -> Dfa:
         max_game_states,
         "game states",
     )
-    finals = frozenset(i for i, g in enumerate(order) if h.accepting(g))
-    del order, h  # free the game states before minimize reaches its peak
-    return minimize(Dfa(alphabet=TURNS, delta=tuple(rows), initial=0, finals=finals))
+    finals = {i for i, g in enumerate(order) if h.accepting(g)}
+    del order, h  # free the game states before the quotient reaches its peak
+    # the rows are BFS-numbered from the initial state, so they need no trim
+    return _quotient(TURNS, rows, finals)
 
 
 def _require_binary(host: Dfa):

@@ -38,6 +38,14 @@ def dfas(draw, max_states: int = 4) -> Dfa:
     return Dfa(alphabet=("0", "1"), delta=delta, initial=0, finals=finals)
 
 
+# words of all three text formats, so the soup gets past the headers
+_TOKENS = ("dfa", "nfa", "01", "AB", "initial", "finals", "0", "1", "2", "-1",
+           "x", "A", "B", "input", "gate", "and", "or", "not", "output", "AND", "XOR", "#")
+token_soup = st.lists(
+    st.lists(st.sampled_from(_TOKENS), max_size=5).map(" ".join), max_size=8
+).map("\n".join)
+
+
 def words_upto(alphabet: str, max_len: int) -> list[str]:
     """All words over the alphabet of length 0 through max_len."""
     from winset.automata import enumerate_words

@@ -2,7 +2,8 @@
 
 Each criterion is a single test function so the ``pytest -v`` report shows
 exactly one PASSED/FAILED line per item.  The n=5 enumeration point (517)
-takes hours on one core and is opt-in: set WINSET_LONG_TESTS=1 to run it.
+takes about 40 s on one core and is opt-in: set WINSET_LONG_TESTS=1 to run
+it.
 """
 
 import os
@@ -88,7 +89,7 @@ def test_criterion_01_sequence_reproduction(enumeration_results):
 
 @pytest.mark.skipif(
     not os.environ.get("WINSET_LONG_TESTS"),
-    reason="hours-long run; set WINSET_LONG_TESTS=1",
+    reason="about 40 s long; set WINSET_LONG_TESTS=1",
 )
 def test_criterion_01_long_run_n5():
     result = max_winset_complexity(5)

@@ -30,10 +30,14 @@ from winset.automata import (
     parse_nfa,
     to_dot,
     transformation,
-    _reachable,
 )
 from winset.circuits import parse_circuit
-from .conftest import dfas, random_host, words_upto
+from .conftest import dfas, random_host, token_soup, words_upto
+
+
+def _reachable(d: Dfa) -> list[int]:
+    """The states reachable from the initial one, in BFS discovery order."""
+    return explore(d.initial, d.delta.__getitem__, d.state_count, "states")[0]
 
 
 def minimize_moore(d: Dfa) -> Dfa:
@@ -291,16 +295,8 @@ def test_dot_and_json_exports():
     assert '"initial": 0' in blob
 
 
-# words of all three text formats, so the soup gets past the headers
-_TOKENS = ("dfa", "nfa", "01", "AB", "initial", "finals", "0", "1", "2", "-1",
-           "x", "A", "B", "input", "gate", "and", "or", "not", "output", "AND", "XOR", "#")
-_token_soup = st.lists(
-    st.lists(st.sampled_from(_TOKENS), max_size=5).map(" ".join), max_size=8
-).map("\n".join)
-
-
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(_token_soup, st.text()))
+@given(st.one_of(token_soup, st.text()))
 def test_parsers_raise_only_format_errors(text):
     for parse in (parse_dfa, parse_nfa, parse_circuit):
         try:

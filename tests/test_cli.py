@@ -1,11 +1,19 @@
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from winset.automata import equivalent, parse_dfa
+from winset.automata import TURNS, Dfa, dfa_to_text, equivalent, parse_dfa
 from winset.cli import main
+
+from .conftest import dfas, token_soup
 
 PARITY_TEXT = """\
 dfa 2 01
@@ -207,3 +215,97 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "n=1 max=1 exhausted=true"
+
+
+# Pieces of an argument vector, each a list of arguments.  A ("file", name)
+# item stands for a path in the example's directory: "a" and "b" hold drawn
+# text, "missing" does not exist and "" is the directory itself.
+def _one(strategy):
+    return strategy.map(lambda x: [x])
+
+
+def _lit(*args):
+    return st.just(list(args))
+
+
+def _maybe(*args):
+    return st.one_of(st.just([]), st.tuples(*args).map(lambda ps: sum(ps, [])))
+
+
+def _argv(*parts):
+    return st.tuples(*parts).map(lambda ps: sum(ps, []))
+
+
+_files = _one(st.sampled_from(["a", "b", "missing", ""]).map(lambda n: ("file", n)))
+_words = _one(st.one_of(st.text(alphabet="AB", max_size=10), st.text(max_size=10)))
+_bits = _one(st.one_of(st.text(alphabet="01TF", max_size=4), st.text(max_size=4)))
+# the sizes stay at most 3, so no example is slow; int() also reads the
+# odd spellings
+_sizes = _one(st.one_of(
+    st.integers(-2, 3).map(str), st.sampled_from(["", "x", "1.5", " 2", "+3", "-0", "\u0663"])
+))
+_targets = st.one_of(
+    _one(st.sampled_from(["dyck", "parity", "contains-011", "exact-ones:", "exact-ones:x"])),
+    _one(st.integers(-2, 12).map("exact-ones:{}".format)),
+    _files,
+)
+_emit = _maybe(_lit("--emit"), _one(st.sampled_from(["text", "dot", "json", "pdf"])))
+
+_COMMANDS = st.one_of(
+    _argv(_one(st.sampled_from(["wdfa", "minimize"])), _files, _emit),
+    _argv(_lit("equiv"), _files, _files),
+    _argv(_lit("congruent"), _files, _bits, _bits),
+    _argv(_lit("decide", "member"), _files, _words),
+    _argv(_lit("decide", "intersect"), _files, _files,
+          _maybe(_lit("--budget"), _one(st.integers(-1, 50).map(str)))),
+    _argv(_lit("oracle", "member"), _targets, _words),
+    _argv(_lit("oracle", "slice"), _targets,
+          _one(st.one_of(st.integers(-2, 10).map(str), st.just("x")))),
+    _argv(
+        _lit("gadget"),
+        _one(st.sampled_from(["gen-subset", "gen-state", "testing", "lower-bound",
+                              "exact-ones", "chain", "circuit", "frobnicate"])),
+        st.one_of(st.just([]), _sizes, _files),
+        _maybe(_lit("--finals"), st.lists(st.integers(-3, 5).map(str), max_size=3)),
+        _maybe(_lit("--value"), _bits),
+        _maybe(_lit("--iterate"), _bits, _sizes),
+        _emit,
+    ),
+    _argv(
+        _lit("enumerate"),
+        _sizes,
+        _maybe(_lit("--budget"), _one(st.sampled_from(["0", "0.01", "-1", "nan", "inf", "x"]))),
+        _maybe(_lit("--emit-witness"), _files),
+    ),
+    # argparse's own errors, and its help, exit through SystemExit
+    _argv(st.lists(st.one_of(st.text(max_size=6), st.sampled_from(["-h", "--emit", "decide"])),
+                   max_size=3)),
+)
+
+
+# file text: well-formed hosts, turn-order DFAs and circuits, so the
+# commands get past their parsers, as well as junk
+_TEXTS = st.one_of(
+    token_soup,
+    st.text(),
+    dfas(max_states=3).map(dfa_to_text),
+    dfas(max_states=3).map(lambda d: dfa_to_text(Dfa(TURNS, d.delta, 0, d.finals))),
+    st.sampled_from([BA_STAR_NFA, NOT_CIRCUIT, "input x\ninput y\nand g x y\noutput z g\n"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_COMMANDS, _TEXTS, _TEXTS)
+def test_cli_exits_only_0_1_or_2(argv, a, b):
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        (d / "a").write_text(a)
+        (d / "b").write_text(b)
+        argv = [str(d / x[1]) if isinstance(x, tuple) else x for x in argv]
+        out = io.StringIO()
+        try:
+            with redirect_stdout(out), redirect_stderr(out):
+                code = main(argv)
+        except SystemExit as e:
+            code = e.code
+    assert code in (0, 1, 2), argv
