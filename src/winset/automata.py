@@ -85,6 +85,58 @@ class Dfa:
         return q
 
 
+class GraphBuilder:
+    """Assemble a two-symbol DFA from named states and labeled arcs.
+
+    ``arc(src, x)`` sends both symbols to x; ``arc(src, x, y)`` sends 0 to x
+    and 1 to y.  Names are any hashable values.  States spring into
+    existence on first mention, numbered in mention order, which keeps
+    layouts deterministic.
+    """
+
+    def __init__(self):
+        self._index: dict = {}
+        # the (target on 0, target on 1) row of each state, None until set
+        self._rows: list = []
+        self._finals: set[int] = set()
+
+    def state(self, name, *, final: bool = False) -> int:
+        idx = self._index.get(name)
+        if idx is None:
+            idx = self._index[name] = len(self._rows)
+            self._rows.append(None)
+        if final:
+            self._finals.add(idx)
+        return idx
+
+    def arc(self, src, target0, target1=None) -> int:
+        s = self.state(src)
+        t0 = self.state(target0)
+        row = (t0, t0 if target1 is None else self.state(target1))
+        old = self._rows[s]
+        if old is not None and old != row:
+            sym = 0 if old[0] != row[0] else 1
+            raise ValueError(f"conflicting transition from {src!r} on {sym}")
+        self._rows[s] = row
+        return s
+
+    @property
+    def labels(self) -> dict:
+        return dict(self._index)
+
+    def build(self, initial) -> Dfa:
+        rows = self._rows
+        if None in rows:
+            name = list(self._index)[rows.index(None)]
+            raise ValueError(f"state {name!r} has no transition on 0")
+        return Dfa(
+            alphabet=BINARY,
+            delta=tuple(rows),
+            initial=self._index[initial],
+            finals=frozenset(self._finals),
+        )
+
+
 @dataclass(frozen=True)
 class Nfa:
     """A nondeterministic finite automaton with a set of initial states."""

@@ -10,11 +10,12 @@ and stay excessive forever, so they never become accepting.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, replace
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from typing import Iterable
 
-from .automata import Dfa, FormatError, _fail, _tokenize
+from .automata import Dfa, FormatError, GraphBuilder, _fail, _tokenize
 
 GATE_ARITY = {"AND": 2, "OR": 2, "NOT": 1}
 
@@ -196,7 +197,13 @@ def _levelize(c: Circuit):
 # DFA assembly
 
 
-def _assemble(c: Circuit, *, merge: bool = False) -> ReductionArtifact:
+def _assemble(c: Circuit, *, merge: bool = False):
+    """Lay out the reduction automaton of ``c`` on an open builder.
+
+    Returns ``(b, p, inputs, outputs)``: the builder, the round count and
+    the (T, F) rail names of each input and output.  Merged automata
+    identify input rails with output rails.
+    """
     d, lgates, out_srcs = _levelize(c)
     k, m = c.input_count, c.output_count
 
@@ -208,50 +215,34 @@ def _assemble(c: Circuit, *, merge: bool = False) -> ReductionArtifact:
         for pos, src in enumerate(srcs):
             slots.setdefault(src, []).append((gid, pos))
 
-    index: dict[tuple, int] = {}
-    trans: dict[tuple[int, int], int] = {}
-
-    def st(name: tuple) -> int:
-        if name not in index:
-            index[name] = len(index)
-        return index[name]
-
-    def arc(src: int, t0: int, t1: Optional[int] = None):
-        trans[(src, 0)] = t0
-        trans[(src, 1)] = t0 if t1 is None else t1
-
-    def q_state(j: int, b: str) -> int:
-        # merged automata identify input rails with output rails
-        return st(("p", j, b)) if merge else st(("q", j, b))
-
+    b = GraphBuilder()
+    outputs = tuple((("p", i, "T"), ("p", i, "F")) for i in range(m))
+    rail = "p" if merge else "q"
+    inputs = tuple(((rail, j, "T"), (rail, j, "F")) for j in range(k))
     # rails come first so artifact indices are stable and readable
-    for i in range(m):
-        st(("p", i, "T"))
-        st(("p", i, "F"))
-    if not merge:
-        for j in range(k):
-            st(("q", j, "T"))
-            st(("q", j, "F"))
+    for t, f in outputs if merge else outputs + inputs:
+        b.state(t)
+        b.state(f)
 
-    fresh_counter = [0]
+    fresh_names = itertools.count(1)
 
-    def fresh() -> int:
-        fresh_counter[0] += 1
-        return st(("x", fresh_counter[0]))
+    def fresh() -> tuple:
+        name = ("x", next(fresh_names))
+        b.state(name)
+        return name
 
-    def t_slot(gid: tuple, b: str) -> int:
+    def t_slot(gid: tuple, bit: str) -> tuple:
         """Where gate gid's result rail lives: the output rail for top-level
         gates, otherwise the collect side of its fanout gadget."""
         if gid in top_of:
-            return st(("p", top_of[gid], b))
-        return st(("fan_in", gid, b))
+            return ("p", top_of[gid], bit)
+        return ("fan_in", gid, bit)
 
-    def s_slot(gid: tuple, pos: int, b: str) -> int:
+    def s_slot(gid: tuple, pos: int, bit: str) -> tuple:
         src = lgates[gid][2][pos]
         if src[0] == "in":
-            return q_state(src[1], b)
-        j = slots[src].index((gid, pos))
-        return st(("fan_out", src, j, b))
+            return (rail, src[1], bit)
+        return ("fan_out", src, slots[src].index((gid, pos)), bit)
 
     top_of = {gid: i for i, gid in enumerate(out_srcs)}
 
@@ -261,72 +252,60 @@ def _assemble(c: Circuit, *, merge: bool = False) -> ReductionArtifact:
             hi, lo = ("T", "F") if kind == "OR" else ("F", "T")
             a1, a2, a3 = fresh(), fresh(), fresh()
             b1, b2, b3, b4 = fresh(), fresh(), fresh(), fresh()
-            arc(t_slot(gid, hi), a1, a2)
-            arc(t_slot(gid, lo), a3)
-            arc(a1, b1, b2)
-            arc(a2, b3)
-            arc(a3, b4)
-            arc(b1, s_slot(gid, 0, hi), s_slot(gid, 1, hi))
-            arc(b2, s_slot(gid, 0, hi), s_slot(gid, 1, lo))
-            arc(b3, s_slot(gid, 0, lo), s_slot(gid, 1, hi))
-            arc(b4, s_slot(gid, 0, lo), s_slot(gid, 1, lo))
+            b.arc(t_slot(gid, hi), a1, a2)
+            b.arc(t_slot(gid, lo), a3)
+            b.arc(a1, b1, b2)
+            b.arc(a2, b3)
+            b.arc(a3, b4)
+            b.arc(b1, s_slot(gid, 0, hi), s_slot(gid, 1, hi))
+            b.arc(b2, s_slot(gid, 0, hi), s_slot(gid, 1, lo))
+            b.arc(b3, s_slot(gid, 0, lo), s_slot(gid, 1, hi))
+            b.arc(b4, s_slot(gid, 0, lo), s_slot(gid, 1, lo))
         else:  # NOT and PASS: forced three-step chains, NOT crossing rails
             for b_in, b_out in (("T", "F"), ("F", "T")) if kind == "NOT" else (
                 ("T", "T"),
                 ("F", "F"),
             ):
                 u, v = fresh(), fresh()
-                arc(t_slot(gid, b_in), u)
-                arc(u, v)
-                arc(v, s_slot(gid, 0, b_out))
+                b.arc(t_slot(gid, b_in), u)
+                b.arc(u, v)
+                b.arc(v, s_slot(gid, 0, b_out))
         if gid not in top_of:
             # fanout gadget: all copies funnel back to the single result rail
-            for b in ("T", "F"):
+            for bit in ("T", "F"):
                 u, v = fresh(), fresh()
                 for j in range(len(slots.get(gid, []))):
-                    arc(st(("fan_out", gid, j, b)), u)
-                arc(u, v)
-                arc(v, st(("fan_in", gid, b)))
+                    b.arc(("fan_out", gid, j, bit), u)
+                b.arc(u, v)
+                b.arc(v, ("fan_in", gid, bit))
 
     if not merge:
-        sink = st(("sink",))
-        arc(sink, sink)
-        for j in range(k):
-            arc(q_state(j, "T"), sink)
-            arc(q_state(j, "F"), sink)
+        b.arc(("sink",), ("sink",))
+        for t, f in inputs:
+            b.arc(t, ("sink",))
+            b.arc(f, ("sink",))
+    return b, 2 * d - 3, inputs, outputs
 
-    n = len(index)
-    delta = []
-    for q in range(n):
-        row = []
-        for sym in range(2):
-            if (q, sym) not in trans:
-                raise AssertionError("incomplete reduction automaton")
-            row.append(trans[(q, sym)])
-        delta.append((row[0], row[1]))
-    dfa = Dfa(
-        alphabet=("0", "1"),
-        delta=tuple(delta),
-        initial=index[("p", 0, "T")],
-        finals=frozenset(),
-    )
-    input_states = tuple(
-        (index[("p" if merge else "q", j, "T")], index[("p" if merge else "q", j, "F")])
-        for j in range(k)
-    )
-    output_states = tuple(
-        (index[("p", i, "T")], index[("p", i, "F")]) for i in range(m)
-    )
-    return ReductionArtifact(
-        dfa=dfa, p=2 * d - 3, input_states=input_states, output_states=output_states
-    )
+
+def _instance(b: GraphBuilder, initial, inputs, bits: tuple[bool, ...]) -> Dfa:
+    """Build ``b`` from ``initial``, accepting on the input rails that
+    spell ``bits``."""
+    for (t, f), bit in zip(inputs, bits):
+        b.state(t if bit else f, final=True)
+    return b.build(initial)
 
 
 def circuit_to_dfa(c: Circuit) -> ReductionArtifact:
     """Compile a circuit; reading (AAB)^p from a set of output rails yields
     exactly the consistent input-rail sets evaluating to it, plus excessive
     leftovers."""
-    return _assemble(c, merge=False)
+    b, p, inputs, outputs = _assemble(c)
+    return ReductionArtifact(
+        dfa=b.build(outputs[0][0]),
+        p=p,
+        input_states=tuple((b.state(t), b.state(f)) for t, f in inputs),
+        output_states=tuple((b.state(t), b.state(f)) for t, f in outputs),
+    )
 
 
 def consistent_inputs(
@@ -367,12 +346,8 @@ def circuit_value_instance(
     bits = tuple(a)
     if len(bits) != c.input_count:
         raise ValueError("assignment length must match the input count")
-    art = _assemble(c, merge=False)
-    finals = frozenset(
-        pair[0] if bit else pair[1] for pair, bit in zip(art.input_states, bits)
-    )
-    dfa = replace(art.dfa, initial=art.output_states[0][0], finals=finals)
-    return dfa, "AAB" * art.p
+    b, p, inputs, outputs = _assemble(c)
+    return _instance(b, outputs[0][0], inputs, bits), "AAB" * p
 
 
 def iterated_instance(
@@ -396,43 +371,24 @@ def iterated_instance(
     if len(bits) != k:
         raise ValueError("assignment length must match the input count")
 
-    prime = or_with_index(c, i)
-    art = _assemble(prime, merge=True)
-    finals = frozenset(
-        pair[0] if bit else pair[1] for pair, bit in zip(art.input_states, bits)
-    )
-    dfa = art.dfa
-    if k == 1:
-        dfa = replace(dfa, initial=art.input_states[0][0], finals=finals)
-        return dfa, "", "AAB" * art.p
-
-    # fan-in tree: L rounds of AAB turn {root} into all k T-rails
+    b, p, inputs, _ = _assemble(or_with_index(c, i), merge=True)
+    # fan-in tree: depth rounds of AAB turn {root} into all k T-rails; for
+    # k = 1 the root is the input's T-rail itself and the base is empty
     depth = math.ceil(math.log2(k))
-    n0 = dfa.state_count
-    extra: list[tuple[int, int]] = []
 
-    def new_state(t0: int, t1: int) -> int:
-        extra.append((t0, t1))
-        return n0 + len(extra) - 1
-
-    def build(lo: int, hi: int, lv: int) -> int:
+    def tree(lo: int, hi: int, lv: int):
         if lv == depth:
-            return art.input_states[min(lo, k - 1)][0]
+            return inputs[min(lo, k - 1)][0]
         mid = (lo + hi) // 2
-        left = build(lo, mid, lv + 1)
-        right = build(mid, hi, lv + 1)
-        v = new_state(left, right)
-        u = new_state(v, v)
-        return new_state(u, u)
+        left, right = tree(lo, mid, lv + 1), tree(mid, hi, lv + 1)
+        v, u, w = (("tree", lo, hi, x) for x in "vuw")
+        b.arc(v, left, right)
+        b.arc(u, v)
+        b.arc(w, u)
+        return w
 
-    root = build(0, 1 << depth, 0)
-    dfa = Dfa(
-        alphabet=dfa.alphabet,
-        delta=dfa.delta + tuple(extra),
-        initial=root,
-        finals=finals,
-    )
-    return dfa, "AAB" * depth, "AAB" * art.p
+    root = tree(0, 1 << depth, 0)
+    return _instance(b, root, inputs, bits), "AAB" * depth, "AAB" * p
 
 
 def or_with_index(c: Circuit, i: int) -> Circuit:

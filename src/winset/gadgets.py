@@ -15,69 +15,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
-from .automata import Dfa, coaccessible, explore
+from .automata import (
+    STATE_BUDGET,
+    BudgetExceededError,
+    Dfa,
+    GraphBuilder,
+    coaccessible,
+    explore,
+)
 from .game import GameState, _Host, game_state, game_states_equivalent
-
-
-class GraphBuilder:
-    """Assemble a DFA from named states and labeled arcs.
-
-    ``arc(src, x)`` sends both symbols to x; ``arc(src, x, y)`` sends 0 to x
-    and 1 to y.  States spring into existence on first mention, numbered in
-    mention order, which keeps layouts deterministic.
-    """
-
-    def __init__(self):
-        self._names: list[str] = []
-        self._index: dict[str, int] = {}
-        self._trans: dict[tuple[int, int], int] = {}
-        self._finals: set[int] = set()
-
-    def state(self, name: str, *, final: bool = False) -> int:
-        idx = self._index.get(name)
-        if idx is None:
-            idx = len(self._names)
-            self._index[name] = idx
-            self._names.append(name)
-        if final:
-            self._finals.add(idx)
-        return idx
-
-    def arc(self, src: str, target0: str, target1: Optional[str] = None):
-        s = self.state(src)
-        t0 = self.state(target0)
-        t1 = t0 if target1 is None else self.state(target1)
-        for sym, t in ((0, t0), (1, t1)):
-            if (s, sym) in self._trans and self._trans[(s, sym)] != t:
-                raise ValueError(f"conflicting transition from {src!r} on {sym}")
-            self._trans[(s, sym)] = t
-        return s
-
-    @property
-    def labels(self) -> dict[str, int]:
-        return dict(self._index)
-
-    def build(self, initial: str) -> Dfa:
-        n = len(self._names)
-        delta = []
-        for q in range(n):
-            row = []
-            for sym in range(2):
-                t = self._trans.get((q, sym))
-                if t is None:
-                    raise ValueError(
-                        f"state {self._names[q]!r} has no transition on {sym}"
-                    )
-                row.append(t)
-            delta.append((row[0], row[1]))
-        return Dfa(
-            alphabet=("0", "1"),
-            delta=tuple(delta),
-            initial=self._index[initial],
-            finals=frozenset(self._finals),
-        )
 
 
 @dataclass(frozen=True)
@@ -94,6 +42,30 @@ class Gadget:
     def named_state(self, names: Iterable[str]) -> GameState:
         """Game state holding one set built from the given state names."""
         return game_state([[self.labels[x] for x in names]])
+
+
+def _check_size(n: int, states: int) -> None:
+    """Reject a size n below 1, or one whose host would have ``states``
+    states, more than :data:`~winset.automata.STATE_BUDGET`; families call
+    this before they build anything."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if states > STATE_BUDGET:
+        raise BudgetExceededError(
+            f"size {n} needs {states} states, more than the budget of {STATE_BUDGET}"
+        )
+
+
+def _gadget(
+    n: int, states: int, entry: str, add: Callable[[GraphBuilder], None]
+) -> Gadget:
+    """The ``states``-state gadget of size n that ``add`` lays out, entered
+    at ``entry``, which is numbered 0."""
+    _check_size(n, states)
+    b = GraphBuilder()
+    b.state(entry)
+    add(b)
+    return Gadget(dfa=b.build(entry), labels=b.labels, entry=entry)
 
 
 def _close(builder: GraphBuilder, exit_name: str, closure: str):
@@ -134,13 +106,12 @@ def _add_gen_subset(b: GraphBuilder, n: int, exit_target: str):
 def gen_subset(n: int, *, closure: str = "reject") -> Gadget:
     """Standalone subset factory; the dangling e-chain exit is closed with a
     sink (nonaccepting by default)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    b = GraphBuilder()
-    b.state("b1")
-    _add_gen_subset(b, n, "exit")
-    _close(b, "exit", closure)
-    return Gadget(dfa=b.build("b1"), labels=b.labels, entry="b1")
+
+    def add(b: GraphBuilder):
+        _add_gen_subset(b, n, "exit")
+        _close(b, "exit", closure)
+
+    return _gadget(n, 7 * n, "b1", add)
 
 
 def subset_word(n: int, s: Iterable[int]) -> str:
@@ -169,13 +140,14 @@ def _add_gen_state(b: GraphBuilder, n: int, exit_target: str):
 
 
 def gen_state(n: int, *, closure: str = "reject") -> Gadget:
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    b = GraphBuilder()
-    b.state("a1")
-    _add_gen_state(b, n, "exit")
-    _close(b, "exit", closure)
-    return Gadget(dfa=b.build("a1"), labels=b.labels, entry="a1")
+    """The game-state factory, 13n+2 states; its exit is closed like
+    :func:`gen_subset`'s."""
+
+    def add(b: GraphBuilder):
+        _add_gen_state(b, n, "exit")
+        _close(b, "exit", closure)
+
+    return _gadget(n, 13 * n + 2, "a1", add)
 
 
 def state_word(n: int, antichain: Iterable[Iterable[int]]) -> str:
@@ -218,12 +190,7 @@ def testing(n: int) -> Gadget:
     other read advances one step.  After 2n steps everything is stuck in a
     nonaccepting sink.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    b = GraphBuilder()
-    b.state("q1")
-    _add_testing(b, n)
-    return Gadget(dfa=b.build("q1"), labels=b.labels, entry="q1")
+    return _gadget(n, 2 * n + 2, "q1", lambda b: _add_testing(b, n))
 
 
 def test_word(n: int, p: Iterable[int]) -> str:
@@ -237,13 +204,12 @@ def test_word(n: int, p: Iterable[int]) -> str:
 def lower_bound_gadget(n: int) -> Gadget:
     """Factory plus tester, 15n+3 states; its winning-set DFA needs at least
     as many states as there are antichains over an n-set."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    b = GraphBuilder()
-    b.state("a1")
-    _add_gen_state(b, n, "q1")
-    _add_testing(b, n)
-    return Gadget(dfa=b.build("a1"), labels=b.labels, entry="a1")
+
+    def add(b: GraphBuilder):
+        _add_gen_state(b, n, "q1")
+        _add_testing(b, n)
+
+    return _gadget(n, 15 * n + 3, "a1", add)
 
 
 def lower_bound_dfa(n: int) -> Dfa:
@@ -256,8 +222,7 @@ def lower_bound_dfa(n: int) -> Dfa:
 
 def chain_dfa(n: int, finals: Iterable[int]) -> Dfa:
     """1-bounded chain: 0 loops in place, 1 advances, the last state traps."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_size(n, n)
     fin = frozenset(finals)
     if n - 1 in fin:
         raise ValueError("the trap state cannot be final")
@@ -270,8 +235,7 @@ def chain_dfa(n: int, finals: Iterable[int]) -> Dfa:
 def exact_ones_dfa(n: int) -> Dfa:
     """Minimal DFA for words with exactly n ones: a counting chain plus an
     overflow sink."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_size(n, n + 2)
     delta = tuple((i, i + 1) for i in range(n + 1)) + ((n + 1, n + 1),)
     return Dfa(alphabet=("0", "1"), delta=delta, initial=0, finals=frozenset({n}))
 

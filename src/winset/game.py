@@ -11,6 +11,7 @@ set and stays empty forever.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
@@ -59,42 +60,13 @@ def format_game_state(g: GameState) -> str:
 
 
 def parse_game_state(text: str) -> GameState:
+    """Read the :func:`format_game_state` notation, e.g. ``{{0,2},{1}}``;
+    whitespace is ignored, and so are stray commas between and inside sets."""
     text = "".join(text.split())
-    if not (text.startswith("{") and text.endswith("}")):
+    if not re.fullmatch(r"\{(?:,|\{[^{}]*\})*\}", text):
         raise ValueError(f"bad game state {text!r}")
-    body = text[1:-1]
-    sets: list[list[int]] = []
-    depth = 0
-    current: list[str] = []
-    buf = ""
-    for ch in body:
-        if ch == "{":
-            if depth != 0:
-                raise ValueError(f"bad game state {text!r}")
-            depth = 1
-            current = []
-            buf = ""
-        elif ch == "}":
-            if depth != 1:
-                raise ValueError(f"bad game state {text!r}")
-            if buf:
-                current.append(buf)
-            sets.append(current)
-            depth = 0
-            buf = ""
-        elif ch == ",":
-            if depth == 1:
-                if buf:
-                    current.append(buf)
-                buf = ""
-            # commas between members are ignored
-        else:
-            if depth != 1:
-                raise ValueError(f"bad game state {text!r}")
-            buf += ch
-    if depth != 0:
-        raise ValueError(f"bad game state {text!r}")
-    return game_state([[int(tok) for tok in s] for s in sets])
+    bodies = re.findall(r"\{([^{}]*)\}", text[1:-1])
+    return game_state([[int(tok) for tok in body.split(",") if tok] for body in bodies])
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from winset.automata import (
     BudgetExceededError,
     Dfa,
     FormatError,
+    GraphBuilder,
     Nfa,
     STATE_BUDGET,
     accepts,
@@ -106,6 +107,22 @@ def test_parse_dfa_basic():
     assert d.delta == ((0, 1), (1, 0))
     assert accepts(d, "0110") is False
     assert accepts(d, "010") is True
+
+
+def test_graph_builder_numbers_names_in_mention_order():
+    b = GraphBuilder()
+    b.arc(("x", 1), "y", ("x", 1))
+    b.arc("y", "y")
+    b.state("y", final=True)
+    d = b.build("y")
+    assert d == Dfa(("0", "1"), ((1, 0), (1, 1)), 1, frozenset({1}))
+    assert b.labels == {("x", 1): 0, "y": 1}
+    b.arc("y", "y")  # repeating an arc is allowed
+    with pytest.raises(ValueError, match="conflicting transition from 'y' on 1"):
+        b.arc("y", "y", ("x", 1))
+    b.state("z")
+    with pytest.raises(ValueError, match="state 'z' has no transition on 0"):
+        b.build("y")
 
 
 def test_dfa_text_round_trip():

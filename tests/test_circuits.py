@@ -1,8 +1,10 @@
+import hashlib
 import random
 from itertools import product
 
 import pytest
 
+from winset.automata import dfa_to_text
 from winset.circuits import (
     Circuit,
     circuit_to_dfa,
@@ -178,3 +180,26 @@ def test_iterated_validation():
     c2 = random_circuit(random.Random(1), 2, 2, 2)
     with pytest.raises(ValueError):
         iterated_instance(c2, (True, False), 5)  # index out of range
+
+
+# sha256 of every reduction over a seeded corpus: it pins each state number,
+# the round count and the rail pairs, not just the decided answers
+REDUCTIONS_DIGEST = "70218ed7467fd2f22c96d326233427e9bb5e8bd5223c701cfe563ca24819c93a"
+
+
+def test_reductions_are_pinned():
+    rng = random.Random(66)
+    h = hashlib.sha256()
+    for _ in range(12):
+        for k in (1, 2, 3, 4):
+            bits = tuple(rng.random() < 0.5 for _ in range(k))
+            c = random_circuit(rng, k, rng.randint(0, 6), rng.randint(1, 3))
+            art = circuit_to_dfa(c)
+            h.update(dfa_to_text(art.dfa).encode())
+            h.update(f"{art.p} {art.input_states} {art.output_states}\n".encode())
+            dfa, word = circuit_value_instance(random_circuit(rng, k, rng.randint(0, 6)), bits)
+            h.update(f"{dfa_to_text(dfa)}{word}\n".encode())
+            square = random_circuit(rng, k, rng.randint(0, 6), k)
+            dfa, base, period = iterated_instance(square, bits, rng.randrange(k))
+            h.update(f"{dfa_to_text(dfa)}{base} {period}\n".encode())
+    assert h.hexdigest() == REDUCTIONS_DIGEST

@@ -166,6 +166,14 @@ def test_gadget_chain(capsys):
     assert d.finals == frozenset({0, 1})
 
 
+@pytest.mark.parametrize(
+    "name", ["gen-subset", "gen-state", "testing", "lower-bound", "chain", "exact-ones"]
+)
+def test_gadget_sizes_over_the_budget_exit_2(name, capsys):
+    assert main(["gadget", name, "100000000000000000000"]) == 2
+    assert "budget" in capsys.readouterr().err
+
+
 def test_gadget_errors(capsys):
     assert main(["gadget", "frobnicate", "3"]) == 2
     assert main(["gadget", "gen-subset"]) == 2
@@ -239,10 +247,11 @@ def _argv(*parts):
 _files = _one(st.sampled_from(["a", "b", "missing", ""]).map(lambda n: ("file", n)))
 _words = _one(st.one_of(st.text(alphabet="AB", max_size=10), st.text(max_size=10)))
 _bits = _one(st.one_of(st.text(alphabet="01TF", max_size=4), st.text(max_size=4)))
-# the sizes stay at most 3, so no example is slow; int() also reads the
-# odd spellings
+# the sizes stay at most 3, or over every state budget, so no example is
+# slow; int() also reads the odd spellings
 _sizes = _one(st.one_of(
-    st.integers(-2, 3).map(str), st.sampled_from(["", "x", "1.5", " 2", "+3", "-0", "\u0663"])
+    st.integers(-2, 3).map(str),
+    st.sampled_from(["", "x", "1.5", " 2", "+3", "-0", "\u0663", "100000000000000000000"]),
 ))
 _targets = st.one_of(
     _one(st.sampled_from(["dyck", "parity", "contains-011", "exact-ones:", "exact-ones:x"])),

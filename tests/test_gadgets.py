@@ -3,7 +3,8 @@ from itertools import combinations
 
 import pytest
 
-from winset.automata import accepts, enumerate_words, minimize
+from winset import gadgets
+from winset.automata import BudgetExceededError, accepts, enumerate_words, minimize
 
 from .conftest import words_upto
 from winset.gadgets import (
@@ -148,6 +149,28 @@ def test_tester_dies_after_two_n_steps():
 def test_lower_bound_state_count():
     for n in range(1, 11):
         assert lower_bound_dfa(n).state_count == 15 * n + 3
+
+
+FAMILIES = {
+    "gen_subset": lambda n: gen_subset(n).dfa,
+    "gen_state": lambda n: gen_state(n).dfa,
+    "testing": lambda n: build_tester(n).dfa,
+    "lower_bound": lower_bound_dfa,
+    "chain": lambda n: chain_dfa(n, []),
+    "exact_ones": exact_ones_dfa,
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_size_cap_is_the_state_count(family, monkeypatch):
+    """The closed form each family checks against the budget is its exact
+    state count: the largest size within a small budget builds, the next
+    one raises before building."""
+    build = FAMILIES[family]
+    monkeypatch.setattr(gadgets, "STATE_BUDGET", build(3).state_count)
+    assert build(3).state_count == gadgets.STATE_BUDGET
+    with pytest.raises(BudgetExceededError):
+        build(4)
 
 
 def test_lower_bound_winset_exceeds_antichain_count():

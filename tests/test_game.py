@@ -65,10 +65,17 @@ def test_format_parse_round_trip():
     for g in [(), (0,), (1, 6), (3,)]:
         assert parse_game_state(format_game_state(g)) == g
     assert parse_game_state("{{0,2},{1}}") == (2, 5)
+    # stray commas between and inside sets, and no separator at all
+    assert parse_game_state("{{1}{2}}") == (2, 4)
+    assert parse_game_state("{,{1,,2},}") == (6,)
+
+
+@pytest.mark.parametrize(
+    "text", ["{{0},1}", "{{0}", "{{1}", "{1}", "{{1}{{2}}}", "{{a}}", "{{1}x}", ""]
+)
+def test_parse_game_state_rejects_malformed(text):
     with pytest.raises(ValueError):
-        parse_game_state("{{0},1}")
-    with pytest.raises(ValueError):
-        parse_game_state("{{0}")
+        parse_game_state(text)
 
 
 def test_normalize_drops_strict_supersets():
