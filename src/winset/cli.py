@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from pathlib import Path
 
 from . import automata, circuits, decision, enumeration, gadgets, game, oracle
@@ -154,13 +155,27 @@ def _cmd_gadget_circuit(args) -> int:
     return 0
 
 
-def _cmd_enumerate(args) -> int:
-    def progress(done: int, total: int):
-        if done % 500 == 0:
-            print(f"{done}/{total} structures", file=sys.stderr)
+def _progress_printer(clock=time.monotonic):
+    """A ``progress(done, total)`` callback that prints to stderr at most
+    once a second of ``clock``, with the rate and the time left."""
+    start = last = clock()
 
+    def progress(done: int, total: int):
+        nonlocal last
+        now = clock()
+        if now - last < 1.0:
+            return
+        last = now
+        rate = done / (now - start)
+        eta = (total - done) / rate
+        print(f"{done}/{total} structures, {rate:.0f}/s, ETA {eta:.0f} s", file=sys.stderr)
+
+    return progress
+
+
+def _cmd_enumerate(args) -> int:
     result = enumeration.max_winset_complexity(
-        args.n, budget_seconds=args.budget, progress=progress
+        args.n, budget_seconds=args.budget, progress=_progress_printer()
     )
     if args.emit_witness and result.witness is not None:
         Path(args.emit_witness).write_text(automata.dfa_to_text(result.witness))

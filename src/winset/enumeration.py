@@ -6,6 +6,16 @@ n(n+1)/2 choices each.  Structures whose reachable part is smaller than n
 are skipped (their languages already occur at smaller n), and so are
 structures that a relabeling fixing the initial state maps to a
 lexicographically smaller encoding; relabeled copies tie on every size.
+
+All 2^n final sets of one structure share one reversal graph.  The reversal
+map m ↦ (pre₀(m) | pre₁(m), pre₀(m) & pre₁(m)) on host state-sets depends
+only on the transitions, so it is tabulated once per structure as a graph G
+on the 2^n masks.  For a final set F, the reversed winning set is the
+language of state F in G, whose finals are the masks holding the initial
+state; determinizing the reverse of G's part reachable from F gives the
+minimal winning-set DFA (Brzozowski's double reversal), so its subset count
+is the size, and no ``Dfa`` is built.  Complement duality,
+|W(not L)| = |W(L)|, halves the work: the size at F is mirrored to full ^ F.
 """
 
 from __future__ import annotations
@@ -14,10 +24,9 @@ import time
 from itertools import permutations, product
 from typing import Callable, Iterator, NamedTuple, Optional
 
-from .automata import Dfa
-from .game import winset_dfa
+from .automata import BINARY, STATE_BUDGET, Dfa, explore, preimages
 
-SIZE_GUARD = 5  # the candidate space for n=6 is out of desk reach
+SIZE_GUARD = 5  # n=6 has not yet had a full measured run
 
 
 class EnumerationResult(NamedTuple):
@@ -63,11 +72,67 @@ def _structures(n: int, canonical: bool) -> Iterator[tuple[int, tuple[tuple[int,
             yield position, delta
 
 
+def _host(delta: tuple[tuple[int, int], ...], fmask: int) -> Dfa:
+    finals = frozenset(q for q in range(len(delta)) if fmask >> q & 1)
+    return Dfa(alphabet=BINARY, delta=delta, initial=0, finals=finals)
+
+
 def _hosts(delta: tuple[tuple[int, int], ...], n: int) -> Iterator[Dfa]:
     """The 2^n hosts on one structure, one per final set."""
     for fmask in range(1 << n):
-        finals = frozenset(q for q in range(n) if fmask >> q & 1)
-        yield Dfa(alphabet=("0", "1"), delta=delta, initial=0, finals=finals)
+        yield _host(delta, fmask)
+
+
+def _structure_sizes(delta: tuple[tuple[int, int], ...], n: int) -> list[int]:
+    """The minimal winning-set DFA size of every host on one structure,
+    indexed by final mask; equal to ``winset_dfa(host).state_count``."""
+    pre = preimages(delta)
+    masks = range(1 << n)
+    # G: the reversal map's A and B successors of every host state-set
+    graph = []
+    for m in masks:
+        p0, p1 = pre(m)
+        graph.append((p0 | p1, p0 & p1))
+    pre_g = preimages(tuple(graph))
+    # reach[m]: the masks reachable from m in G, itself included, as a set
+    # of masks; a fixed point over at most 32 masks
+    reach = [1 << m | 1 << a | 1 << b for m, (a, b) in enumerate(graph)]
+    changed = True
+    while changed:
+        changed = False
+        for m, (a, b) in enumerate(graph):
+            r = reach[m] | reach[a] | reach[b]
+            if r != reach[m]:
+                reach[m] = r
+                changed = True
+    # the masks holding the initial state 0: the finals of G
+    odd = sum(1 << m for m in masks if m & 1)
+    full = (1 << n) - 1
+    sizes = [0] * (1 << n)
+    # the size depends on F only through R_F = reach[F], which final sets
+    # often share
+    size_of_reach: dict[int, int] = {}
+    # pre_g per set of masks, shared by the final sets: about 40 % of the
+    # calls at n = 5 repeat a set another final set already met
+    memo: dict[int, tuple[int, int]] = {}
+    for f in masks:
+        if full ^ f < f:
+            sizes[f] = sizes[full ^ f]
+            continue
+        r = reach[f]
+        size = size_of_reach.get(r)
+        if size is None:
+
+            def successors(s: int) -> tuple[int, int]:
+                ab = memo.get(s)
+                if ab is None:
+                    ab = memo[s] = pre_g(s)
+                return ab[0] & r, ab[1] & r
+
+            order, _ = explore(odd & r, successors, STATE_BUDGET, "subsets")
+            size = size_of_reach[r] = len(order)
+        sizes[f] = size
+    return sizes
 
 
 def host_corpus(n: int, *, canonical: bool = True) -> Iterator[Dfa]:
@@ -109,13 +174,12 @@ def max_winset_complexity(
     for done, delta in _structures(n, canonical=True):
         if deadline is not None and time.monotonic() > deadline:
             return EnumerationResult(best_size, best, False)
-        for host in _hosts(delta, n):
-            size = winset_dfa(host).state_count
+        for fmask, size in enumerate(_structure_sizes(delta, n)):
             if observe is not None:
                 observe(size)
             if size > best_size:
                 best_size = size
-                best = host
+                best = _host(delta, fmask)
         if progress is not None:
             progress(done, total)
     return EnumerationResult(best_size, best, True)

@@ -61,12 +61,17 @@ def format_game_state(g: GameState) -> str:
 
 def parse_game_state(text: str) -> GameState:
     """Read the :func:`format_game_state` notation, e.g. ``{{0,2},{1}}``;
-    whitespace is ignored, and so are stray commas between and inside sets."""
+    whitespace is ignored, and so are stray commas between and inside sets.
+    A state index at or above :data:`~winset.automata.STATE_BUDGET` is
+    rejected before any mask is built."""
     text = "".join(text.split())
     if not re.fullmatch(r"\{(?:,|\{[^{}]*\})*\}", text):
         raise ValueError(f"bad game state {text!r}")
     bodies = re.findall(r"\{([^{}]*)\}", text[1:-1])
-    return game_state([[int(tok) for tok in body.split(",") if tok] for body in bodies])
+    sets = [[int(tok) for tok in body.split(",") if tok] for body in bodies]
+    if any(q >= STATE_BUDGET for s in sets for q in s):
+        raise ValueError(f"state index over the budget of {STATE_BUDGET} in {text!r}")
+    return game_state(sets)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Each criterion is a single test function so the ``pytest -v`` report shows
 exactly one PASSED/FAILED line per item.  The n=5 enumeration point (517)
-takes about 40 s on one core and is opt-in: set WINSET_LONG_TESTS=1 to run
+takes about 10 s on one core and is opt-in: set WINSET_LONG_TESTS=1 to run
 it.
 """
 
@@ -89,11 +89,13 @@ def test_criterion_01_sequence_reproduction(enumeration_results):
 
 @pytest.mark.skipif(
     not os.environ.get("WINSET_LONG_TESTS"),
-    reason="about 40 s long; set WINSET_LONG_TESTS=1",
+    reason="about 10 s long; set WINSET_LONG_TESTS=1",
 )
 def test_criterion_01_long_run_n5():
     result = max_winset_complexity(5)
     assert result.exhausted and result.max_size == 517
+    assert result.witness.delta == ((1, 1), (2, 2), (3, 3), (4, 4), (0, 1))
+    assert result.witness.finals == frozenset({0, 2})
     print("criterion 1 long-run point (n=5 gives 517): PASS")
 
 

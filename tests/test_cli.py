@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from winset.automata import TURNS, Dfa, dfa_to_text, equivalent, parse_dfa
-from winset.cli import main
+from winset.cli import _progress_printer, main
 
 from .conftest import dfas, token_soup
 
@@ -207,6 +207,19 @@ def test_enumerate_budget_reports_partial(capsys):
     assert main(["enumerate", "4", "--budget", "0.05"]) == 0
     out = capsys.readouterr().out.strip()
     assert out.startswith("n=4 max=") and out.endswith("exhausted=false")
+
+
+def test_enumerate_progress_prints_at_most_once_a_second(capsys):
+    now = [100.0]
+    progress = _progress_printer(lambda: now[0])
+    for done, t in [(10, 100.5), (20, 101.0), (30, 101.9), (40, 102.0), (50, 104.0)]:
+        now[0] = t
+        progress(done, 100)
+    assert capsys.readouterr().err.splitlines() == [
+        "20/100 structures, 20/s, ETA 4 s",
+        "40/100 structures, 20/s, ETA 3 s",
+        "50/100 structures, 12/s, ETA 4 s",
+    ]
 
 
 def test_missing_file_is_a_usage_error(capsys):

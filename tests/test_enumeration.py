@@ -1,9 +1,16 @@
 import random
+from itertools import islice
 
 import pytest
 
 from winset.automata import Dfa, equivalent
-from winset.enumeration import host_corpus, max_winset_complexity
+from winset.enumeration import (
+    _hosts,
+    _structure_sizes,
+    _structures,
+    host_corpus,
+    max_winset_complexity,
+)
 from winset.game import winset_dfa
 from .conftest import random_host
 
@@ -103,3 +110,36 @@ def test_progress_callback_counts_structures():
     max_winset_complexity(2, progress=lambda done, total: calls.append((done, total)))
     assert calls and all(t == calls[0][1] for _, t in calls)
     assert calls[-1][0] <= calls[0][1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_structure_sizes_match_winset_dfa(n):
+    for _, delta in _structures(n, canonical=True):
+        sizes = _structure_sizes(delta, n)
+        assert sizes == [winset_dfa(host).state_count for host in _hosts(delta, n)]
+
+
+def test_structure_sizes_match_winset_dfa_on_an_n5_sample():
+    sample = list(islice(_structures(5, canonical=True), 0, None, 97))
+    assert len(sample) > 100
+    for _, delta in sample:
+        sizes = _structure_sizes(delta, 5)
+        assert sizes == [winset_dfa(host).state_count for host in _hosts(delta, 5)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_observe_sees_the_winset_dfa_sizes_in_corpus_order(n):
+    sizes = []
+    max_winset_complexity(n, observe=sizes.append)
+    assert sizes == [winset_dfa(host).state_count for host in host_corpus(n)]
+
+
+def test_n4_witness_is_pinned():
+    result = max_winset_complexity(4)
+    assert result.max_size == 62 and result.exhausted
+    assert result.witness == Dfa(
+        alphabet=("0", "1"),
+        delta=((1, 1), (2, 2), (3, 3), (0, 1)),
+        initial=0,
+        finals=frozenset({0, 2}),
+    )

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from winset import game
 from winset.automata import (
+    STATE_BUDGET,
     Dfa,
     accepts,
     count_words,
@@ -68,10 +69,16 @@ def test_format_parse_round_trip():
     # stray commas between and inside sets, and no separator at all
     assert parse_game_state("{{1}{2}}") == (2, 4)
     assert parse_game_state("{,{1,,2},}") == (6,)
+    # the largest index under the budget still parses
+    assert parse_game_state(f"{{{{{STATE_BUDGET - 1}}}}}") == (1 << STATE_BUDGET - 1,)
 
 
 @pytest.mark.parametrize(
-    "text", ["{{0},1}", "{{0}", "{{1}", "{1}", "{{1}{{2}}}", "{{a}}", "{{1}x}", ""]
+    "text",
+    [
+        "{{0},1}", "{{0}", "{{1}", "{1}", "{{1}{{2}}}", "{{a}}", "{{1}x}", "",
+        "{{100000000}}", f"{{{{0,{STATE_BUDGET}}}}}",
+    ],
 )
 def test_parse_game_state_rejects_malformed(text):
     with pytest.raises(ValueError):
