@@ -12,10 +12,13 @@ map m ↦ (pre₀(m) | pre₁(m), pre₀(m) & pre₁(m)) on host state-sets depe
 only on the transitions, so it is tabulated once per structure as a graph G
 on the 2^n masks.  For a final set F, the reversed winning set is the
 language of state F in G, whose finals are the masks holding the initial
-state; determinizing the reverse of G's part reachable from F gives the
+state; determinizing the reverse of G's part R_F reachable from F gives the
 minimal winning-set DFA (Brzozowski's double reversal), so its subset count
-is the size, and no ``Dfa`` is built.  Complement duality,
-|W(not L)| = |W(L)|, halves the work: the size at F is mirrored to full ^ F.
+is the size, and no ``Dfa`` is built.  One reverse subset construction per
+structure, on the whole of G, serves every final set: sizes come by
+restriction to R_F, since the subsets of F's construction are those of the
+whole one intersected with R_F.  Complement duality, |W(not L)| = |W(L)|,
+halves the counting: the size at F is mirrored to full ^ F.
 """
 
 from __future__ import annotations
@@ -93,7 +96,6 @@ def _structure_sizes(delta: tuple[tuple[int, int], ...], n: int) -> list[int]:
     for m in masks:
         p0, p1 = pre(m)
         graph.append((p0 | p1, p0 & p1))
-    pre_g = preimages(tuple(graph))
     # reach[m]: the masks reachable from m in G, itself included, as a set
     # of masks; a fixed point over at most 32 masks
     reach = [1 << m | 1 << a | 1 << b for m, (a, b) in enumerate(graph)]
@@ -107,31 +109,23 @@ def _structure_sizes(delta: tuple[tuple[int, int], ...], n: int) -> list[int]:
                 changed = True
     # the masks holding the initial state 0: the finals of G
     odd = sum(1 << m for m in masks if m & 1)
+    # The size at F is the number of sets reached from odd & R_F under
+    # S ↦ pre_G(S) & R_F, with R_F = reach[F].  R_F is closed under G's
+    # successors: both successors of a mask m in R_F lie in R_F, so they
+    # lie in S exactly when they lie in S & R_F, and hence
+    # pre_G(S) & R_F == pre_G(S & R_F) & R_F.  So if S = x & R_F, the
+    # successors of S are pre_G(x) & R_F, and by induction from
+    # odd & R_F the sets that search reaches are exactly {x & R_F : x ∈ U},
+    # where U is everything reached from odd under the unmasked pre_G:
+    # one exploration serves every final set.
+    U, _ = explore(odd, preimages(tuple(graph)), STATE_BUDGET, "subsets")
     full = (1 << n) - 1
     sizes = [0] * (1 << n)
-    # the size depends on F only through R_F = reach[F], which final sets
-    # often share
-    size_of_reach: dict[int, int] = {}
-    # pre_g per set of masks, shared by the final sets: about 40 % of the
-    # calls at n = 5 repeat a set another final set already met
-    memo: dict[int, tuple[int, int]] = {}
     for f in masks:
         if full ^ f < f:
-            sizes[f] = sizes[full ^ f]
+            sizes[f] = sizes[full ^ f]  # complement duality
             continue
-        r = reach[f]
-        size = size_of_reach.get(r)
-        if size is None:
-
-            def successors(s: int) -> tuple[int, int]:
-                ab = memo.get(s)
-                if ab is None:
-                    ab = memo[s] = pre_g(s)
-                return ab[0] & r, ab[1] & r
-
-            order, _ = explore(odd & r, successors, STATE_BUDGET, "subsets")
-            size = size_of_reach[r] = len(order)
-        sizes[f] = size
+        sizes[f] = len({x & reach[f] for x in U})
     return sizes
 
 
@@ -162,7 +156,9 @@ def max_winset_complexity(
     achieving it, and whether the search ran to completion; a budget in
     seconds turns partial results into exhausted=False instead of an error.
     ``observe`` sees every computed size (for bound checks); ``progress``
-    gets (done, total) structure counts.
+    gets (done, total) after each kept structure, where both count candidate
+    positions out of ``(n(n+1)/2)^n``, filtered-out candidates included,
+    not kept structures.
     """
     if not 1 <= n <= SIZE_GUARD:
         raise ValueError(f"n must be between 1 and {SIZE_GUARD}")

@@ -2,11 +2,9 @@
 
 Each criterion is a single test function so the ``pytest -v`` report shows
 exactly one PASSED/FAILED line per item.  The n=5 enumeration point (517)
-takes about 10 s on one core and is opt-in: set WINSET_LONG_TESTS=1 to run
-it.
+takes about 7 s on one core and runs with the rest.
 """
 
-import os
 import random
 import time
 from itertools import combinations, product
@@ -87,10 +85,6 @@ def test_criterion_01_sequence_reproduction(enumeration_results):
     print("criterion 1 (sequence 1,4,16,62 within time budget): PASS")
 
 
-@pytest.mark.skipif(
-    not os.environ.get("WINSET_LONG_TESTS"),
-    reason="about 10 s long; set WINSET_LONG_TESTS=1",
-)
 def test_criterion_01_long_run_n5():
     result = max_winset_complexity(5)
     assert result.exhausted and result.max_size == 517

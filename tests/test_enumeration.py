@@ -3,7 +3,7 @@ from itertools import islice
 
 import pytest
 
-from winset.automata import Dfa, equivalent
+from winset.automata import Dfa, equivalent, preimages
 from winset.enumeration import (
     _hosts,
     _structure_sizes,
@@ -117,6 +117,55 @@ def test_structure_sizes_match_winset_dfa(n):
     for _, delta in _structures(n, canonical=True):
         sizes = _structure_sizes(delta, n)
         assert sizes == [winset_dfa(host).state_count for host in _hosts(delta, n)]
+
+
+def _reversal_graph_by_definition(delta, n):
+    """G and each mask's reach set, built from the definitions alone: the
+    A successor of a state-set m holds the states with some move into m,
+    the B successor those with both moves into m; reach by depth-first
+    search."""
+    graph = []
+    for m in range(1 << n):
+        a = sum(1 << q for q, (t0, t1) in enumerate(delta) if m >> t0 & 1 or m >> t1 & 1)
+        b = sum(1 << q for q, (t0, t1) in enumerate(delta) if m >> t0 & 1 and m >> t1 & 1)
+        graph.append((a, b))
+    reach = []
+    for f in range(1 << n):
+        seen, stack = 1 << f, [f]
+        while stack:
+            for t in graph[stack.pop()]:
+                if not seen >> t & 1:
+                    seen |= 1 << t
+                    stack.append(t)
+        reach.append(seen)
+    return graph, reach
+
+
+def _check_restriction_argument(delta, n, rng):
+    graph, reach = _reversal_graph_by_definition(delta, n)
+    pre_g = preimages(tuple(graph))
+    for r in reach:
+        # closed under G: both successors of every member are members
+        assert all(r >> a & r >> b & 1 for m, (a, b) in enumerate(graph) if r >> m & 1)
+        for _ in range(8):
+            s = rng.getrandbits(1 << n)
+            a, b = pre_g(s)
+            ar, br = pre_g(s & r)
+            assert (a & r, b & r) == (ar & r, br & r)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_restriction_to_reach_commutes_with_pre_g(n):
+    rng = random.Random(90 + n)
+    for _, delta in _structures(n, canonical=True):
+        _check_restriction_argument(delta, n, rng)
+
+
+def test_restriction_to_reach_commutes_with_pre_g_on_seeded_n5_structures():
+    rng = random.Random(95)
+    for _ in range(50):
+        delta = tuple((rng.randrange(5), rng.randrange(5)) for _ in range(5))
+        _check_restriction_argument(delta, 5, rng)
 
 
 def test_structure_sizes_match_winset_dfa_on_an_n5_sample():
