@@ -2,10 +2,12 @@
 
 Swapping the two edge labels of any state never changes the winning set, so
 transition structures are enumerated as unordered target pairs per state —
-n(n+1)/2 choices each.  Structures whose reachable part is smaller than n
-are skipped (their languages already occur at smaller n), and so are
-structures that a relabeling fixing the initial state maps to a
-lexicographically smaller encoding; relabeled copies tie on every size.
+n(n+1)/2 choices each.  States are numbered in breadth-first discovery
+order, so every structure generated reaches all n states and none is
+skipped for an unreachable one (structures that do not reach all n states
+have their languages at smaller n).  Structures that a relabeling fixing
+the initial state maps to a lexicographically smaller encoding are skipped;
+relabeled copies tie on every size.
 
 All 2^n final sets of one structure share one reversal graph.  The reversal
 map m ↦ (pre₀(m) | pre₁(m), pre₀(m) & pre₁(m)) on host state-sets depends
@@ -24,7 +26,7 @@ halves the counting: the size at F is mirrored to full ^ F.
 from __future__ import annotations
 
 import time
-from itertools import permutations, product
+from itertools import permutations
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from .automata import BINARY, STATE_BUDGET, Dfa, explore, preimages
@@ -38,21 +40,38 @@ class EnumerationResult(NamedTuple):
     exhausted: bool
 
 
-def _reaches_all(delta: tuple[tuple[int, int], ...], n: int) -> bool:
-    seen = 1
-    stack = [0]
-    while stack:
-        q = stack.pop()
-        for t in delta[q]:
-            bit = 1 << t
-            if not seen & bit:
-                seen |= bit
-                stack.append(t)
-    return seen == (1 << n) - 1
+def _bfs_ordered(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """The breadth-first-numbered structures, in lexicographic order.
+
+    Read row by row, each row names a new target only by the least unused
+    number, and state q is named before row q: with k states named, row
+    q < k takes (a, b) with a ≤ k, and b ≤ k, or b ≤ k + 1 when a == k.
+    Each named state is a target of an earlier named one, so every such
+    structure reaches all n states.  Conversely the least relabeling
+    (fixing 0) of a structure that reaches all n states is breadth-first
+    ordered: let v be its first new target that is not the least unused
+    number k.  Its row r has r < k (else states 0..k-1 would be closed and
+    k unreached), and r < k < v, so rows k and v come later; swapping the
+    labels v and k lowers row r and leaves every earlier row alone.
+    """
+
+    def extend(prefix, k):
+        q = len(prefix)
+        if q == n:
+            yield prefix
+        elif q < k:
+            for a in range(min(k, n - 1) + 1):
+                for b in range(a, min(k + (a == k), n - 1) + 1):
+                    yield from extend(prefix + ((a, b),), max(k, b + 1))
+
+    return extend((), 1)
 
 
-def _is_canonical(delta: tuple[tuple[int, int], ...], n: int) -> bool:
-    """Least encoding among relabelings that keep state 0 initial."""
+def _relabelings(
+    delta: tuple[tuple[int, int], ...], n: int
+) -> Iterator[tuple[tuple[int, int], ...]]:
+    """``delta`` under every relabeling that keeps state 0 initial, the
+    identity first, with each row's targets sorted."""
     for perm in permutations(range(1, n)):
         pi = (0,) + perm
         relabeled = [None] * n
@@ -60,19 +79,19 @@ def _is_canonical(delta: tuple[tuple[int, int], ...], n: int) -> bool:
             a, b = delta[q]
             pa, pb = pi[a], pi[b]
             relabeled[pi[q]] = (pa, pb) if pa <= pb else (pb, pa)
-        if tuple(relabeled) < delta:
-            return False
-    return True
+        yield tuple(relabeled)
 
 
 def _structures(n: int, canonical: bool) -> Iterator[tuple[int, tuple[tuple[int, int], ...]]]:
-    """``(position, delta)`` for every transition structure that reaches all
-    n states (and, with ``canonical``, is canonical); ``position`` counts
-    the candidates tried so far, kept or not, out of ``(n(n+1)/2)^n``."""
-    pairs = [(a, b) for a in range(n) for b in range(a, n)]
-    for position, delta in enumerate(product(pairs, repeat=n), start=1):
-        if _reaches_all(delta, n) and (not canonical or _is_canonical(delta, n)):
-            yield position, delta
+    """``(position, delta)`` for every canonical transition structure (the
+    least encoding among its relabelings) or, without ``canonical``, for
+    every structure that reaches all n states: each canonical one, then its
+    other distinct relabelings.  ``position`` counts the breadth-first
+    candidates of :func:`_bfs_ordered` tried so far, kept or not."""
+    for position, delta in enumerate(_bfs_ordered(n), start=1):
+        if all(r >= delta for r in _relabelings(delta, n)):
+            for relabeled in (delta,) if canonical else dict.fromkeys(_relabelings(delta, n)):
+                yield position, relabeled
 
 
 def _host(delta: tuple[tuple[int, int], ...], fmask: int) -> Dfa:
@@ -135,7 +154,9 @@ def host_corpus(n: int, *, canonical: bool = True) -> Iterator[Dfa]:
     Transition structures are taken up to edge-label swaps and, with
     ``canonical``, also up to relabelings fixing the initial state; neither
     quotient loses a winning set.  Structures not reaching all n states are
-    skipped — their languages show up verbatim at smaller n.
+    never generated — their languages show up verbatim at smaller n.
+    Without ``canonical``, each canonical structure's hosts come first, then
+    those of its other distinct relabelings.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -156,14 +177,15 @@ def max_winset_complexity(
     achieving it, and whether the search ran to completion; a budget in
     seconds turns partial results into exhausted=False instead of an error.
     ``observe`` sees every computed size (for bound checks); ``progress``
-    gets (done, total) after each kept structure, where both count candidate
-    positions out of ``(n(n+1)/2)^n``, filtered-out candidates included,
-    not kept structures.
+    gets (done, total) after each kept structure, where ``done`` counts the
+    breadth-first-numbered candidate structures tried so far, non-canonical
+    ones included, and ``total`` is their number (counted only when
+    ``progress`` is given).
     """
     if not 1 <= n <= SIZE_GUARD:
         raise ValueError(f"n must be between 1 and {SIZE_GUARD}")
     deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
-    total = (n * (n + 1) // 2) ** n
+    total = None if progress is None else sum(1 for _ in _bfs_ordered(n))
 
     best_size = 0
     best: Optional[Dfa] = None

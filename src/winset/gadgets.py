@@ -25,7 +25,7 @@ from .automata import (
     coaccessible,
     explore,
 )
-from .game import GameState, _Host, game_state, game_states_equivalent
+from .game import GameState, _Host, game_state
 
 
 @dataclass(frozen=True)
@@ -378,7 +378,7 @@ def a_period_bound_check(
         iterates.append(h.step(iterates[-1], "A"))
     for k in range(k_bound + 1):
         for m in range(1, m_bound + 1):
-            if game_states_equivalent(host, iterates[k], iterates[k + m]):
+            if h.equivalent(iterates[k], iterates[k + m]):
                 return (k, m)
     return None
 

@@ -163,6 +163,12 @@ class _Host:
         fmask = self.fmask
         return any(m & ~fmask == 0 for m in g)
 
+    def equivalent(self, g: Iterable[int], h: Iterable[int]) -> bool:
+        """Do two game states accept the same turn-order language?  Lazy
+        bisimulation of the normalized game states."""
+        return _bisimilar(self.normalize(g), self.normalize(h), self.accepting,
+                          lambda x: (self.step(x, "A"), self.step(x, "B")))
+
 
 # ---------------------------------------------------------------------------
 # game-state algebra
@@ -366,10 +372,4 @@ def game_states_equivalent(host: Dfa, g: Iterable[int], h: Iterable[int]) -> boo
     Lazy bisimulation of the normalized game states, as in
     :func:`~winset.automata.equivalent`.
     """
-    compiled = _Host(host)
-    return _bisimilar(
-        compiled.normalize(g),
-        compiled.normalize(h),
-        compiled.accepting,
-        lambda x: (compiled.step(x, "A"), compiled.step(x, "B")),
-    )
+    return _Host(host).equivalent(g, h)

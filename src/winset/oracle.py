@@ -66,11 +66,12 @@ def winning_slice(t: TargetPredicate) -> set[str]:
     The target is packed into a bitmask indexed by the word's value (first
     symbol most significant), so the two residuals are the low and high
     halves.  Independent of :func:`alice_wins`, which recurses on prefixes
-    instead — the two routes cross-check each other.
+    instead — the two routes cross-check each other.  Lengths above
+    ``SLICE_LIMIT`` raise :class:`BudgetExceededError`.
     """
     n = t.length
     if n > SLICE_LIMIT:
-        raise ValueError(f"slice length {n} exceeds the limit {SLICE_LIMIT}")
+        raise BudgetExceededError(f"slice length {n} exceeds the limit {SLICE_LIMIT}")
     table = 0
     for v in range(1 << n):
         word = format(v, f"0{n}b") if n else ""

@@ -148,6 +148,8 @@ def test_oracle_slice(capsys):
     assert main(["oracle", "slice", "exact-ones:1", "2"]) == 0
     lines = capsys.readouterr().out.split()
     assert lines == ["AA", "BA"]
+    assert main(["oracle", "slice", "parity", "25"]) == 2  # over the limit
+    assert "exceeds the limit" in capsys.readouterr().err
 
 
 def test_oracle_slice_from_file(parity_file, capsys):

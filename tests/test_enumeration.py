@@ -1,10 +1,11 @@
 import random
-from itertools import islice
+from itertools import islice, permutations, product
 
 import pytest
 
 from winset.automata import Dfa, equivalent, preimages
 from winset.enumeration import (
+    _bfs_ordered,
     _hosts,
     _structure_sizes,
     _structures,
@@ -192,3 +193,73 @@ def test_n4_witness_is_pinned():
         initial=0,
         finals=frozenset({0, 2}),
     )
+
+
+# ---------------------------------------------------------------------------
+# the breadth-first generator against by-definition references
+
+
+def _sorted_pair_products(n):
+    pairs = [(a, b) for a in range(n) for b in range(a, n)]
+    return product(pairs, repeat=n)
+
+
+def _reaches_all_by_dfs(delta, n):
+    seen, stack = {0}, [0]
+    while stack:
+        for t in delta[stack.pop()]:
+            if t not in seen:
+                seen.add(t)
+                stack.append(t)
+    return len(seen) == n
+
+
+def _least_relabeling(delta, n):
+    least = delta
+    for perm in permutations(range(1, n)):
+        pi = (0,) + perm
+        relabeled = [None] * n
+        for q, (a, b) in enumerate(delta):
+            relabeled[pi[q]] = tuple(sorted((pi[a], pi[b])))
+        least = min(least, tuple(relabeled))
+    return least
+
+
+def _reachable_structures(n):
+    return [d for d in _sorted_pair_products(n) if _reaches_all_by_dfs(d, n)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_canonical_structures_match_the_reference_in_order(n):
+    reference = [d for d in _reachable_structures(n) if _least_relabeling(d, n) == d]
+    assert [d for _, d in _structures(n, True)] == reference
+
+
+@pytest.mark.parametrize("n, count", [(1, 1), (2, 6), (3, 108), (4, 3960)])
+def test_full_corpus_is_every_reachable_structure_once(n, count):
+    hosts = [(h.delta, h.finals) for h in host_corpus(n, canonical=False)]
+    assert len(hosts) == len(set(hosts))
+    reference = {
+        (d, frozenset(q for q in range(n) if f >> q & 1))
+        for d in _reachable_structures(n)
+        for f in range(1 << n)
+    }
+    assert len(reference) == count << n
+    assert set(hosts) == reference
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_every_bfs_candidate_reaches_all_states(n):
+    assert all(_reaches_all_by_dfs(d, n) for d in _bfs_ordered(n))
+
+
+def test_progress_total_counts_bfs_candidates():
+    calls = []
+    max_winset_complexity(3, progress=lambda done, total: calls.append((done, total)))
+    assert {total for _, total in calls} == {72}
+    assert [done for done, _ in calls] == [p for p, _ in _structures(3, True)]
+
+
+def test_bfs_candidate_and_canonical_counts():
+    assert [sum(1 for _ in _bfs_ordered(n)) for n in range(1, 6)] == [1, 6, 72, 1080, 20925]
+    assert sum(1 for _ in _structures(5, True)) == 10398

@@ -284,6 +284,20 @@ def test_a_iterates_become_periodic_within_bound():
         k, m = found
         assert k >= 0 and m >= 1
 
+    from winset.automata import Dfa
+
+    # transit states 0, 13 and 14 lead into a 5-cycle 1..5 and a 7-cycle
+    # 6..12, finals 1 and 12; every other edge goes to the dead sink 15
+    delta = [None] * 16
+    delta[0], delta[13], delta[14], delta[15] = (13, 14), (1, 15), (6, 15), (15, 15)
+    for i in range(5):
+        delta[1 + i] = (1 + (i + 1) % 5, 15)
+    for i in range(7):
+        delta[6 + i] = (6 + (i + 1) % 7, 15)
+    host = Dfa(alphabet=("0", "1"), delta=tuple(delta), initial=0, finals=frozenset({1, 12}))
+    assert cycle_profile(host) == ((5, 7), 3)
+    assert a_period_bound_check(host, (1,)) == (2, 35)
+
 
 # ---------------------------------------------------------------------------
 # the Dyck closed form

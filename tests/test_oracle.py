@@ -75,7 +75,7 @@ def test_input_validation():
         alice_wins(t, "AB")  # wrong length
     with pytest.raises(ValueError):
         alice_wins(t, "AXB")
-    with pytest.raises(ValueError):
+    with pytest.raises(BudgetExceededError):
         winning_slice(parity_predicate(SLICE_LIMIT + 1))
     with pytest.raises(BudgetExceededError):
         alice_wins(parity_predicate(SLICE_LIMIT + 1), "A" * (SLICE_LIMIT + 1))
