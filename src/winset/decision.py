@@ -21,7 +21,12 @@ def member(host: Dfa, w: str) -> bool:
     """Is the turn word in the winning set of the host's language?
 
     Simulates the reversal automaton on the reversed word, carrying a single
-    subset of host states; O(|w| * state_count) time, no materialization.
+    subset of host states, with no materialization.  With n host states
+    that is O(|w| * n) time at worst.  On a host of more than 64 states, a
+    step from a subset of k states with min(k, n - k) <= n/10 takes the
+    sparse route of :func:`~winset.automata.preimages`, which costs
+    O(min(k, n - k) * indegree + n/8), unless the walked side holds a
+    state with more than n/16 sources.
     """
     return reverse_winset_dfa(host).accepts(w[::-1])
 

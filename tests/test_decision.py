@@ -1,11 +1,14 @@
 import random
+from itertools import product
 
 import pytest
 
+from winset import automata
 from winset.automata import Dfa, Nfa, accepts, enumerate_words, nfa_accepts
+from winset.circuits import circuit_value_instance, iterated_instance, or_with_index, parse_circuit
 from winset.decision import intersect_nonempty, member
-from winset.game import BudgetExceededError, winset_dfa
-from winset.gadgets import exact_ones_dfa
+from winset.game import BudgetExceededError, reverse_winset_dfa, winset_dfa
+from winset.gadgets import exact_ones_dfa, exact_ones_winset_member
 from winset.oracle import alice_wins, dfa_predicate
 from .conftest import random_host, words_upto
 
@@ -94,3 +97,112 @@ def test_intersect_rejects_wrong_alphabet():
 def test_intersect_budget_is_enforced():
     with pytest.raises(BudgetExceededError):
         intersect_nonempty(PARITY, A_STAR, budget=1)
+
+
+# ---------------------------------------------------------------------------
+# large hosts, where a reversal step walks only a sparse side of its mask
+
+
+def sparse_and_dense_steps(host: Dfa, w: str) -> tuple[int, int]:
+    """How many of ``member(host, w)``'s steps start from a mask sparse or
+    co-sparse enough for the sparse route, and how many from a denser one."""
+    rev, n = reverse_winset_dfa(host), host.state_count
+    lo = n // automata._SPARSE_DENSITY
+    m, sparse = rev.initial_mask, 0
+    for c in reversed(w):
+        sparse += min(m.bit_count(), n - m.bit_count()) <= lo
+        m = rev.step(m, c)
+    return sparse, len(w) - sparse
+
+
+def test_member_on_a_large_exact_ones_host():
+    rng = random.Random(300)
+    n = 300
+    host = exact_ones_dfa(n)
+    answers, sparse, dense = set(), 0, 0
+    for i in range(16):
+        length = n + 4 * i
+        # a third of the words have one A too few, so they are no members
+        b = 4 * i + 1 if i % 3 == 0 else rng.randint(0, 4 * i)
+        letters = ["A"] * (length - b) + ["B"] * b
+        rng.shuffle(letters)
+        word = "".join(letters)
+        want = exact_ones_winset_member(n, word)
+        assert member(host, word) == want, word
+        answers.add(want)
+        s, d = sparse_and_dense_steps(host, word)
+        sparse, dense = sparse + s, dense + d
+    assert answers == {False, True}
+    assert sparse > 0 and dense > 0
+
+
+def deep_circuit(rng: random.Random, inputs: int, gates: int):
+    """Each gate reads the one before it; every fifth is a NOT, the others
+    an AND or an OR that also reads an input."""
+    lines = [f"input x{j}" for j in range(inputs)]
+    prev = f"x{inputs - 1}"
+    for g in range(gates):
+        if g % 5 == 4:
+            lines.append(f"not g{g} {prev}")
+        else:
+            lines.append(f"{rng.choice(('and', 'or'))} g{g} {prev} x{g % inputs}")
+        prev = f"g{g}"
+    lines.append(f"output y {prev}")
+    return parse_circuit("\n".join(lines))
+
+
+def test_member_on_large_circuit_value_instances():
+    rng = random.Random(1155)
+    answers = set()
+    for _ in range(3):
+        c = deep_circuit(rng, 4, 15)
+        for bits in product((False, True), repeat=4):
+            host, word = circuit_value_instance(c, bits)
+            assert host.state_count >= 1000
+            want = c.evaluate(bits)[0]
+            assert member(host, word) == want, (c, bits)
+            answers.add(want)
+    assert answers == {False, True}
+
+
+def counter_circuit(k: int, dead=None):
+    """k-bit increment, bit 0 first; output ``dead``, if given, held false."""
+    lines = [f"input x{j}" for j in range(k)] + ["not y0 x0"]
+    outs, carry = ["y0"], "x0"
+    for j in range(1, k):
+        lines += [f"or o{j} x{j} {carry}", f"and a{j} x{j} {carry}",
+                  f"not n{j} a{j}", f"and y{j} o{j} n{j}"]
+        outs.append(f"y{j}")
+        carry = f"a{j}"
+    if dead is not None:
+        lines += [f"not nd x{dead}", f"and z x{dead} nd"]
+        outs[dead] = "z"
+    lines += [f"output out{j} {src}" for j, src in enumerate(outs)]
+    return parse_circuit("\n".join(lines))
+
+
+def lasso(base: str, period: str) -> Nfa:
+    """An NFA for base·period*."""
+    word = base + period
+    nxt = [s + 1 if s + 1 < len(word) else len(base) for s in range(len(word))]
+    return turn_nfa([({nxt[s]} if c == "A" else set(), {nxt[s]} if c == "B" else set())
+                     for s, c in enumerate(word)], {0}, {len(base)})
+
+
+def test_intersect_on_large_iterated_counters():
+    k, top = 6, 5
+    cases = [(counter_circuit(k), 5), (counter_circuit(k), 27), (counter_circuit(k, dead=top), 9)]
+    witnesses = []
+    for c, start in cases:
+        bits = tuple(bool(start >> j & 1) for j in range(k))
+        host, base, period = iterated_instance(c, bits, top)
+        assert host.state_count > 800
+        # iterate directly until every wire is true, or a state repeats
+        prime, state, t, seen = or_with_index(c, top), bits, 0, set()
+        while state != (True,) * k and state not in seen:
+            seen.add(state)
+            state, t = prime.evaluate(state), t + 1
+        want = base + period * t if state == (True,) * k else None
+        assert intersect_nonempty(host, lasso(base, period)) == want, start
+        witnesses.append(want)
+    assert witnesses[0] is not None and witnesses[-1] is None

@@ -1,11 +1,13 @@
 import hashlib
 import random
+import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from winset import game
+from winset import automata, game
 from winset.automata import (
     STATE_BUDGET,
     Dfa,
@@ -18,6 +20,7 @@ from winset.automata import (
     explore,
     minimize,
     nfa_to_text,
+    preimages,
 )
 from winset.game import (
     REVERSAL_SUBSETS,
@@ -306,7 +309,7 @@ def test_serialized_output_is_pinned(name, small_hosts):
 
 
 # ---------------------------------------------------------------------------
-# the gather-based reversal step
+# the reversal step: the gather, and the sparse route on large hosts
 
 
 def reference_step(host: Dfa, mask: int, c: str) -> int:
@@ -339,6 +342,74 @@ def test_gather_step_on_one_state_hosts():
             assert tuple(rev.step(mask, c) for c in TURNS) == want
         with pytest.raises(ValueError):
             rev.step(1, "0")
+
+
+def reference_preimages(host: Dfa, mask: int) -> tuple[int, int]:
+    """``preimages``' pair as a loop over the host states."""
+    return tuple(
+        sum((mask >> row[i] & 1) << q for q, row in enumerate(host.delta)) for i in (0, 1)
+    )
+
+
+def masks_of_every_density(rng: random.Random, n: int) -> list[int]:
+    """Masks with none, one, a few, half, all but a few, all but one and all
+    of the n bits set, on both sides of the sparse route's density limit;
+    each has stray bits set above bit n - 1."""
+    lo = n // automata._SPARSE_DENSITY
+    sizes = (0, 1, rng.randint(1, lo), lo, lo + 1, n // 2, n - lo - 1, n - lo, n - 1, n)
+    masks = []
+    for k in sizes:
+        m = sum(1 << q for q in rng.sample(range(n), k))
+        masks.append(m | (rng.getrandbits(8) | 1) << n)
+    return masks
+
+
+def test_both_step_routes_match_the_per_state_loop():
+    rng = random.Random(2611)
+    sizes = [60, automata._GATHER_STATES, automata._GATHER_STATES + 1, 66, 100, 203, 400]
+    hosts = [random_host(rng, n) for n in sizes + [rng.randint(60, 400) for _ in range(5)]]
+    # a funnel: every state moves to state 0 on 1, so one target has n sources
+    hosts.append(Dfa(alphabet=("0", "1"), delta=tuple(((q + 1) % 150, 0) for q in range(150)),
+                     initial=0, finals=frozenset({149})))
+    for host in hosts:
+        n = host.state_count
+        pre, rev = preimages(host.delta), ReversalDfa(host)
+        # the state with the most sources, alone and alone cleared
+        [(top, _)] = Counter(t for row in host.delta for t in row).most_common(1)
+        for mask in masks_of_every_density(rng, n) + [1 << top, ((1 << n) - 1) ^ (1 << top)]:
+            assert pre(mask) == reference_preimages(host, mask), (n, mask.bit_count())
+            want = tuple(reference_step(host, mask, c) for c in TURNS)
+            assert rev.successors(mask) == want
+            assert tuple(rev.step(mask, c) for c in TURNS) == want
+        with pytest.raises(ValueError):
+            rev.step(1, "0")
+
+
+def held_by_a_compiled_step(delta, masks) -> int:
+    """Bytes that ``preimages(delta)`` still holds after stepping through
+    ``masks``."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        pre = preimages(delta)
+        for m in masks:
+            pre(m)
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_sparse_step_table_is_linear_and_lazy():
+    held = {}
+    for n in (25_000, 50_000):
+        rng = random.Random(n)
+        delta = tuple((rng.randrange(n), rng.randrange(n)) for _ in range(n))
+        gather_only = held_by_a_compiled_step(delta, [(1 << n // 2) - 1])
+        held[n] = held_by_a_compiled_step(delta, [1 << n // 3])
+        # the sparse route's table is built on its first step, not before
+        assert gather_only < 0.75 * held[n]
+    # a table of predecessor masks would grow 4x
+    assert held[50_000] < 2.5 * held[25_000]
 
 
 # ---------------------------------------------------------------------------
