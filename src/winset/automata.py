@@ -335,9 +335,9 @@ def nfa_to_text(n: Nfa) -> str:
     return "\n".join(out).rstrip() + "\n"
 
 
-def to_dot(d: Dfa, name: str = "dfa") -> str:
+def to_dot(d: Dfa) -> str:
     """Graphviz DOT export: doubled circles for finals, edge labels are symbols."""
-    out = [f"digraph {name} {{", "  rankdir=LR;", '  __start [shape=point, label=""];']
+    out = ["digraph dfa {", "  rankdir=LR;", '  __start [shape=point, label=""];']
     for q in range(d.state_count):
         shape = "doublecircle" if q in d.finals else "circle"
         out.append(f"  q{q} [shape={shape}, label=\"{q}\"];")

@@ -8,11 +8,10 @@ reachability over the same lazy state space.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Optional
 
-from .automata import BudgetExceededError, Dfa, Nfa, _image, _mask
-from .game import TURNS, reverse_winset_dfa
+from .automata import TURNS, BudgetExceededError, Dfa, Nfa, _image, _mask
+from .game import reverse_winset_dfa
 
 DEFAULT_PRODUCT_BUDGET = 10_000_000
 
@@ -22,11 +21,9 @@ def member(host: Dfa, w: str) -> bool:
 
     Simulates the reversal automaton on the reversed word, carrying a single
     subset of host states, with no materialization.  With n host states
-    that is O(|w| * n) time at worst.  On a host of more than 64 states, a
-    step from a subset of k states with min(k, n - k) <= n/10 takes the
-    sparse route of :func:`~winset.automata.preimages`, which costs
-    O(min(k, n - k) * indegree + n/8), unless the walked side holds a
-    state with more than n/16 sources.
+    that is O(|w| * n) time at worst; on large hosts a step from a sparse
+    or co-sparse subset costs less, as :func:`~winset.automata.preimages`
+    describes.
     """
     return reverse_winset_dfa(host).accepts(w[::-1])
 
@@ -40,11 +37,15 @@ def intersect_nonempty(
     Runs BFS over the product of the lazy reversal automaton and the
     reversed subset automaton of ``b``; the path spells the witness
     backwards.  Ties among shortest witnesses go to A-moves first.  Raises
-    :class:`BudgetExceededError` after visiting ``budget`` product states,
-    which is a resource verdict, not an emptiness one.
+    :class:`BudgetExceededError` when more than ``budget`` product states
+    would be visited, the start state included, so a ``budget`` below 1
+    fails before any search; that is a resource verdict, not an emptiness
+    one.
     """
     if b.alphabet != ("A", "B"):
         raise ValueError("intersection NFA must be over the AB alphabet")
+    if budget < 1:
+        raise BudgetExceededError(f"more than {budget} product states visited")
     rev = reverse_winset_dfa(host)
 
     # predecessor masks of b, per symbol: reading b's language backwards
@@ -54,37 +55,33 @@ def intersect_nonempty(
             for t in b.delta[q][sym]:
                 pred[sym][t] |= 1 << q
     b_init_mask = _mask(b.initial)
-    b_start = _mask(b.finals)
 
-    start = (rev.initial_mask, b_start)
-    parent: dict[tuple[int, int], tuple[tuple[int, int], str]] = {}
-    seen = {start}
-    queue = deque([start])
-
-    def witness(state: tuple[int, int]) -> str:
-        # the BFS path reads the word reversed; undo that here
-        symbols = []
-        while state in parent:
-            state, c = parent[state]
-            symbols.append(c)
-        return "".join(symbols)
-
-    while queue:
-        state = queue.popleft()
+    # each visited state maps to its BFS parent and the symbol read from it
+    start = (rev.initial_mask, _mask(b.finals))
+    parent: dict[tuple[int, int], Optional[tuple[tuple[int, int], str]]] = {start: None}
+    order = [start]
+    # iterating a list while appending to it visits the appended items too
+    for state in order:
         hmask, bmask = state
         if rev.is_final(hmask) and bmask & b_init_mask:
-            return witness(state)
+            # the BFS path reads the word reversed; walking it back undoes that
+            symbols = []
+            link = parent[state]
+            while link is not None:
+                state, c = link
+                symbols.append(c)
+                link = parent[state]
+            return "".join(symbols)
         for sym, nh in enumerate(rev.successors(hmask)):
             nb = _image(bmask, pred[sym])
             if not nb:
                 continue  # b's run died; no word extends through here
             nxt = (nh, nb)
-            if nxt not in seen:
-                if len(seen) >= budget:
+            if nxt not in parent:
+                if len(parent) >= budget:
                     raise BudgetExceededError(
                         f"more than {budget} product states visited"
                     )
-                seen.add(nxt)
                 parent[nxt] = (state, TURNS[sym])
-                queue.append(nxt)
+                order.append(nxt)
     return None

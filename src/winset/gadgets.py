@@ -34,7 +34,6 @@ class Gadget:
 
     dfa: Dfa
     labels: dict[str, int]
-    entry: str
 
     def __getitem__(self, name: str) -> int:
         return self.labels[name]
@@ -65,7 +64,7 @@ def _gadget(
     b = GraphBuilder()
     b.state(entry)
     add(b)
-    return Gadget(dfa=b.build(entry), labels=b.labels, entry=entry)
+    return Gadget(dfa=b.build(entry), labels=b.labels)
 
 
 def _close(builder: GraphBuilder, exit_name: str, closure: str):

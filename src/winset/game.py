@@ -11,12 +11,12 @@ set and stays empty forever.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
-from .automata import (  # noqa: F401  BudgetExceededError is re-exported
+from .automata import (
     STATE_BUDGET,
+    TURNS,
     BudgetExceededError,
     Dfa,
     Nfa,
@@ -32,46 +32,10 @@ from .automata import (  # noqa: F401  BudgetExceededError is re-exported
 
 GameState = tuple[int, ...]
 
-TURNS = ("A", "B")
-
 
 def game_state(sets: Iterable[Iterable[int]]) -> GameState:
     """Build a (possibly unnormalized) game state from collections of states."""
     return tuple(sorted({_mask(s) for s in sets}))
-
-
-def state_sets(g: GameState) -> list[list[int]]:
-    out = []
-    for m in g:
-        bits = []
-        q = 0
-        while m:
-            if m & 1:
-                bits.append(q)
-            m >>= 1
-            q += 1
-        out.append(bits)
-    return out
-
-
-def format_game_state(g: GameState) -> str:
-    inner = ",".join("{" + ",".join(map(str, s)) + "}" for s in state_sets(g))
-    return "{" + inner + "}"
-
-
-def parse_game_state(text: str) -> GameState:
-    """Read the :func:`format_game_state` notation, e.g. ``{{0,2},{1}}``;
-    whitespace is ignored, and so are stray commas between and inside sets.
-    A state index at or above :data:`~winset.automata.STATE_BUDGET` is
-    rejected before any mask is built."""
-    text = "".join(text.split())
-    if not re.fullmatch(r"\{(?:,|\{[^{}]*\})*\}", text):
-        raise ValueError(f"bad game state {text!r}")
-    bodies = re.findall(r"\{([^{}]*)\}", text[1:-1])
-    sets = [[int(tok) for tok in body.split(",") if tok] for body in bodies]
-    if any(q >= STATE_BUDGET for s in sets for q in s):
-        raise ValueError(f"state index over the budget of {STATE_BUDGET} in {text!r}")
-    return game_state(sets)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +108,7 @@ class _Host:
                 members.add(m)
         return _minimal(members)
 
-    def step(self, g: GameState, c: str) -> GameState:
+    def step(self, g: Iterable[int], c: str) -> GameState:
         """``normalize(successors(g, c))``, from per-member memos: the
         minimal members of a union are those of the union of its parts'
         minimal members."""
@@ -191,23 +155,23 @@ def is_accepting(host: Dfa, g: GameState) -> bool:
     return _Host(host).accepting(g)
 
 
-def winning_step(host: Dfa, g: Iterable[int], c: str, *, normalized: bool = True) -> GameState:
-    """One game-automaton transition: union of per-member successor sets.
+def winning_step(host: Dfa, g: Iterable[int], c: str) -> GameState:
+    """One game-automaton transition: the normalized union of per-member
+    successor sets.
 
     On A every member expands to its images under all choice functions; on B
-    each member collapses to the single set of all possible successors.
+    each member collapses to the single set of all possible successors.  The
+    result equals ``normalize(host, successors)`` whether or not ``g`` is
+    normalized: it is the engine's own step, :meth:`_Host.step`.
     """
-    h = _Host(host)
-    out = h.successors(g, c)
-    return h.normalize(out) if normalized else tuple(sorted(out))
+    return _Host(host).step(g, c)
 
 
 def winning_run(host: Dfa, g: Iterable[int], word: str, *, normalized: bool = True) -> GameState:
     h = _Host(host)
     cur = h.normalize(g) if normalized else tuple(sorted(set(g)))
     for c in word:
-        out = h.successors(cur, c)
-        cur = h.normalize(out) if normalized else tuple(sorted(out))
+        cur = h.step(cur, c) if normalized else tuple(sorted(h.successors(cur, c)))
     return cur
 
 

@@ -20,7 +20,6 @@ from winset.automata import (
     determinize_reverse,
     dfa_to_json,
     dfa_to_text,
-    enumerate_words,
     equivalent,
     explore,
     language_slice,

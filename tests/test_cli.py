@@ -134,6 +134,12 @@ def test_decide_intersect_budget(tmp_path, parity_file, capsys):
     nfa = tmp_path / "a.nfa"
     nfa.write_text("nfa 1 AB\ninitial 0\nfinals 0\n0 A 0\n")
     assert main(["decide", "intersect", parity_file, str(nfa), "--budget", "1"]) == 2
+    # a budget below 1 is refused before any search, even where the empty
+    # word is a witness at the start state
+    everything = tmp_path / "all.dfa"
+    everything.write_text("dfa 1 01\ninitial 0\nfinals 0\n0 0 0\n0 1 0\n")
+    assert main(["decide", "intersect", str(everything), str(nfa), "--budget", "1"]) == 0
+    assert main(["decide", "intersect", str(everything), str(nfa), "--budget", "0"]) == 2
 
 
 def test_oracle_member_builtin(capsys):

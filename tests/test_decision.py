@@ -97,6 +97,13 @@ def test_intersect_rejects_wrong_alphabet():
 def test_intersect_budget_is_enforced():
     with pytest.raises(BudgetExceededError):
         intersect_nonempty(PARITY, A_STAR, budget=1)
+    # the start state counts toward the budget, so a budget below 1 fails
+    # before any search, even where the start state is already a witness
+    everything = Dfa(alphabet=("0", "1"), delta=((0, 0),), initial=0, finals=frozenset({0}))
+    assert intersect_nonempty(everything, A_STAR, budget=1) == ""
+    for budget in (0, -3):
+        with pytest.raises(BudgetExceededError):
+            intersect_nonempty(everything, A_STAR, budget=budget)
 
 
 # ---------------------------------------------------------------------------

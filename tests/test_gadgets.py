@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from winset import gadgets
-from winset.automata import BudgetExceededError, accepts, enumerate_words, minimize
+from winset.automata import BudgetExceededError, accepts, enumerate_words
 
 from .conftest import words_upto
 from winset.gadgets import (

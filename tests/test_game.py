@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from winset import automata, game
 from winset.automata import (
-    STATE_BUDGET,
     Dfa,
     accepts,
     count_words,
@@ -29,13 +28,11 @@ from winset.game import (
     ReversalDfa,
     _forward_winset_dfa,
     _reversal_winset_dfa,
-    format_game_state,
     game_state,
     game_states_equivalent,
     is_accepting,
     leq,
     normalize,
-    parse_game_state,
     reverse_winset_dfa,
     winning_run,
     winning_step,
@@ -63,29 +60,6 @@ def test_game_state_constructor_sorts_and_dedups():
     assert game_state([[1, 0], [0, 1], [2]]) == (3, 4)
     assert game_state([[]]) == (0,)
     assert game_state([]) == ()
-
-
-def test_format_parse_round_trip():
-    for g in [(), (0,), (1, 6), (3,)]:
-        assert parse_game_state(format_game_state(g)) == g
-    assert parse_game_state("{{0,2},{1}}") == (2, 5)
-    # stray commas between and inside sets, and no separator at all
-    assert parse_game_state("{{1}{2}}") == (2, 4)
-    assert parse_game_state("{,{1,,2},}") == (6,)
-    # the largest index under the budget still parses
-    assert parse_game_state(f"{{{{{STATE_BUDGET - 1}}}}}") == (1 << STATE_BUDGET - 1,)
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        "{{0},1}", "{{0}", "{{1}", "{1}", "{{1}{{2}}}", "{{a}}", "{{1}x}", "",
-        "{{100000000}}", f"{{{{0,{STATE_BUDGET}}}}}",
-    ],
-)
-def test_parse_game_state_rejects_malformed(text):
-    with pytest.raises(ValueError):
-        parse_game_state(text)
 
 
 def test_normalize_drops_strict_supersets():
@@ -273,7 +247,34 @@ def test_step_is_normalized_successors(sampled_hosts):
         fresh = game._Host(host)
         for g in order:
             for c in TURNS:
-                assert h.step(g, c) == fresh.normalize(fresh.successors(g, c))
+                want = fresh.normalize(fresh.successors(g, c))
+                assert h.step(g, c) == want
+                assert winning_step(host, g, c) == want
+    # unnormalized game states: unsorted, repeated, comparable or empty
+    # members, and members holding an accepting sink or a dead state
+    rng = random.Random(23)
+    for _ in range(200):
+        n = rng.randint(3, 7)
+        delta = tuple((rng.randrange(n), rng.randrange(n)) for _ in range(n - 2))
+        # state n - 2 is an accepting sink, state n - 1 a dead one
+        delta += ((n - 2, n - 2), (n - 1, n - 1))
+        finals = frozenset(q for q in range(n - 2) if rng.random() < 0.5) | {n - 2}
+        host = Dfa(alphabet=("0", "1"), delta=delta, initial=0, finals=finals)
+        h = game._Host(host)
+        sink, dead = 1 << n - 2, 1 << n - 1
+        states = [(), (0,), (sink,), (dead,), (0, dead)]
+        for _ in range(10):
+            members = [
+                rng.randrange(1 << n) | rng.choice((0, 0, sink, dead, sink | dead))
+                for _ in range(rng.randint(1, 4))
+            ]
+            members += rng.sample(members, rng.randint(0, len(members)))
+            states.append(tuple(members + [0] * (rng.random() < 0.2)))
+        for g in states:
+            for c in TURNS:
+                want = h.normalize(h.successors(g, c))
+                assert h.step(g, c) == want
+                assert winning_step(host, g, c) == want
 
 
 # sha256 of the serialized constructions over the <= 3-state corpus and the
