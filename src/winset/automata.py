@@ -74,9 +74,6 @@ class Dfa:
                 f"symbol {symbol!r} not in alphabet {''.join(self.alphabet)}"
             ) from None
 
-    def step(self, state: int, symbol: str) -> int:
-        return self.delta[state][self.symbol_index(symbol)]
-
     def run(self, word: str) -> int:
         """State reached from the initial state after reading ``word``."""
         q = self.initial
@@ -109,7 +106,7 @@ class GraphBuilder:
             self._finals.add(idx)
         return idx
 
-    def arc(self, src, target0, target1=None) -> int:
+    def arc(self, src, target0, target1=None):
         s = self.state(src)
         t0 = self.state(target0)
         row = (t0, t0 if target1 is None else self.state(target1))
@@ -118,7 +115,6 @@ class GraphBuilder:
             sym = 0 if old[0] != row[0] else 1
             raise ValueError(f"conflicting transition from {src!r} on {sym}")
         self._rows[s] = row
-        return s
 
     @property
     def labels(self) -> dict:

@@ -191,8 +191,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def emit_flag(p, choices=("text", "dot", "json")):
-        p.add_argument("--emit", choices=choices, default="text")
+    def emit_flag(p):
+        p.add_argument("--emit", choices=("text", "dot", "json"), default="text")
 
     p = sub.add_parser("wdfa", help="minimal winning-set DFA of a host DFA")
     p.add_argument("dfa")

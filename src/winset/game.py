@@ -11,8 +11,7 @@ set and stays empty forever.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .automata import (
     STATE_BUDGET,
@@ -236,7 +235,6 @@ def winset_dfa(host: Dfa, *, max_game_states: int = STATE_BUDGET) -> Dfa:
     the winning-set DFA can be doubly exponential in the host, so silent
     truncation is never an option.
     """
-    _require_binary(host)
     out = _reversal_winset_dfa(host, max_game_states, REVERSAL_SUBSETS)
     return _forward_winset_dfa(host, max_game_states) if out is None else out
 
@@ -273,7 +271,6 @@ def _require_binary(host: Dfa):
         raise ValueError("host DFA must be over the 01 alphabet")
 
 
-@dataclass(frozen=True)
 class ReversalDfa:
     """Lazy DFA on host state-sets recognizing the reversed winning set.
 
@@ -285,16 +282,11 @@ class ReversalDfa:
     membership queries never materialize 2^n states.
     """
 
-    host: Dfa
-    _pre: Callable[[int], tuple[int, int]] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        _require_binary(self.host)
-        object.__setattr__(self, "_pre", preimages(self.host.delta))
-
-    @property
-    def initial_mask(self) -> int:
-        return _mask(self.host.finals)
+    def __init__(self, host: Dfa):
+        _require_binary(host)
+        self.host = host
+        self._pre = preimages(host.delta)
+        self.initial_mask = _mask(host.finals)
 
     def successors(self, mask: int) -> tuple[int, int]:
         """The A and the B successor of ``mask``."""

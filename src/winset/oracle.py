@@ -7,7 +7,7 @@ this module favors being obviously correct over being fast.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .automata import BudgetExceededError, Dfa, accepts
@@ -21,7 +21,6 @@ class TargetPredicate:
 
     length: int
     member: Callable[[str], bool]
-    name: str = field(default="", compare=False)
 
     def __post_init__(self):
         if self.length < 0:
@@ -32,9 +31,9 @@ def alice_wins(t: TargetPredicate, w: str) -> bool:
     """Can Alice force the constructed word into the target on turn order w?
 
     Positions are filled left to right; at an A the builder picks the bit,
-    at a B the opponent does.  Memoized on the constructed prefix, whose
-    length always matches the number of turns consumed.  Words longer than
-    ``SLICE_LIMIT`` raise :class:`BudgetExceededError`.
+    at a B the opponent does.  Each prefix is visited once, so nothing is
+    stored beyond the current path.  Words longer than ``SLICE_LIMIT`` raise
+    :class:`BudgetExceededError`.
     """
     if len(w) != t.length:
         raise ValueError(f"turn word length {len(w)} != target length {t.length}")
@@ -43,19 +42,13 @@ def alice_wins(t: TargetPredicate, w: str) -> bool:
             raise ValueError(f"turn symbol must be A or B, got {c!r}")
     if len(w) > SLICE_LIMIT:
         raise BudgetExceededError(f"turn word length {len(w)} exceeds the limit {SLICE_LIMIT}")
-    memo: dict[str, bool] = {}
 
     def wins(prefix: str) -> bool:
         if len(prefix) == t.length:
             return bool(t.member(prefix))
-        cached = memo.get(prefix)
-        if cached is not None:
-            return cached
         zero = wins(prefix + "0")
         one = wins(prefix + "1")
-        result = (zero or one) if w[len(prefix)] == "A" else (zero and one)
-        memo[prefix] = result
-        return result
+        return (zero or one) if w[len(prefix)] == "A" else (zero and one)
 
     return wins("")
 
@@ -72,11 +65,9 @@ def winning_slice(t: TargetPredicate) -> set[str]:
     n = t.length
     if n > SLICE_LIMIT:
         raise BudgetExceededError(f"slice length {n} exceeds the limit {SLICE_LIMIT}")
-    table = 0
-    for v in range(1 << n):
-        word = format(v, f"0{n}b") if n else ""
-        if t.member(word):
-            table |= 1 << v
+    # bit v is word v's verdict; the digits run from the highest v down
+    words = (format(v, f"0{n}b") if n else "" for v in range((1 << n) - 1, -1, -1))
+    table = int("".join("1" if t.member(word) else "0" for word in words), 2)
 
     memo: dict[tuple[int, int], frozenset[str]] = {}
 
@@ -116,28 +107,22 @@ def dyck_predicate(n: int) -> TargetPredicate:
                 return False
         return depth == 0
 
-    return TargetPredicate(length=n, member=member, name=f"dyck[{n}]")
+    return TargetPredicate(length=n, member=member)
 
 
 def parity_predicate(n: int) -> TargetPredicate:
-    return TargetPredicate(
-        length=n, member=lambda v: v.count("1") % 2 == 1, name=f"parity[{n}]"
-    )
+    return TargetPredicate(length=n, member=lambda v: v.count("1") % 2 == 1)
 
 
 def contains_011_predicate(n: int) -> TargetPredicate:
-    return TargetPredicate(
-        length=n, member=lambda v: "011" in v, name=f"contains-011[{n}]"
-    )
+    return TargetPredicate(length=n, member=lambda v: "011" in v)
 
 
 def exact_ones_predicate(n: int, k: int) -> TargetPredicate:
-    return TargetPredicate(
-        length=n, member=lambda v: v.count("1") == k, name=f"exact-ones:{k}[{n}]"
-    )
+    return TargetPredicate(length=n, member=lambda v: v.count("1") == k)
 
 
 def dfa_predicate(d: Dfa, n: int) -> TargetPredicate:
     if d.alphabet != ("0", "1"):
         raise ValueError("predicate DFA must be over the 01 alphabet")
-    return TargetPredicate(length=n, member=lambda v: accepts(d, v), name=f"dfa[{n}]")
+    return TargetPredicate(length=n, member=lambda v: accepts(d, v))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from winset.automata import (
+    BINARY,
     BudgetExceededError,
     Dfa,
     FormatError,
@@ -32,6 +33,7 @@ from winset.automata import (
     transformation,
 )
 from winset.circuits import parse_circuit
+from winset.cli import main
 from .conftest import dfas, random_host, token_soup, words_upto
 
 
@@ -153,11 +155,43 @@ def test_parse_nfa_accepts_dfa_text():
         ("dfa 1 01\ninitial 0\nfinals 0\n0 0 0\n0 1 9\n", "line 5"),
         ("dfa 1 01\ninitial 0\nfinals 0\n0 0 0\n0 0 0\n0 1 0\n", "duplicate"),
         ("dfa 2 01\ninitial 0\nfinals\n0 0 0\n0 1 1\n1 0 1\n", "missing transition"),
+        ("dfa 0 01\n", "line 1: state count must be at least 1"),
+        ("dfa 2 01\ninitial 0 1\nfinals 1\n", "line 2: expected 'initial <q>'"),
+        ("dfa 1 01\ninitial 0\nfinal 0\n0 0 0\n0 1 0\n", "line 3: expected 'finals"),
+        ("dfa 1 01\ninitial 0\nfinals 0\n0 0\n0 1 0\n", "line 4: expected '<state>"),
+        ("dfa 1 01\ninitial 0\nfinals 0\n0 2 0\n0 1 0\n", "line 4: symbol '2' not in"),
     ],
 )
-def test_parse_dfa_errors(text, fragment):
+def test_parse_dfa_errors(text, fragment, tmp_path, capsys):
     with pytest.raises(FormatError, match=fragment):
         parse_dfa(text)
+    path = tmp_path / "bad.dfa"
+    path.write_text(text)
+    assert main(["wdfa", str(path)]) == 2
+    assert fragment in capsys.readouterr().err
+
+
+NO_MOVES = (frozenset(), frozenset())
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: Dfa(BINARY, (), 0, frozenset()), "at least one state"),
+        (lambda: Dfa(("0", "1", "2"), ((0, 0),), 0, frozenset()), "exactly 2 symbols"),
+        (lambda: Dfa(BINARY, ((0, 0),), 1, frozenset()), "initial state 1 out of range"),
+        (lambda: Dfa(BINARY, ((0, 1),), 0, frozenset()), "target 1 out of range"),
+        (lambda: Dfa(BINARY, ((0, 0),), 0, frozenset({1})), "final state 1 out of range"),
+        (lambda: Dfa(BINARY, ((0, 0, 0),), 0, frozenset()), "a target per symbol"),
+        (lambda: Nfa(("0",), (NO_MOVES,), frozenset({0}), frozenset()), "exactly 2 symbols"),
+        (lambda: Nfa(BINARY, ((frozenset({1}), frozenset()),), frozenset(), frozenset()),
+         "target 1 out of range"),
+        (lambda: Nfa(BINARY, (NO_MOVES,), frozenset({1}), frozenset()), "state 1 out of range"),
+    ],
+)
+def test_constructors_reject_malformed_automata(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_parse_nfa_shares_the_row_of_states_without_transitions():

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from winset.automata import TURNS, Dfa, dfa_to_text, equivalent, parse_dfa
+from winset.circuits import circuit_to_dfa, iterated_instance, parse_circuit
 from winset.cli import _progress_printer, main
 
 from .conftest import dfas, token_soup
@@ -189,10 +190,17 @@ def test_gadget_errors(capsys):
     assert "circuit file argument required" in capsys.readouterr().err
 
 
-def test_gadget_circuit_value(tmp_path, capsys):
-    f = tmp_path / "not.circuit"
-    f.write_text(NOT_CIRCUIT)
-    assert main(["gadget", "circuit", str(f), "--value", "F"]) == 0
+@pytest.fixture
+def not_circuit(tmp_path):
+    p = tmp_path / "not.circuit"
+    p.write_text(NOT_CIRCUIT)
+    return str(p)
+
+
+def test_gadget_circuit_value(not_circuit, capsys):
+    assert main(["gadget", "circuit", not_circuit, "--value", "TX"]) == 2
+    assert "assignment must be over T/F" in capsys.readouterr().err
+    assert main(["gadget", "circuit", not_circuit, "--value", "F"]) == 0
     out = capsys.readouterr().out
     assert "word " in out
     word = out.rsplit("word ", 1)[1].strip()
@@ -200,6 +208,18 @@ def test_gadget_circuit_value(tmp_path, capsys):
     from winset.decision import member
 
     assert member(parse_dfa(dfa_text), word)  # NOT(F) is true
+
+
+def test_gadget_circuit_reduction(not_circuit, capsys):
+    assert main(["gadget", "circuit", not_circuit]) == 0
+    art = circuit_to_dfa(parse_circuit(NOT_CIRCUIT))
+    assert capsys.readouterr().out == f"{dfa_to_text(art.dfa)}rounds {art.p}\n"
+
+
+def test_gadget_circuit_iterate(not_circuit, capsys):
+    assert main(["gadget", "circuit", not_circuit, "--iterate", "T", "0"]) == 0
+    dfa, base, period = iterated_instance(parse_circuit(NOT_CIRCUIT), (True,), 0)
+    assert capsys.readouterr().out == f"{dfa_to_text(dfa)}base {base}\nperiod {period}\n"
 
 
 def test_enumerate_line_format(tmp_path, capsys):
@@ -236,14 +256,15 @@ def test_missing_file_is_a_usage_error(capsys):
 
 
 def test_console_script_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "winset.cli", "enumerate", "1"],
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0
-    assert proc.stdout.strip() == "n=1 max=1 exhausted=true"
+    for module in ("winset.cli", "winset"):
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "enumerate", "1"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, module
+        assert proc.stdout.strip() == "n=1 max=1 exhausted=true", module
 
 
 # Pieces of an argument vector, each a list of arguments.  A ("file", name)

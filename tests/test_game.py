@@ -137,6 +137,8 @@ def test_normalized_and_raw_runs_agree(sampled_hosts):
             norm = winning_run(host, start, w)
             assert normalize(host, raw) == norm
             assert is_accepting(host, raw) == is_accepting(host, norm)
+    with pytest.raises(ValueError):
+        winning_run(PARITY, (1,), "X", normalized=False)
 
 
 def test_reversal_recognizes_reversed_winset(sampled_hosts):

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -27,6 +28,17 @@ def test_two_routes_agree_on_random_targets():
         s = winning_slice(t)
         for w in enumerate_words("AB", n):
             assert (w in s) == alice_wins(t, w)
+
+
+def test_alice_wins_keeps_only_the_current_path():
+    t = parity_predicate(16)
+    tracemalloc.start()
+    try:
+        assert not alice_wins(t, "AB" * 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_parity_slice_is_ends_with_a():
