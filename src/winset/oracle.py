@@ -54,13 +54,14 @@ def alice_wins(t: TargetPredicate, w: str) -> bool:
 
 
 def winning_slice(t: TargetPredicate) -> set[str]:
-    """All winning turn orders of length n, by the set recursion.
+    """All winning turn orders of length n, by the set recursion on bit tables.
 
-    The target is packed into a bitmask indexed by the word's value (first
-    symbol most significant), so the two residuals are the low and high
-    halves.  Independent of :func:`alice_wins`, which recurses on prefixes
-    instead — the two routes cross-check each other.  Lengths above
-    ``SLICE_LIMIT`` raise :class:`BudgetExceededError`.
+    An m-letter table is a 2^m-bit int: bit v is the verdict on the word of
+    v's m binary digits, first letter most significant, 0 for A.  The two
+    residuals are its low and high halves: A·w wins iff w wins in either,
+    B·w iff in both.  Cross-checks :func:`alice_wins`, which recurses on
+    prefixes instead.  Lengths above ``SLICE_LIMIT`` raise
+    :class:`BudgetExceededError`.
     """
     n = t.length
     if n > SLICE_LIMIT:
@@ -68,26 +69,24 @@ def winning_slice(t: TargetPredicate) -> set[str]:
     # bit v is word v's verdict; the digits run from the highest v down
     words = (format(v, f"0{n}b") if n else "" for v in range((1 << n) - 1, -1, -1))
     table = int("".join("1" if t.member(word) else "0" for word in words), 2)
+    memo: dict[tuple[int, int], int] = {}
 
-    memo: dict[tuple[int, int], frozenset[str]] = {}
-
-    def slice_of(m: int, tab: int) -> frozenset[str]:
+    def slice_of(m: int, tab: int) -> int:
         if m == 0:
-            return frozenset({""}) if tab & 1 else frozenset()
-        key = (m, tab)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        half = 1 << (m - 1)
-        low = slice_of(m - 1, tab & ((1 << half) - 1))
-        high = slice_of(m - 1, tab >> half)
-        result = frozenset("A" + w for w in low | high) | frozenset(
-            "B" + w for w in low & high
-        )
-        memo[key] = result
-        return result
+            return tab & 1
+        wins = memo.get((m, tab))
+        if wins is None:
+            half = 1 << (m - 1)
+            low = slice_of(m - 1, tab & ((1 << half) - 1))
+            high = slice_of(m - 1, tab >> half)
+            wins = memo[m, tab] = (low & high) << half | low | high
+        return wins
 
-    return set(slice_of(n, table))
+    # one pass over the digits, lowest v first: testing bit by bit is quadratic
+    digits = reversed(format(slice_of(n, table), f"0{1 << n}b"))
+    won = (v for v, d in enumerate(digits) if d == "1")
+    turns = str.maketrans("01", "AB")
+    return {format(v, f"0{n}b").translate(turns) if n else "" for v in won}
 
 
 # ---------------------------------------------------------------------------

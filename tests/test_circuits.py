@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from winset.automata import dfa_to_text
+from winset.automata import FormatError, dfa_to_text
 from winset.circuits import (
     Circuit,
     circuit_to_dfa,
@@ -14,6 +14,7 @@ from winset.circuits import (
     or_with_index,
     parse_circuit,
 )
+from winset.cli import main
 from winset.decision import member
 from winset.game import winning_run
 from .conftest import random_circuit
@@ -58,11 +59,18 @@ def test_parse_gate_shorthand_equivalence():
         "input x\nnot g z\noutput y g\n",  # unknown argument
         "input x\n",  # no outputs
         "input x\nfrob g x\noutput y g\n",  # unknown line
+        "input x\nnot g x\nnot g x\noutput y g\n",  # duplicate gate
+        "input x\noutput y x\noutput y x\n",  # duplicate output
+        "input x\noutput y z\n",  # unknown output source
     ],
 )
-def test_parse_rejects_malformed(text):
-    with pytest.raises(ValueError):
+def test_parse_rejects_malformed(text, tmp_path, capsys):
+    with pytest.raises(FormatError):
         parse_circuit(text)
+    path = tmp_path / "bad.circuit"
+    path.write_text(text)
+    assert main(["gadget", "circuit", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_reduction_shape():
@@ -114,6 +122,14 @@ def test_consistent_preimages_match_brute_force():
             )
             expected = {a for a in all_bits(k) if c.evaluate(a) == out_vec}
             assert consistent_inputs(art, run) == expected
+
+
+def test_consistent_inputs_drops_members_holding_both_rails():
+    art = circuit_to_dfa(parse_circuit("input a\ninput b\nand g a b\noutput y g\n"))
+    (ta, fa), (tb, fb) = art.input_states
+    both = 1 << ta | 1 << fa | 1 << tb  # both rails of wire a: excessive
+    consistent = 1 << ta | 1 << fb
+    assert consistent_inputs(art, [both, consistent]) == {(True, False)}
 
 
 def test_value_instance_decides_circuit_value():
@@ -180,6 +196,8 @@ def test_iterated_validation():
     c2 = random_circuit(random.Random(1), 2, 2, 2)
     with pytest.raises(ValueError):
         iterated_instance(c2, (True, False), 5)  # index out of range
+    with pytest.raises(ValueError):
+        iterated_instance(c2, (True,), 0)  # assignment too short
 
 
 # sha256 of every reduction over a seeded corpus: it pins each state number,

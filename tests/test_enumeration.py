@@ -103,6 +103,8 @@ def test_size_guard():
     with pytest.raises(ValueError):
         max_winset_complexity(0)
     with pytest.raises(ValueError):
+        next(host_corpus(0))
+    with pytest.raises(ValueError):
         max_winset_complexity(6)
 
 

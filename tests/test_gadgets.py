@@ -85,6 +85,25 @@ def test_subset_word_validation():
         subset_word(2, {3})
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: gen_subset(0),
+        lambda: gen_subset(1, closure="maybe"),
+        lambda: state_word(2, [[3]]),
+        lambda: probe_word(2, [3]),
+        lambda: exact_ones_wsize(0),
+        lambda: exact_ones_winset_member(2, "AX"),
+    ],
+    ids=[
+        "gen_subset-0", "closure", "state_word-range", "test_word-range", "wsize-0", "member-AX"
+    ],
+)
+def test_gadget_arguments_are_checked(call):
+    with pytest.raises(ValueError):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # the game-state factory, checked inside the full composition
 

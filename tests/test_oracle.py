@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from winset.automata import BudgetExceededError, enumerate_words
+from winset.automata import BudgetExceededError, Dfa, count_words, enumerate_words
 from winset.oracle import (
     SLICE_LIMIT,
     TargetPredicate,
@@ -39,6 +39,30 @@ def test_alice_wins_keeps_only_the_current_path():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
+
+
+def test_winning_slice_memo_holds_bit_tables_not_words():
+    t = exact_ones_predicate(16, 8)
+    tracemalloc.start()
+    try:
+        assert len(winning_slice(t)) == math.comb(16, 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 1024 * 1024
+
+
+def test_slice_cardinality_and_prefix_route_past_tier_one_lengths():
+    # |W(L) ∩ {A,B}^n| = |L ∩ {0,1}^n|, and sampled words agree with alice_wins
+    rng = random.Random(39)
+    for host in (random_host(rng, 4), random_host(rng, 3)):
+        for n in (10, 11):
+            t = dfa_predicate(host, n)
+            s = winning_slice(t)
+            assert 0 < len(s) == count_words(host, n) < 2**n
+            for _ in range(16):
+                w = "".join(rng.choice("AB") for _ in range(n))
+                assert (w in s) == alice_wins(t, w)
 
 
 def test_parity_slice_is_ends_with_a():
@@ -93,6 +117,9 @@ def test_input_validation():
         alice_wins(parity_predicate(SLICE_LIMIT + 1), "A" * (SLICE_LIMIT + 1))
     with pytest.raises(ValueError):
         TargetPredicate(length=-1, member=lambda v: True)
+    ab = Dfa(alphabet=("A", "B"), delta=((0, 0),), initial=0, finals=frozenset({0}))
+    with pytest.raises(ValueError):
+        dfa_predicate(ab, 2)
 
 
 def test_empty_length_edge_case():
