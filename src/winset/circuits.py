@@ -128,39 +128,32 @@ def _levelize(c: Circuit):
     Returns (d, lgates, out_srcs): lgates maps node id -> (level, kind,
     args); inputs appear as ("in", j) at level 0; pads are PASS gates.
     """
-    gate_map = {g[0]: g for g in c.gates}
-    # keep only gates that feed some output
-    live: set[str] = set()
-    stack = [src for _, src in c.outputs if src in gate_map]
-    while stack:
-        g = stack.pop()
-        if g in live:
-            continue
-        live.add(g)
-        stack.extend(a for a in gate_map[g][2] if a in gate_map)
+    # gates are in topological order, so one backward pass keeps exactly
+    # the gates that feed some output (live also collects input names)
+    live = {src for _, src in c.outputs}
+    for name, _, args in reversed(c.gates):
+        if name in live:
+            live.update(args)
 
     level: dict[str, int] = {name: 0 for name in c.inputs}
     for name, _, args in c.gates:
         if name in live:
             level[name] = 1 + max(level[a] for a in args)
-    d_raw = 1 + max(level[src] for _, src in c.outputs)
+    srcs = [src for _, src in c.outputs]
+    d_raw = 1 + max(level[src] for src in srcs)
 
-    consumers: dict[str, int] = {}
-    for name, _, args in c.gates:
-        if name in live:
-            for a in args:
-                consumers[a] = consumers.get(a, 0) + 1
-    for _, src in c.outputs:
-        consumers[src] = consumers.get(src, 0) + 1
-
+    # A source at the top gate level d_raw - 1 feeds no live gate (that gate
+    # would sit at d_raw, above every output source), and an input there
+    # means d_raw = 1, bumped anyway; so it is shared, and needs a pad level
+    # above it, exactly when more than one output names it.
     bump = d_raw < 2 or any(
-        level[src] == d_raw - 1 and consumers[src] > 1 for _, src in c.outputs
+        level[src] == d_raw - 1 and srcs.count(src) > 1 for src in srcs
     )
     d = d_raw + 1 if bump else d_raw
 
     in_index = {name: j for j, name in enumerate(c.inputs)}
     lgates: dict[tuple, tuple[int, str, tuple[tuple, ...]]] = {}
-    pad_counter = [0]
+    pad_ids = itertools.count()
 
     def node_id(name: str):
         return ("in", in_index[name]) if name in in_index else ("gate", name)
@@ -170,27 +163,17 @@ def _levelize(c: Circuit):
         the node now sitting at upto_level."""
         cur = node_id(src)
         for lv in range(level[src] + 1, upto_level + 1):
-            pid = ("pad", pad_counter[0])
-            pad_counter[0] += 1
+            pid = ("pad", next(pad_ids))
             lgates[pid] = (lv, "PASS", (cur,))
             cur = pid
         return cur
 
     for name, kind, args in c.gates:
-        if name not in live:
-            continue
-        lv = level[name]
-        srcs = tuple(pad_chain(a, lv - 1) for a in args)
-        lgates[("gate", name)] = (lv, kind, srcs)
+        if name in live:
+            lv = level[name]
+            lgates[("gate", name)] = (lv, kind, tuple(pad_chain(a, lv - 1) for a in args))
 
-    out_srcs = []
-    for _, src in c.outputs:
-        if level[src] == d - 1:
-            # dedicated by the bump rule: consumers[src] == 1 here
-            out_srcs.append(node_id(src))
-        else:
-            out_srcs.append(pad_chain(src, d - 1))
-    return d, lgates, tuple(out_srcs)
+    return d, lgates, tuple(pad_chain(src, d - 1) for src in srcs)
 
 
 # ---------------------------------------------------------------------------

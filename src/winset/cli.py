@@ -119,6 +119,13 @@ def _cmd_gadget(args) -> int:
     if args.n is None:
         what = "circuit file" if args.name == "circuit" else "gadget size"
         raise FormatError(f"{what} argument required")
+    if args.finals is not None and args.name != "chain":
+        raise FormatError("--finals applies only to the chain gadget")
+    if args.value is not None or args.iterate is not None:
+        if args.name != "circuit":
+            raise FormatError("--value and --iterate apply only to circuit")
+        if args.value is not None and args.iterate is not None:
+            raise FormatError("--value and --iterate exclude each other")
     if args.name == "circuit":
         return _cmd_gadget_circuit(args)
     n = int(args.n)
@@ -224,7 +231,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q = dsub.add_parser("intersect", help="winning set meets a regular set?")
     q.add_argument("dfa")
     q.add_argument("nfa")
-    q.add_argument("--budget", type=int, default=decision.DEFAULT_PRODUCT_BUDGET)
+    q.add_argument("--budget", type=int, default=automata.STATE_BUDGET)
     q.set_defaults(func=_cmd_decide_intersect)
 
     p = sub.add_parser("oracle", help="brute-force ground truth")

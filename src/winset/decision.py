@@ -10,10 +10,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .automata import TURNS, BudgetExceededError, Dfa, Nfa, _image, _mask
+from .automata import STATE_BUDGET, TURNS, BudgetExceededError, Dfa, Nfa, _image, _mask
 from .game import reverse_winset_dfa
-
-DEFAULT_PRODUCT_BUDGET = 10_000_000
 
 
 def member(host: Dfa, w: str) -> bool:
@@ -29,7 +27,7 @@ def member(host: Dfa, w: str) -> bool:
 
 
 def intersect_nonempty(
-    host: Dfa, b: Nfa, *, budget: int = DEFAULT_PRODUCT_BUDGET
+    host: Dfa, b: Nfa, *, budget: int = STATE_BUDGET
 ) -> Optional[str]:
     """Shortest turn word in W(L(host)) ∩ L(b), or None if the intersection
     is empty.

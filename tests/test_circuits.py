@@ -7,6 +7,7 @@ import pytest
 from winset.automata import FormatError, dfa_to_text
 from winset.circuits import (
     Circuit,
+    _levelize,
     circuit_to_dfa,
     circuit_value_instance,
     consistent_inputs,
@@ -130,6 +131,32 @@ def test_consistent_inputs_drops_members_holding_both_rails():
     both = 1 << ta | 1 << fa | 1 << tb  # both rails of wire a: excessive
     consistent = 1 << ta | 1 << fb
     assert consistent_inputs(art, [both, consistent]) == {(True, False)}
+    # a member holding a rail that is no input rail is dropped too
+    ty = art.output_states[0][0]
+    stray = 1 << ta | 1 << fb | 1 << ty
+    assert consistent_inputs(art, [stray, 1 << ta | 1 << tb]) == {(True, True)}
+
+
+def test_leveled_form():
+    def leveled(body):
+        c = parse_circuit("input a\ninput b\n" + body)
+        return circuit_to_dfa(c), _levelize(c)
+
+    art, (_, _, out_srcs) = leveled("and g a b\noutput y g\n")
+    assert art.p == 1 and out_srcs == (("gate", "g"),)
+    # a top-level source named by two outputs needs a pad level above it
+    art, (_, lgates, out_srcs) = leveled("and g a b\noutput y g\noutput z g\n")
+    assert art.p == 3 and len(set(out_srcs)) == 2
+    assert all(lgates[s] == (2, "PASS", (("gate", "g"),)) for s in out_srcs)
+    art, _ = leveled("output y a\n")
+    assert art.p == 1
+    # distinct sources at two levels: no bump, and the lower one is padded
+    art, (_, lgates, out_srcs) = leveled("and g1 a b\nor g2 g1 a\noutput y g2\noutput z g1\n")
+    assert art.p == 3 and out_srcs[0] == ("gate", "g2")
+    assert lgates[out_srcs[1]] == (2, "PASS", (("gate", "g1"),))
+    live, _ = leveled("and g a b\noutput y g\n")
+    dead, _ = leveled("and g a b\nor h a b\noutput y g\n")
+    assert dfa_to_text(dead.dfa) == dfa_to_text(live.dfa)
 
 
 def test_value_instance_decides_circuit_value():

@@ -80,6 +80,12 @@ def test_equiv_exit_codes(tmp_path, parity_file, capsys):
     assert main(["equiv", parity_file, parity_file]) == 0
     assert main(["equiv", parity_file, str(other)]) == 1
     assert "not equivalent" in capsys.readouterr().out
+    turns = tmp_path / "turns.dfa"
+    turns.write_text(ENDS_WITH_A_TEXT)
+    with pytest.raises(ValueError, match="alphabet mismatch"):
+        equivalent(parse_dfa(PARITY_TEXT), parse_dfa(ENDS_WITH_A_TEXT))
+    assert main(["equiv", parity_file, str(turns)]) == 2
+    assert capsys.readouterr().err == "error: alphabet mismatch\n"
 
 
 def test_congruent_command(tmp_path, capsys):
@@ -216,6 +222,23 @@ def test_gadget_circuit_reduction(not_circuit, capsys):
     assert main(["gadget", "circuit", not_circuit]) == 0
     art = circuit_to_dfa(parse_circuit(NOT_CIRCUIT))
     assert capsys.readouterr().out == f"{dfa_to_text(art.dfa)}rounds {art.p}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exact-ones", "2", "--value", "TF"],
+        ["chain", "3", "--iterate", "TF", "0"],
+        ["exact-ones", "2", "--finals", "1"],
+        ["circuit", "FILE", "--finals", "1"],
+        ["circuit", "FILE", "--value", "T", "--iterate", "T", "0"],
+    ],
+)
+def test_gadget_flags_that_do_not_apply_exit_2(argv, not_circuit, capsys):
+    argv = [not_circuit if a == "FILE" else a for a in argv]
+    assert main(["gadget", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
 
 
 def test_gadget_circuit_iterate(not_circuit, capsys):

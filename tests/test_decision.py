@@ -1,3 +1,4 @@
+import inspect
 import random
 from itertools import product
 
@@ -6,6 +7,7 @@ import pytest
 from winset import automata
 from winset.automata import Dfa, Nfa, accepts, enumerate_words, nfa_accepts
 from winset.circuits import circuit_value_instance, iterated_instance, or_with_index, parse_circuit
+from winset.cli import _build_parser
 from winset.decision import intersect_nonempty, member
 from winset.game import BudgetExceededError, reverse_winset_dfa, winset_dfa
 from winset.gadgets import exact_ones_dfa, exact_ones_winset_member
@@ -104,6 +106,13 @@ def test_intersect_budget_is_enforced():
     for budget in (0, -3):
         with pytest.raises(BudgetExceededError):
             intersect_nonempty(everything, A_STAR, budget=budget)
+
+
+def test_intersect_budget_defaults_to_the_state_budget():
+    default = inspect.signature(intersect_nonempty).parameters["budget"].default
+    assert default == automata.STATE_BUDGET
+    args = _build_parser().parse_args(["decide", "intersect", "host.dfa", "b.nfa"])
+    assert args.budget == automata.STATE_BUDGET
 
 
 # ---------------------------------------------------------------------------
