@@ -30,7 +30,6 @@ from .game import (
     game_states_equivalent,
     leq,
     normalize,
-    reverse_winset_dfa,
     winning_step,
     winset_dfa,
     winset_nfa,
@@ -99,7 +98,6 @@ __all__ = [
     "parse_circuit",
     "parse_dfa",
     "parse_nfa",
-    "reverse_winset_dfa",
     "state_word",
     "subset_word",
     "test_word",

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .automata import STATE_BUDGET, TURNS, BudgetExceededError, Dfa, Nfa, _image, _mask
-from .game import reverse_winset_dfa
+from .game import ReversalDfa
 
 
 def member(host: Dfa, w: str) -> bool:
@@ -23,7 +23,7 @@ def member(host: Dfa, w: str) -> bool:
     or co-sparse subset costs less, as :func:`~winset.automata.preimages`
     describes.
     """
-    return reverse_winset_dfa(host).accepts(w[::-1])
+    return ReversalDfa(host).accepts(w[::-1])
 
 
 def intersect_nonempty(
@@ -44,7 +44,7 @@ def intersect_nonempty(
         raise ValueError("intersection NFA must be over the AB alphabet")
     if budget < 1:
         raise BudgetExceededError(f"more than {budget} product states visited")
-    rev = reverse_winset_dfa(host)
+    rev = ReversalDfa(host)
 
     # predecessor masks of b, per symbol: reading b's language backwards
     pred = [[0] * b.state_count for _ in range(2)]

@@ -31,7 +31,10 @@ from typing import Callable, Iterator, NamedTuple, Optional
 
 from .automata import BINARY, STATE_BUDGET, Dfa, explore, preimages
 
-SIZE_GUARD = 5  # n=6 has not yet had a full measured run
+# The largest n run in full: `winset enumerate 6 --emit-witness w.dfa` at f998e4b,
+# guard raised to 6, gave max=15624 exhausted=true in 343.8 s wall at 20.8 MB
+# max RSS (one core of a 2-core Xeon VM, Python 3.11.7).
+SIZE_GUARD = 6
 
 
 class EnumerationResult(NamedTuple):
@@ -116,7 +119,7 @@ def _structure_sizes(delta: tuple[tuple[int, int], ...], n: int) -> list[int]:
         p0, p1 = pre(m)
         graph.append((p0 | p1, p0 & p1))
     # reach[m]: the masks reachable from m in G, itself included, as a set
-    # of masks; a fixed point over at most 32 masks
+    # of masks; a fixed point over 2^n masks (64 at n = 6)
     reach = [1 << m | 1 << a | 1 << b for m, (a, b) in enumerate(graph)]
     changed = True
     while changed:

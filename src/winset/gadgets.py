@@ -67,16 +67,6 @@ def _gadget(
     return Gadget(dfa=b.build(entry), labels=b.labels)
 
 
-def _close(builder: GraphBuilder, exit_name: str, closure: str):
-    if closure == "reject":
-        builder.arc(exit_name, exit_name)
-    elif closure == "accept":
-        builder.state(exit_name, final=True)
-        builder.arc(exit_name, exit_name)
-    else:
-        raise ValueError(f"closure must be 'reject' or 'accept', got {closure!r}")
-
-
 # ---------------------------------------------------------------------------
 # the subset / game-state factory and the tester
 
@@ -105,10 +95,13 @@ def _add_gen_subset(b: GraphBuilder, n: int, exit_target: str):
 def gen_subset(n: int, *, closure: str = "reject") -> Gadget:
     """Standalone subset factory; the dangling e-chain exit is closed with a
     sink (nonaccepting by default)."""
+    if closure not in ("reject", "accept"):
+        raise ValueError(f"closure must be 'reject' or 'accept', got {closure!r}")
 
     def add(b: GraphBuilder):
         _add_gen_subset(b, n, "exit")
-        _close(b, "exit", closure)
+        b.state("exit", final=closure == "accept")
+        b.arc("exit", "exit")
 
     return _gadget(n, 7 * n, "b1", add)
 
@@ -138,13 +131,12 @@ def _add_gen_state(b: GraphBuilder, n: int, exit_target: str):
         b.arc(f"r{i}", f"r{i % cyc + 1}")
 
 
-def gen_state(n: int, *, closure: str = "reject") -> Gadget:
-    """The game-state factory, 13n+2 states; its exit is closed like
-    :func:`gen_subset`'s."""
+def gen_state(n: int) -> Gadget:
+    """The game-state factory, 13n+2 states; its exit is a rejecting sink."""
 
     def add(b: GraphBuilder):
         _add_gen_state(b, n, "exit")
-        _close(b, "exit", closure)
+        b.arc("exit", "exit")
 
     return _gadget(n, 13 * n + 2, "a1", add)
 

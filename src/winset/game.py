@@ -11,7 +11,7 @@ set and stays empty forever.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .automata import (
     STATE_BUDGET,
@@ -235,20 +235,15 @@ def winset_dfa(host: Dfa, *, max_game_states: int = STATE_BUDGET) -> Dfa:
     the winning-set DFA can be doubly exponential in the host, so silent
     truncation is never an option.
     """
-    out = _reversal_winset_dfa(host, max_game_states, REVERSAL_SUBSETS)
-    return _forward_winset_dfa(host, max_game_states) if out is None else out
-
-
-def _reversal_winset_dfa(
-    host: Dfa, max_game_states: int = STATE_BUDGET, max_subsets: int = STATE_BUDGET
-) -> Optional[Dfa]:
-    """The reversal engine; None if the reversal automaton has more than
-    ``max_subsets`` subsets."""
+    # the forward engine runs after the except clause, so the give-up's
+    # traceback, which holds the reversal subsets, is freed before it
     try:
-        rev = ReversalDfa(host).to_dfa(max_states=max_subsets)
+        rev = ReversalDfa(host).to_dfa(max_states=REVERSAL_SUBSETS)
     except BudgetExceededError:
-        return None
-    return determinize_reverse(rev, max_game_states)
+        pass
+    else:
+        return determinize_reverse(rev, max_game_states)
+    return _forward_winset_dfa(host, max_game_states)
 
 
 def _forward_winset_dfa(host: Dfa, max_game_states: int = STATE_BUDGET) -> Dfa:
@@ -294,13 +289,9 @@ class ReversalDfa:
         return p0 | p1, p0 & p1
 
     def step(self, mask: int, c: str) -> int:
-        if c == "A":
-            p0, p1 = self._pre(mask)
-            return p0 | p1
-        if c == "B":
-            p0, p1 = self._pre(mask)
-            return p0 & p1
-        raise ValueError(f"turn symbol must be A or B, got {c!r}")
+        if c not in TURNS:
+            raise ValueError(f"turn symbol must be A or B, got {c!r}")
+        return self.successors(mask)[c == "B"]
 
     def is_final(self, mask: int) -> bool:
         return bool((mask >> self.host.initial) & 1)
@@ -316,10 +307,6 @@ class ReversalDfa:
         order, rows = explore(self.initial_mask, self.successors, max_states, "subset states")
         finals = frozenset(i for i, m in enumerate(order) if self.is_final(m))
         return Dfa(alphabet=TURNS, delta=tuple(rows), initial=0, finals=finals)
-
-
-def reverse_winset_dfa(host: Dfa) -> ReversalDfa:
-    return ReversalDfa(host)
 
 
 def game_states_equivalent(host: Dfa, g: Iterable[int], h: Iterable[int]) -> bool:

@@ -9,7 +9,7 @@ from winset.automata import Dfa, Nfa, accepts, enumerate_words, nfa_accepts
 from winset.circuits import circuit_value_instance, iterated_instance, or_with_index, parse_circuit
 from winset.cli import _build_parser
 from winset.decision import intersect_nonempty, member
-from winset.game import BudgetExceededError, reverse_winset_dfa, winset_dfa
+from winset.game import BudgetExceededError, ReversalDfa, winset_dfa
 from winset.gadgets import exact_ones_dfa, exact_ones_winset_member
 from winset.oracle import alice_wins, dfa_predicate
 from .conftest import random_host, words_upto
@@ -122,7 +122,7 @@ def test_intersect_budget_defaults_to_the_state_budget():
 def sparse_and_dense_steps(host: Dfa, w: str) -> tuple[int, int]:
     """How many of ``member(host, w)``'s steps start from a mask sparse or
     co-sparse enough for the sparse route, and how many from a denser one."""
-    rev, n = reverse_winset_dfa(host), host.state_count
+    rev, n = ReversalDfa(host), host.state_count
     lo = n // automata._SPARSE_DENSITY
     m, sparse = rev.initial_mask, 0
     for c in reversed(w):

@@ -3,16 +3,18 @@ from itertools import islice, permutations, product
 
 import pytest
 
-from winset.automata import Dfa, equivalent, preimages
+from winset.automata import Dfa, count_words, dfa_to_text, equivalent, language_slice, preimages
 from winset.enumeration import (
     _bfs_ordered,
     _hosts,
+    _relabelings,
     _structure_sizes,
     _structures,
     host_corpus,
     max_winset_complexity,
 )
-from winset.game import winset_dfa
+from winset.game import _forward_winset_dfa, winset_dfa
+from winset.oracle import dfa_predicate, winning_slice
 from .conftest import random_host
 
 
@@ -105,7 +107,8 @@ def test_size_guard():
     with pytest.raises(ValueError):
         next(host_corpus(0))
     with pytest.raises(ValueError):
-        max_winset_complexity(6)
+        max_winset_complexity(7)
+    assert not max_winset_complexity(6, budget_seconds=0.0).exhausted
 
 
 def test_progress_callback_counts_structures():
@@ -195,6 +198,27 @@ def test_n4_witness_is_pinned():
         initial=0,
         finals=frozenset({0, 2}),
     )
+
+
+# the n = 6 witness: a 5-cycle 0 -> 1 -> ... -> 4 -> 0 whose last step also
+# reaches a sixth state 5, which moves to 1 or stays
+N6_DELTA = ((1, 1), (2, 2), (3, 3), (4, 4), (0, 5), (1, 5))
+
+
+def test_n6_witness_is_pinned():
+    assert all(r >= N6_DELTA for r in _relabelings(N6_DELTA, 6))
+    sizes = _structure_sizes(N6_DELTA, 6)
+    assert max(sizes) == 15_624
+    assert [f for f, s in enumerate(sizes) if s == 15_624] == [0b010101, 0b101010]
+    for finals, words in (({0, 2, 4}, 2_592), ({1, 3, 5}, 1_504)):
+        host = Dfa(alphabet=("0", "1"), delta=N6_DELTA, initial=0, finals=frozenset(finals))
+        w = winset_dfa(host)
+        assert w.state_count == 15_624
+        if finals == {0, 2, 4}:
+            assert dfa_to_text(w) == dfa_to_text(_forward_winset_dfa(host))
+        slice12 = language_slice(w, 12)
+        assert slice12 == winning_slice(dfa_predicate(host, 12))
+        assert len(slice12) == count_words(host, 12) == words
 
 
 # ---------------------------------------------------------------------------

@@ -318,6 +318,19 @@ def test_a_iterates_become_periodic_within_bound():
     assert a_period_bound_check(host, (1,)) == (2, 35)
 
 
+def test_a_period_bound_check_reports_a_refutation(monkeypatch):
+    from winset.automata import Dfa
+
+    # the 2-cycle 0-1 with a dead sink 2: the A-iterates of {{0}} have period 2
+    host = Dfa(alphabet=("0", "1"), delta=((1, 2), (0, 2), (2, 2)), initial=0,
+               finals=frozenset({0}))
+    g = game_state([[0]])
+    assert a_period_bound_check(host, g) == (0, 2)
+    # a profile promising period 1 puts the true period out of the search
+    monkeypatch.setattr(gadgets, "cycle_profile", lambda host: ((1,), 0))
+    assert a_period_bound_check(host, g) is None
+
+
 # ---------------------------------------------------------------------------
 # the Dyck closed form
 

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -13,6 +14,7 @@ from winset.automata import (
     accepts,
     count_words,
     determinize,
+    determinize_reverse,
     dfa_to_text,
     enumerate_words,
     equivalent,
@@ -27,13 +29,11 @@ from winset.game import (
     BudgetExceededError,
     ReversalDfa,
     _forward_winset_dfa,
-    _reversal_winset_dfa,
     game_state,
     game_states_equivalent,
     is_accepting,
     leq,
     normalize,
-    reverse_winset_dfa,
     winning_run,
     winning_step,
     winset_dfa,
@@ -144,7 +144,7 @@ def test_normalized_and_raw_runs_agree(sampled_hosts):
 def test_reversal_recognizes_reversed_winset(sampled_hosts):
     for host in sampled_hosts[:30]:
         w = winset_dfa(host)
-        rev = reverse_winset_dfa(host)
+        rev = ReversalDfa(host)
         for word in words_upto("AB", 6):
             assert rev.accepts(word[::-1]) == accepts(w, word)
 
@@ -153,7 +153,7 @@ def test_reversal_to_dfa_matches_lazy_steps():
     rng = random.Random(23)
     for _ in range(15):
         host = random_host(rng, rng.randint(1, 3))
-        rev = reverse_winset_dfa(host)
+        rev = ReversalDfa(host)
         d = rev.to_dfa()
         for word in words_upto("AB", 5):
             assert accepts(d, word) == rev.accepts(word)
@@ -296,7 +296,7 @@ PINNED = {
         "3be4049bcd92ce465445cdca09d81668d3fbff47288d36553f3ca0ff66850ae2",
     ),
     "reversal": (
-        lambda h: dfa_to_text(reverse_winset_dfa(h).to_dfa()), GADGETS,
+        lambda h: dfa_to_text(ReversalDfa(h).to_dfa()), GADGETS,
         "c6b65263bc7a54942fdb016a7a4fea15ff5d0927ce60919a2e802ce767e08a4f",
     ),
 }
@@ -343,8 +343,9 @@ def test_gather_step_on_one_state_hosts():
             want = tuple(reference_step(host, mask, c) for c in TURNS)
             assert rev.successors(mask) == want == (mask & 1, mask & 1)
             assert tuple(rev.step(mask, c) for c in TURNS) == want
-        with pytest.raises(ValueError):
-            rev.step(1, "0")
+        for bad in ("0", "", "AB"):
+            with pytest.raises(ValueError):
+                rev.step(1, bad)
 
 
 def reference_preimages(host: Dfa, mask: int) -> tuple[int, int]:
@@ -384,8 +385,9 @@ def test_both_step_routes_match_the_per_state_loop():
             want = tuple(reference_step(host, mask, c) for c in TURNS)
             assert rev.successors(mask) == want
             assert tuple(rev.step(mask, c) for c in TURNS) == want
-        with pytest.raises(ValueError):
-            rev.step(1, "0")
+        for bad in ("0", "", "AB"):
+            with pytest.raises(ValueError):
+                rev.step(1, bad)
 
 
 def held_by_a_compiled_step(delta, masks) -> int:
@@ -428,22 +430,27 @@ ENGINE_GADGETS = (
 
 def test_engines_agree_on_corpus_and_gadgets(small_hosts):
     for host in small_hosts + ENGINE_GADGETS:
-        assert dfa_to_text(_reversal_winset_dfa(host)) == dfa_to_text(_forward_winset_dfa(host))
+        reversal = determinize_reverse(ReversalDfa(host).to_dfa())
+        assert dfa_to_text(reversal) == dfa_to_text(_forward_winset_dfa(host))
 
 
 @settings(max_examples=40, deadline=None)
 @given(dfas(max_states=7))
 def test_engines_agree_on_random_hosts(host):
-    assert dfa_to_text(_reversal_winset_dfa(host)) == dfa_to_text(_forward_winset_dfa(host))
+    reversal = determinize_reverse(ReversalDfa(host).to_dfa())
+    assert dfa_to_text(reversal) == dfa_to_text(_forward_winset_dfa(host))
 
 
 def test_hosts_over_the_threshold_take_the_forward_route(monkeypatch):
     deep, wide = lower_bound_dfa(2), exact_ones_dfa(6)
-    assert len(reverse_winset_dfa(deep).to_dfa().delta) > REVERSAL_SUBSETS
-    assert _reversal_winset_dfa(deep, max_subsets=REVERSAL_SUBSETS) is None
+    assert len(ReversalDfa(deep).to_dfa().delta) > REVERSAL_SUBSETS
+    with pytest.raises(BudgetExceededError):
+        ReversalDfa(deep).to_dfa(max_states=REVERSAL_SUBSETS)
     forward, calls = game._forward_winset_dfa, []
 
     def spy(host, max_game_states):
+        # the give-up is no longer being handled, so its traceback is freed
+        assert sys.exc_info() == (None, None, None)
         calls.append(host)
         return forward(host, max_game_states)
 
@@ -454,11 +461,15 @@ def test_hosts_over_the_threshold_take_the_forward_route(monkeypatch):
     assert calls == [deep]
 
 
-def test_reversal_route_budget_caps_the_result():
+def test_reversal_route_budget_caps_the_result(monkeypatch):
     host, size = exact_ones_dfa(4), exact_ones_wsize(4)
     assert winset_dfa(host, max_game_states=size).state_count == size
+    # a cap hit while determinizing is the caller's budget, not a give-up
+    calls = []
+    monkeypatch.setattr(game, "_forward_winset_dfa", lambda *args: calls.append(args))
     with pytest.raises(BudgetExceededError):
         winset_dfa(host, max_game_states=size - 1)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
