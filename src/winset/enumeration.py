@@ -31,9 +31,9 @@ from typing import Callable, Iterator, NamedTuple, Optional
 
 from .automata import BINARY, STATE_BUDGET, Dfa, explore, preimages
 
-# The largest n run in full: `winset enumerate 6 --emit-witness w.dfa` at f998e4b,
-# guard raised to 6, gave max=15624 exhausted=true in 343.8 s wall at 20.8 MB
-# max RSS (one core of a 2-core Xeon VM, Python 3.11.7).
+# The largest n run in full: `winset enumerate 6 --emit-witness w.dfa`, on the
+# commit after dd51bd9, gave max=15624 exhausted=true in 228.1 s wall at 20.9 MB
+# max RSS (one core of a 2-core Xeon VM, Python 3.11.7; 343.8 s at f998e4b).
 SIZE_GUARD = 6
 
 
@@ -85,6 +85,33 @@ def _relabelings(
         yield tuple(relabeled)
 
 
+def _is_canonical(delta: tuple[tuple[int, int], ...], n: int) -> bool:
+    """Whether the breadth-first ordered ``delta`` is the least encoding of
+    its relabelings fixing 0.  The least is breadth-first ordered (see
+    :func:`_bfs_ordered`): a BFS from 0 reads each row and names new targets
+    by the least unused numbers, in either order when there are two, so at
+    most 2^⌊(n-1)/2⌋ orders, not (n-1)! relabelings, are compared.  A row is
+    final once read, so an order stops at its first row unequal to delta's."""
+    stack = [([0], 0)]  # (the states by their new labels, next row)
+    while stack:
+        order, start = stack.pop()
+        for q in range(start, n):
+            a, b = delta[order[q]]
+            if a not in order:
+                if a != b and b not in order:
+                    stack.append((order + [b, a], q))
+                order.append(a)
+            if b not in order:
+                order.append(b)
+            x, y = order.index(a), order.index(b)
+            row = (x, y) if x <= y else (y, x)
+            if row < delta[q]:
+                return False
+            if row > delta[q]:
+                break
+    return True
+
+
 def _structures(n: int, canonical: bool) -> Iterator[tuple[int, tuple[tuple[int, int], ...]]]:
     """``(position, delta)`` for every canonical transition structure (the
     least encoding among its relabelings) or, without ``canonical``, for
@@ -92,7 +119,7 @@ def _structures(n: int, canonical: bool) -> Iterator[tuple[int, tuple[tuple[int,
     other distinct relabelings.  ``position`` counts the breadth-first
     candidates of :func:`_bfs_ordered` tried so far, kept or not."""
     for position, delta in enumerate(_bfs_ordered(n), start=1):
-        if all(r >= delta for r in _relabelings(delta, n)):
+        if _is_canonical(delta, n):
             for relabeled in (delta,) if canonical else dict.fromkeys(_relabelings(delta, n)):
                 yield position, relabeled
 
@@ -111,13 +138,19 @@ def _hosts(delta: tuple[tuple[int, int], ...], n: int) -> Iterator[Dfa]:
 def _structure_sizes(delta: tuple[tuple[int, int], ...], n: int) -> list[int]:
     """The minimal winning-set DFA size of every host on one structure,
     indexed by final mask; equal to ``winset_dfa(host).state_count``."""
-    pre = preimages(delta)
+    # pre[m] = p0 | p1 << n, p_i the states moving into m on symbol i; as
+    # preimages distribute over unions, pre[m | 1 << t] = pre[m] | pre[1 << t].
+    full = (1 << n) - 1
+    src = [0] * n
+    for q, (a, b) in enumerate(delta):
+        src[a] |= 1 << q
+        src[b] |= 1 << q + n
+    pre = [0]
+    for s in src:
+        pre += [p | s for p in pre]
     masks = range(1 << n)
     # G: the reversal map's A and B successors of every host state-set
-    graph = []
-    for m in masks:
-        p0, p1 = pre(m)
-        graph.append((p0 | p1, p0 & p1))
+    graph = [(p & full | p >> n, p & full & p >> n) for p in pre]
     # reach[m]: the masks reachable from m in G, itself included, as a set
     # of masks; a fixed point over 2^n masks (64 at n = 6)
     reach = [1 << m | 1 << a | 1 << b for m, (a, b) in enumerate(graph)]
@@ -141,13 +174,12 @@ def _structure_sizes(delta: tuple[tuple[int, int], ...], n: int) -> list[int]:
     # where U is everything reached from odd under the unmasked pre_G:
     # one exploration serves every final set.
     U, _ = explore(odd, preimages(tuple(graph)), STATE_BUDGET, "subsets")
-    full = (1 << n) - 1
-    sizes = [0] * (1 << n)
+    sizes, counts = [], {}  # a size depends on F only through R_F
     for f in masks:
-        if full ^ f < f:
-            sizes[f] = sizes[full ^ f]  # complement duality
-            continue
-        sizes[f] = len({x & reach[f] for x in U})
+        rf = reach[min(f, full ^ f)]  # complement duality: F and full ^ F tie
+        if rf not in counts:
+            counts[rf] = len({x & rf for x in U})
+        sizes.append(counts[rf])
     return sizes
 
 

@@ -286,6 +286,23 @@ def test_progress_total_counts_bfs_candidates():
     assert [done for done, _ in calls] == [p for p, _ in _structures(3, True)]
 
 
+def test_breadth_first_canonicity_matches_all_relabelings_on_n5_candidates():
+    kept = [d for d in _bfs_ordered(5) if all(r >= d for r in _relabelings(d, 5))]
+    assert [d for _, d in _structures(5, True)] == kept
+
+
+def test_structure_sizes_match_winset_dfa_on_seeded_n6_structures():
+    rng = random.Random(6)
+    sample = set()
+    while len(sample) < 80:
+        delta = tuple(tuple(sorted((rng.randrange(6), rng.randrange(6)))) for _ in range(6))
+        if _reaches_all_by_dfs(delta, 6):
+            sample.add(_least_relabeling(delta, 6))
+    for delta in sorted(sample):
+        sizes = _structure_sizes(delta, 6)
+        assert sizes == [winset_dfa(host).state_count for host in _hosts(delta, 6)]
+
+
 def test_bfs_candidate_and_canonical_counts():
     assert [sum(1 for _ in _bfs_ordered(n)) for n in range(1, 6)] == [1, 6, 72, 1080, 20925]
     assert sum(1 for _ in _structures(5, True)) == 10398
