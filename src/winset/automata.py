@@ -438,10 +438,10 @@ def determinize(n: Nfa) -> Dfa:
     return Dfa(alphabet=n.alphabet, delta=tuple(rows), initial=0, finals=finals)
 
 
-# The reversal step's two routes, chosen per mask.  Tables of at most
+# The reversal step's routes, chosen per mask.  Tables of at most
 # _GATHER_STATES states take the gather alone.  On larger ones a mask whose
 # smaller side (its set or its cleared bits) has k bits takes the sparse
-# route when _SPARSE_DENSITY * k <= n, and the gather otherwise.  Swept on
+# route when _SPARSE_DENSITY * k <= n, and the dense route otherwise.  Swept on
 # random hosts (two sources per target on average), in microseconds per
 # step, gather/sparse, on a 2-core Xeon VM with Python 3.11: the gather
 # costs about 0.028 us per state whatever the mask holds (2.3 at n = 64,
@@ -455,15 +455,28 @@ def determinize(n: Nfa) -> Dfa:
 # 0.03-0.06 us to a step that takes the gather.
 #
 # A state with more than n/_HEAVY_SHARE sources sends every mask whose
-# walked side holds it to the gather: each source costs the sparse route
-# about 0.06 us, so a dead state that all others fall into made a
+# walked side holds it to the dense route: each source costs the sparse
+# route about 0.06 us, so a dead state that all others fall into made a
 # 1,000-state host's sparse steps twice as slow as the gather (151-152
 # against 78 us, 630-750 against 320-340 at 4,467 states); with this
 # limit they cost what the gather does.  In the reversal automaton such a
 # state, never in a mask, is on the walked side of every co-sparse one.
+#
+# The dense route is the shift step when the table has at most _SHIFT_RUNS
+# distinct offsets, and the gather otherwise.  Swept on banded tables with
+# mid-density masks, in microseconds per step, gather/shift, on the same
+# VM (whose cores then ran about 2x slower than in the sweep above): the
+# shift step costs about 0.25 us plus 0.12-0.25 us per offset up to a few
+# thousand states, and stays far below the gather above that.  At 30-32
+# offsets it is 3.7/3.5 at n = 65, 8.7/5.7 at 100, 16/8.1 at 202, 70/9.6
+# at 1,000, 195/18.5 at 4,467 and 1,054/66 at 25,000; at 47-60 offsets it
+# loses at n = 65 and 100 (3.6/5.4, 8.3/9.9).  So the cap sits where the
+# smallest tables break even, and the shift table holds at most
+# _SHIFT_RUNS integers of 2n bits each.
 _GATHER_STATES = 64
 _SPARSE_DENSITY = 10
 _HEAVY_SHARE = 16
+_SHIFT_RUNS = 32
 
 
 def preimages(delta: tuple[tuple[int, int], ...]) -> Callable[[int], tuple[int, int]]:
@@ -473,32 +486,59 @@ def preimages(delta: tuple[tuple[int, int], ...]) -> Callable[[int], tuple[int, 
     bit ``delta[q][i]`` of ``mask``: the states that move into ``mask`` on
     symbol i.  Bits of ``mask`` at or above ``n = len(delta)`` are ignored.
 
-    Two routes give the same answer.  The gather picks all 2n digits of
+    Three routes give the same answer.  The gather picks all 2n digits of
     ``p0`` and ``p1`` out of the binary digits of ``mask`` at once: a few
     passes of C-level work, O(n) whatever the mask holds.  The sparse route
     walks only the set bits t of ``mask`` and sets the bits of t's sources,
     O(k * indegree + n/8) for k set bits.  When more than half the bits are
     set it walks the cleared ones instead, since ``pre_i(~m) = ~pre_i(m)``
-    for a total table.  Tables of more than ``_GATHER_STATES`` states pick
-    the route per mask, by ``_SPARSE_DENSITY`` and by whether the walked
-    side holds a state with more than n/``_HEAVY_SHARE`` sources.  The
-    sparse route's table of sources, O(n) in size, is built on its first
-    use.
+    for a total table.  The shift step groups the transitions by their
+    offset, target minus source, and gets both preimages with a shift, an
+    AND and an OR per offset: O(#offsets) big-integer operations, see
+    :func:`_shift_step`.  It exists only for tables with at most
+    ``_SHIFT_RUNS`` offsets, as breadth-first numbered chains and cycles
+    are.
+
+    Tables of at most ``_GATHER_STATES`` states take the gather alone.
+    Larger ones pick the route per mask: the sparse route by
+    ``_SPARSE_DENSITY`` and by whether the walked side holds a state with
+    more than n/``_HEAVY_SHARE`` sources, else the dense route, which is the
+    shift step where it exists and the gather otherwise.  The sparse
+    route's table of sources and the shift step's table of offsets, each
+    O(n) in size, are built on their route's first use.
     """
+    return _preimages(delta)[0]
+
+
+def _preimages(delta, dense=None):
+    """:func:`preimages` of ``delta``, and a one-item list counting the
+    steps that took the gather.  A ``dense`` step given here, the
+    :func:`_shift_step` of ``delta``, is the dense route from the start."""
     n = len(delta)
     full = (1 << n) - 1
     guard = full + 1
     # bin(mask | guard) is "0b1" and then bit t at index n+2-t; the gathered
     # 2n digits are p0 then p1, most significant first
     pick = itemgetter(*[n + 2 - row[i] for i in (0, 1) for row in reversed(delta)])
+    gathers = [0]
 
     def gather(mask: int) -> tuple[int, int]:
         x = int("".join(pick(bin(mask & full | guard))), 2)
         return x >> n, x & full
 
     if n <= _GATHER_STATES:
-        return gather
+        return gather, gathers
 
+    def counted_gather(mask: int) -> tuple[int, int]:
+        gathers[0] += 1
+        return gather(mask)
+
+    def first_dense(mask: int) -> tuple[int, int]:
+        nonlocal dense
+        dense = _shift_step(delta) or counted_gather
+        return dense(mask)
+
+    dense = dense or first_dense
     lo = n // _SPARSE_DENSITY  # the sparse route takes k <= lo or k >= n - lo
     hi = n - lo
     nbytes = (n + 7) >> 3
@@ -511,7 +551,7 @@ def preimages(delta: tuple[tuple[int, int], ...]) -> Callable[[int], tuple[int, 
         mask &= full
         k = mask.bit_count()
         if lo < k < hi:
-            return gather(mask)
+            return dense(mask)
         if not sources:
             # sources[i]: the states moving into the bit at index i of
             # bin(mask | guard), those on symbol 1 offset by shift; an index
@@ -525,7 +565,7 @@ def preimages(delta: tuple[tuple[int, int], ...]) -> Callable[[int], tuple[int, 
         flip = full if 2 * k > n else 0
         walked = mask ^ flip
         if walked & heavy:
-            return gather(mask)
+            return dense(mask)
         out = bytearray(2 * nbytes)
         digits = bin(walked | guard)
         i = digits.find("1", 3)
@@ -536,7 +576,53 @@ def preimages(delta: tuple[tuple[int, int], ...]) -> Callable[[int], tuple[int, 
         x = int.from_bytes(out, "little")
         return (x & full) ^ flip, (x >> shift) ^ flip
 
-    return pre
+    return pre, gathers
+
+
+def _shift_step(delta):
+    """The shift step of ``delta``: ``step(mask) -> (p0, p1)`` for masks
+    below ``2**n``, or None when the table has more than ``_SHIFT_RUNS``
+    distinct offsets.
+
+    Read ``p0 | p1 << n`` as one buffer.  Its bit q comes from bit
+    ``t = delta[q][0]`` of the mask, and its bit ``n + q`` from bit
+    ``t = delta[q][1]``; in ``m2 = mask | mask << n`` both sit d = t - q
+    places above the buffer bit, d being the transition's offset.  So the
+    buffer is the OR, over the offsets d, of ``(m2 >> d) & S_d``, where
+    ``S_d`` holds the buffer bits whose transition has offset d.  ``m2`` is
+    shifted up by ``base``, the largest negative offset's size, so that
+    every shift is to the right.
+    """
+    n = len(delta)
+    # a scattered table shows it in its first rows, at a small fixed cost
+    if len({t - q for q, row in enumerate(delta[:_SHIFT_RUNS]) for t in row}) > _SHIFT_RUNS:
+        return None
+    offsets = [t0 - q for q, (t0, _) in enumerate(delta)]
+    offsets += [t1 - q for q, (_, t1) in enumerate(delta)]
+    distinct = sorted(set(offsets))
+    if len(distinct) > _SHIFT_RUNS:
+        return None
+    # one byte per buffer bit, the rank of its offset; S_d is read off the
+    # bytes equal to d's rank, most significant first
+    rank = {d: i for i, d in enumerate(distinct)}
+    codes = bytes(map(rank.__getitem__, reversed(offsets)))
+    base = max(0, -distinct[0])
+    runs = []
+    for i, d in enumerate(distinct):
+        digits = bytearray(b"0" * 256)
+        digits[i] = ord("1")
+        runs.append((d + base, int(codes.translate(digits), 2)))
+    full = (1 << n) - 1
+    top = n + base
+
+    def step(mask: int) -> tuple[int, int]:
+        m2 = mask << base | mask << top
+        x = 0
+        for r, s in runs:
+            x |= m2 >> r & s
+        return x & full, x >> n
+
+    return step
 
 
 def determinize_reverse(d: Dfa, budget: int = STATE_BUDGET) -> Dfa:

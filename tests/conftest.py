@@ -28,6 +28,17 @@ def random_host(rng: random.Random, n: int) -> Dfa:
     return Dfa(alphabet=("0", "1"), delta=delta, initial=0, finals=finals)
 
 
+def relabeled(host: Dfa, rng: random.Random) -> Dfa:
+    """The host with its states renumbered by a seeded permutation."""
+    perm = list(range(host.state_count))
+    rng.shuffle(perm)
+    delta = [None] * host.state_count
+    for q, (t0, t1) in enumerate(host.delta):
+        delta[perm[q]] = (perm[t0], perm[t1])
+    return Dfa(alphabet=host.alphabet, delta=tuple(delta), initial=perm[host.initial],
+               finals=frozenset(perm[q] for q in host.finals))
+
+
 @st.composite
 def dfas(draw, max_states: int = 4) -> Dfa:
     """Complete binary DFAs with 1 to ``max_states`` states, initial state 0."""

@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from winset import automata
+from winset import automata, decision
 from winset.automata import Dfa, Nfa, accepts, enumerate_words, nfa_accepts
 from winset.circuits import circuit_value_instance, iterated_instance, or_with_index, parse_circuit
 from winset.cli import _build_parser
@@ -12,7 +12,7 @@ from winset.decision import intersect_nonempty, member
 from winset.game import BudgetExceededError, ReversalDfa, winset_dfa
 from winset.gadgets import exact_ones_dfa, exact_ones_winset_member
 from winset.oracle import alice_wins, dfa_predicate
-from .conftest import random_host, words_upto
+from .conftest import random_host, relabeled, words_upto
 
 PARITY = Dfa(alphabet=("0", "1"), delta=((0, 1), (1, 0)), initial=0, finals=frozenset({1}))
 
@@ -48,6 +48,20 @@ def test_member_agrees_with_oracle():
             t = dfa_predicate(host, n)
             for word in enumerate_words("AB", n):
                 assert member(host, word) == alice_wins(t, word)
+
+
+def test_member_rejects_what_the_reversal_automaton_rejects():
+    turn_host = Dfa(alphabet=("A", "B"), delta=((0, 0),), initial=0, finals=frozenset())
+    with pytest.raises(ValueError, match="host DFA must be over the 01 alphabet"):
+        member(turn_host, "x")
+    # the letter named is the first bad one the reversed walk reads
+    for host in (PARITY, exact_ones_dfa(100)):
+        for w in ("AxByA", "0", "ABa", "A" * 90 + "AB AB"):
+            with pytest.raises(ValueError) as want:
+                ReversalDfa(host).accepts(w[::-1])
+            with pytest.raises(ValueError) as got:
+                member(host, w)
+            assert str(got.value) == str(want.value), w
 
 
 def test_intersect_empty():
@@ -150,6 +164,112 @@ def test_member_on_a_large_exact_ones_host():
         sparse, dense = sparse + s, dense + d
     assert answers == {False, True}
     assert sparse > 0 and dense > 0
+
+
+def renumberings(monkeypatch) -> list:
+    """What each of member's breadth-first renumberings returns, in order:
+    None where the renumbered table has no shift step."""
+    real, seen = decision._banded, []
+
+    def spy(host, mask):
+        seen.append(real(host, mask))
+        return seen[-1]
+
+    monkeypatch.setattr(decision, "_banded", spy)
+    return seen
+
+
+def reference_member(host: Dfa, w: str) -> bool:
+    """``member`` as a loop over the host states per letter."""
+    m = {q for q in range(host.state_count) if q in host.finals}
+    for c in reversed(w):
+        has = [host.delta[q][i] in m for q in range(host.state_count) for i in (0, 1)]
+        pick = any if c == "A" else all
+        m = {q for q in range(host.state_count) if pick(has[2 * q:2 * q + 2])}
+    return host.initial in m
+
+
+def test_member_switches_to_the_shift_step_on_a_relabeled_exact_ones_host(monkeypatch):
+    rng = random.Random(301)
+    n = 300
+    host = relabeled(exact_ones_dfa(n), rng)
+    # its own numbering is too scattered for the shift step
+    assert automata._shift_step(host.delta) is None
+    seen = renumberings(monkeypatch)
+    answers = set()
+    for i in range(12):
+        length = n + 5 * i
+        b = 5 * i + 1 if i % 3 == 0 else rng.randint(0, 5 * i)
+        letters = ["A"] * (length - b) + ["B"] * b
+        rng.shuffle(letters)
+        word = "".join(letters)
+        want = exact_ones_winset_member(n, word)
+        assert member(host, word) == want, word
+        answers.add(want)
+    assert answers == {False, True}
+    # a walk renumbers at most once, and only a walk whose set dies early
+    # takes too few gathers to; every renumbered table has the shift step
+    assert 10 <= len(seen) <= 12 and None not in seen
+
+
+def test_member_renumbers_circuit_hosts_with_unreachable_states(monkeypatch):
+    # their walks take no gather, so renumber before the first letter
+    monkeypatch.setattr(decision, "_RENUMBER_AFTER", 0)
+    seen = renumberings(monkeypatch)
+    rng = random.Random(1156)
+    answers = set()
+    for _ in range(2):
+        c = deep_circuit(rng, 4, 15)
+        for bits in product((False, True), repeat=4):
+            dfa, word = circuit_value_instance(c, bits)
+            host = relabeled(dfa, rng)
+            reachable, _ = automata.explore(host.initial, host.delta.__getitem__,
+                                            host.state_count, "states")
+            assert len(reachable) < host.state_count and host.initial != 0
+            want = c.evaluate(bits)[0]
+            assert member(host, word) == want, (c, bits)
+            answers.add(want)
+    assert answers == {False, True}
+    assert len(seen) == 32 and None not in seen
+
+
+def test_member_does_not_renumber_after_its_last_letter(monkeypatch):
+    rng = random.Random(77)
+    n, k = 200, decision._RENUMBER_AFTER
+    host = relabeled(exact_ones_dfa(n), rng)
+    word = "AB" * 25 + "A" * n
+    # the number of letters the reversed walk reads up to its k-th gather
+    pre, gathers = automata._preimages(host.delta)
+    m = automata._mask(host.finals)
+    for j, c in enumerate(reversed(word), 1):
+        p0, p1 = pre(m)
+        m = p0 & p1 if c == "B" else p0 | p1
+        if gathers[0] == k:
+            break
+    assert gathers[0] == k and j < len(word)
+    seen = renumberings(monkeypatch)
+    for tail, renumbered in ((word[-j:], 0), (word[-j - 1:], 1)):
+        assert member(host, tail) == exact_ones_winset_member(n, tail)
+        assert len(seen) == renumbered
+        seen.clear()
+
+
+def test_member_stays_on_the_host_when_renumbering_gives_no_shift_step(monkeypatch):
+    rng = random.Random(4099)
+    host = random_host(rng, 120)
+    # a word whose walk keeps the set near half full, so nearly every step
+    # takes the gather: each letter is chosen against the set's size
+    rev, reversed_word = ReversalDfa(host), []
+    m = rev.initial_mask
+    for _ in range(120):
+        c = "A" if 2 * m.bit_count() < host.state_count else "B"
+        reversed_word.append(c)
+        m = rev.step(m, c)
+    word = "".join(reversed(reversed_word))
+    seen = renumberings(monkeypatch)
+    for w in (word, word[1:], word[2:]):
+        assert member(host, w) == reference_member(host, w)
+    assert seen == [None, None, None]
 
 
 def deep_circuit(rng: random.Random, inputs: int, gates: int):

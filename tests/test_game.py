@@ -40,7 +40,7 @@ from winset.game import (
     winset_nfa,
 )
 from winset.gadgets import chain_dfa, exact_ones_dfa, exact_ones_wsize, lower_bound_dfa
-from .conftest import dfas, random_host, words_upto
+from .conftest import dfas, random_host, relabeled, words_upto
 
 PARITY = Dfa(alphabet=("0", "1"), delta=((0, 1), (1, 0)), initial=0, finals=frozenset({1}))
 
@@ -312,7 +312,7 @@ def test_serialized_output_is_pinned(name, small_hosts):
 
 
 # ---------------------------------------------------------------------------
-# the reversal step: the gather, and the sparse route on large hosts
+# the reversal step: the gather, the sparse route and the shift step
 
 
 def reference_step(host: Dfa, mask: int, c: str) -> int:
@@ -414,6 +414,76 @@ def test_sparse_step_table_is_linear_and_lazy():
         # the sparse route's table is built on its first step, not before
         assert gather_only < 0.75 * held[n]
     # a table of predecessor masks would grow 4x
+    assert held[50_000] < 2.5 * held[25_000]
+
+
+def table_with_offsets(n: int, offsets) -> tuple[tuple[int, int], ...]:
+    """An n-state table whose transitions have exactly ``offsets`` as their
+    offsets, target minus source; 0 must be one of them.  State q moves by
+    the (q mod len)-th offset on 0 where that stays in range, and stays put
+    on 1."""
+    offsets = list(offsets)
+    rows = []
+    for q in range(n):
+        t = q + offsets[q % len(offsets)]
+        rows.append((t if 0 <= t < n else q, q))
+    return tuple(rows)
+
+
+def test_shift_step_matches_the_per_state_loop():
+    rng = random.Random(1907)
+    cap = automata._SHIFT_RUNS
+    banded = {
+        "chain": chain_dfa(150, range(0, 149, 3)).delta,
+        # offsets 1 and -3, and -(n - 1) and n - 3 where the cycle wraps
+        "cycle": tuple(((q + 1) % 131, (q - 3) % 131) for q in range(131)),
+        "exact-ones, breadth-first": minimize(relabeled(exact_ones_dfa(200), rng)).delta,
+        "cap": table_with_offsets(300, range(-15, cap - 15)),
+    }
+    assert len({t - q for q, row in enumerate(banded["cap"]) for t in row}) == cap
+    # its offset past the cap first shows beyond the rows checked up front
+    scattered = table_with_offsets(300, range(-16, cap - 15))
+    assert len({t - q for q, row in enumerate(scattered) for t in row}) == cap + 1
+    assert automata._shift_step(scattered) is None
+    for name, delta in [*banded.items(), ("cap + 1", scattered)]:
+        host = Dfa(alphabet=("0", "1"), delta=delta, initial=0, finals=frozenset())
+        n = len(delta)
+        pre, gathers = automata._preimages(delta)
+        for mask in masks_of_every_density(rng, n):
+            assert pre(mask) == reference_preimages(host, mask), (name, mask.bit_count())
+        # the dense masks took the shift step, or the gather past the cap
+        assert (gathers[0] > 0) == (name == "cap + 1"), name
+        if name != "cap + 1":
+            step = automata._shift_step(delta)
+            for mask in masks_of_every_density(rng, n):
+                assert step(mask & (1 << n) - 1) == reference_preimages(host, mask), name
+
+
+def test_shift_step_table_is_linear_and_lazy(monkeypatch):
+    build, built = automata._shift_step, []
+    monkeypatch.setattr(automata, "_shift_step", lambda delta: built.append(delta) or build(delta))
+    held = {}
+    for n in (25_000, 50_000):
+        delta = table_with_offsets(n, range(-15, automata._SHIFT_RUNS - 15))
+        pre, full = preimages(delta), (1 << n) - 1
+        pre(1 << n // 3)
+        pre(full ^ 1 << n // 3)
+        # the shift step's table is built on the first dense step, not before
+        assert built == []
+        pre(full >> n // 2)
+        pre(full >> n // 3)
+        assert built == [delta]
+        built.clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            step = build(delta)
+            held[n] = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert step is not None
+        # _SHIFT_RUNS masks of 2n bits each
+        assert held[n] >= automata._SHIFT_RUNS * 2 * n // 8
     assert held[50_000] < 2.5 * held[25_000]
 
 
