@@ -625,6 +625,45 @@ def _shift_step(delta):
     return step
 
 
+# ReversalDfa.accepts renumbers the host once its walk has taken
+# _RENUMBER_AFTER gather steps.  It is a ski-rental constant: the
+# renumbering costs about that many gathers, so a walk never pays much more
+# than twice what the better of renumbering at once and never renumbering
+# would cost.  Both costs are O(n), so the constant does not depend on the
+# host's size.  Measured in gathers on a 2-core Xeon VM with Python 3.11
+# (min of 7): 15-16 on a relabeled exact_ones_dfa(n) at n = 100 and 200,
+# 16-17 at 1,000 and 18 at 4,000, all of which end on the shift step; 9-10
+# on random hosts of 100 to 4,096 states, whose tables are too scattered
+# for it and are given up right after the breadth-first search.  On the
+# benchmark's 60 exact-ones words (seeds 21-23, in-process, min of 5) the
+# walks took 46-47 ms at 8, 50-52 at 16, 59 at 32 and 125-134 ms never
+# renumbering.
+_RENUMBER_AFTER = 16
+
+
+def _banded(host: Dfa, mask: int):
+    """The host's reachable part, numbered breadth-first as
+    :func:`minimize` trims it: its compiled preimage map and ``mask`` in the
+    new numbers, or None when the new table's dense route would not be the
+    shift step.
+
+    Each reachable state moves to reachable ones, so on the reachable set R
+    the step commutes with the restriction, ``pre_i(m) & R = pre_i(m & R) &
+    R``, and the initial state, now 0, is in R: a walk ends in the same
+    answer on either table.
+    """
+    n = host.state_count
+    order, rows = explore(host.initial, host.delta.__getitem__, n, "states")
+    delta = tuple(rows)
+    step = _shift_step(delta) if len(delta) > _GATHER_STATES else None
+    if step is None:
+        return None
+    # bit j of the carried mask is bit order[j] of mask, read from bin(mask | 1 << n)
+    pick = itemgetter(*[n + 2 - q for q in reversed(order)])
+    carried = int("".join(pick(bin(mask | 1 << n))), 2)
+    return _preimages(delta, step)[0], carried
+
+
 def determinize_reverse(d: Dfa, budget: int = STATE_BUDGET) -> Dfa:
     """Subset construction on the reverse of ``d``: a DFA for the reversed
     language, numbered breadth-first like :func:`minimize`.

@@ -28,12 +28,6 @@ def _emit_dfa(d: Dfa, fmt: str) -> str:
     return automata.dfa_to_text(d)
 
 
-def _check_turn_word(w: str) -> str:
-    if any(c not in ("A", "B") for c in w):
-        raise FormatError(f"turn word must be over A/B, got {w!r}")
-    return w
-
-
 def _target(spec: str, n: int) -> oracle.TargetPredicate:
     if spec == "dyck":
         return oracle.dyck_predicate(n)
@@ -78,7 +72,7 @@ def _cmd_congruent(args) -> int:
 
 
 def _cmd_decide_member(args) -> int:
-    ok = decision.member(_read_dfa(args.dfa), _check_turn_word(args.word))
+    ok = decision.member(_read_dfa(args.dfa), args.word)
     print("member" if ok else "not member")
     return 0 if ok else 1
 
@@ -94,8 +88,7 @@ def _cmd_decide_intersect(args) -> int:
 
 
 def _cmd_oracle_member(args) -> int:
-    w = _check_turn_word(args.word)
-    ok = oracle.alice_wins(_target(args.target, len(w)), w)
+    ok = oracle.alice_wins(_target(args.target, len(args.word)), args.word)
     print("member" if ok else "not member")
     return 0 if ok else 1
 

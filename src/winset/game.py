@@ -19,14 +19,16 @@ from .automata import (
     BudgetExceededError,
     Dfa,
     Nfa,
+    _RENUMBER_AFTER,
+    _banded,
     _bisimilar,
     _image,
     _mask,
+    _preimages,
     _quotient,
     coaccessible,
     determinize_reverse,
     explore,
-    preimages,
 )
 
 GameState = tuple[int, ...]
@@ -273,14 +275,16 @@ class ReversalDfa:
     successor in the current set, reading B those with *both*: with
     pre₀/pre₁ the preimages under the host's two symbols, A maps m to
     pre₀(m) | pre₁(m) and B to pre₀(m) & pre₁(m).  A set is final iff it
-    contains the host initial state.  Transitions are computed per step, so
-    membership queries never materialize 2^n states.
+    contains the host initial state.  The host's preimage map is compiled
+    once, in the constructor, and transitions are computed per step, so
+    membership queries never materialize 2^n states.  Masks passed in and
+    returned are in the host's own state numbers.
     """
 
     def __init__(self, host: Dfa):
         _require_binary(host)
         self.host = host
-        self._pre = preimages(host.delta)
+        self._pre, self._gathers = _preimages(host.delta)
         self.initial_mask = _mask(host.finals)
 
     def successors(self, mask: int) -> tuple[int, int]:
@@ -297,10 +301,41 @@ class ReversalDfa:
         return bool((mask >> self.host.initial) & 1)
 
     def accepts(self, word: str) -> bool:
+        """Does the automaton accept ``word``, a turn word read backwards?
+
+        Walks a single subset of host states through the word.  With n host
+        states that is O(|word| * n) time at worst; on large hosts a step
+        from a sparse or co-sparse subset costs less, as
+        :func:`~winset.automata.preimages` describes.  After
+        ``_RENUMBER_AFTER`` steps of this walk that took the O(n) gather,
+        the host's reachable part is renumbered breadth-first, once, in
+        O(n).  When that table has the shift step, the walk goes on there,
+        and each dense step costs O(#offsets) big-integer operations: two on
+        :func:`~winset.gadgets.exact_ones_dfa`.  A letter other than A or B
+        raises ``ValueError`` naming the first one in ``word``.
+        """
+        if word.count("A") + word.count("B") != len(word):
+            bad = next(c for c in word if c not in TURNS)
+            raise ValueError(f"turn symbol must be A or B, got {bad!r}")
+        pre, gathers = self._pre, self._gathers
+        # successors and earlier walks count their gathers here too
+        stop = gathers[0] + _RENUMBER_AFTER
         m = self.initial_mask
-        for c in word:
-            m = self.step(m, c)
-        return self.is_final(m)
+        for i, c in enumerate(word):
+            if gathers[0] == stop:
+                break
+            p0, p1 = pre(m)
+            m = p0 & p1 if c == "B" else p0 | p1
+        else:
+            return self.is_final(m)
+        initial = self.host.initial
+        banded = _banded(self.host, m)
+        if banded is not None:
+            (pre, m), initial = banded, 0
+        for c in word[i:]:
+            p0, p1 = pre(m)
+            m = p0 & p1 if c == "B" else p0 | p1
+        return bool(m >> initial & 1)
 
     def to_dfa(self, *, max_states: int = STATE_BUDGET) -> Dfa:
         """Materialize the reachable part as an explicit DFA."""

@@ -95,7 +95,9 @@ def winning_slice(t: TargetPredicate) -> set[str]:
 
 def dyck_predicate(n: int) -> TargetPredicate:
     """Balanced-parentheses words of length n; 0 opens, 1 closes."""
-    if n < 0 or n % 2:
+    if n < 0:
+        raise ValueError("length must be nonnegative")
+    if n % 2:
         raise ValueError(f"no balanced word has odd length {n}")
 
     def member(v: str) -> bool:

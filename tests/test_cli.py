@@ -101,6 +101,12 @@ def test_decide_member(parity_file, capsys):
     assert main(["decide", "member", parity_file, "X"]) == 2
 
 
+def test_member_commands_name_the_bad_turn_letter(parity_file, capsys):
+    for argv in (["decide", "member", parity_file, "ABX"], ["oracle", "member", "parity", "ABX"]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err == "error: turn symbol must be A or B, got 'X'\n", argv
+
+
 def test_decide_intersect(tmp_path, parity_file, capsys):
     bstar = tmp_path / "b.nfa"
     bstar.write_text("nfa 1 AB\ninitial 0\nfinals 0\n0 B 0\n")
@@ -165,6 +171,8 @@ def test_oracle_slice(capsys):
     assert capsys.readouterr().out == "AAAA\nAAAB\nABAA\nBAAA\n"
     assert main(["oracle", "slice", "parity", "25"]) == 2  # over the limit
     assert "exceeds the limit" in capsys.readouterr().err
+    assert main(["oracle", "slice", "dyck", "-2"]) == 2
+    assert capsys.readouterr().err == "error: length must be nonnegative\n"
 
 
 def test_oracle_slice_from_file(parity_file, capsys):

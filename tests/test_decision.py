@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from winset import automata, decision
+from winset import automata, game
 from winset.automata import Dfa, Nfa, accepts, enumerate_words, nfa_accepts
 from winset.circuits import circuit_value_instance, iterated_instance, or_with_index, parse_circuit
 from winset.cli import _build_parser
@@ -55,13 +55,13 @@ def test_member_rejects_what_the_reversal_automaton_rejects():
     with pytest.raises(ValueError, match="host DFA must be over the 01 alphabet"):
         member(turn_host, "x")
     # the letter named is the first bad one the reversed walk reads
+    named = {"AxByA": "'y'", "0": "'0'", "1AB0": "'0'", "ABa": "'a'", "A" * 90 + "AB AB": "' '"}
     for host in (PARITY, exact_ones_dfa(100)):
-        for w in ("AxByA", "0", "ABa", "A" * 90 + "AB AB"):
-            with pytest.raises(ValueError) as want:
-                ReversalDfa(host).accepts(w[::-1])
-            with pytest.raises(ValueError) as got:
-                member(host, w)
-            assert str(got.value) == str(want.value), w
+        for w, bad in named.items():
+            for walk in (lambda: member(host, w), lambda: ReversalDfa(host).accepts(w[::-1])):
+                with pytest.raises(ValueError) as got:
+                    walk()
+                assert str(got.value) == f"turn symbol must be A or B, got {bad}", w
 
 
 def test_intersect_empty():
@@ -166,16 +166,20 @@ def test_member_on_a_large_exact_ones_host():
     assert sparse > 0 and dense > 0
 
 
-def renumberings(monkeypatch) -> list:
-    """What each of member's breadth-first renumberings returns, in order:
-    None where the renumbered table has no shift step."""
-    real, seen = decision._banded, []
+def renumberings(monkeypatch, masks=None) -> list:
+    """What each of the reversal walk's breadth-first renumberings returns,
+    in order: None where the renumbered table has no shift step.  The masks
+    they start from go to ``masks``, if given."""
+    real, seen = automata._banded, []
 
     def spy(host, mask):
+        if masks is not None:
+            masks.append(mask)
         seen.append(real(host, mask))
         return seen[-1]
 
-    monkeypatch.setattr(decision, "_banded", spy)
+    # the walk looks the name up in game, which imports it from automata
+    monkeypatch.setattr(game, "_banded", spy)
     return seen
 
 
@@ -212,9 +216,53 @@ def test_member_switches_to_the_shift_step_on_a_relabeled_exact_ones_host(monkey
     assert 10 <= len(seen) <= 12 and None not in seen
 
 
+def renumbered_mask(host: Dfa, w: str):
+    """The mask from which the reversed walk of ``w`` renumbers the host:
+    the one after the walk's ``_RENUMBER_AFTER``-th gather, counted on a
+    fresh compiled map, or None when no letter is left to read by then."""
+    pre, gathers = automata._preimages(host.delta)
+    m = automata._mask(host.finals)
+    for c in reversed(w):
+        if gathers[0] == automata._RENUMBER_AFTER:
+            return m
+        p0, p1 = pre(m)
+        m = p0 & p1 if c == "B" else p0 | p1
+    return None
+
+
+def test_one_reversal_automaton_renumbers_once_per_walk(monkeypatch):
+    rng = random.Random(302)
+    n = 300
+    host = relabeled(exact_ones_dfa(n), rng)
+    rev = ReversalDfa(host)
+    masks = []
+    seen = renumberings(monkeypatch, masks)
+    # every other state: a mid-density mask, whose step takes the gather
+    mid = int("01" * host.state_count, 2) & (1 << host.state_count) - 1
+    answers, renumbered = set(), 0
+    for i in range(12):
+        length = n + 5 * i
+        b = 5 * i + 1 if i % 3 == 0 else rng.randint(0, 5 * i)
+        letters = ["A"] * (length - b) + ["B"] * b
+        rng.shuffle(letters)
+        word = "".join(letters)
+        want = exact_ones_winset_member(n, word)
+        start = renumbered_mask(host, word)
+        assert rev.accepts(word[::-1]) == want, word
+        answers.add(want)
+        # gathers are counted from the walk's own start, whatever successors
+        # calls and earlier walks on the same automaton took
+        assert masks == ([] if start is None else [start]), i
+        renumbered += start is not None
+        masks.clear()
+        rev.successors(mid)
+    assert answers == {False, True}
+    assert renumbered >= 10 and len(seen) == renumbered and None not in seen
+
+
 def test_member_renumbers_circuit_hosts_with_unreachable_states(monkeypatch):
     # their walks take no gather, so renumber before the first letter
-    monkeypatch.setattr(decision, "_RENUMBER_AFTER", 0)
+    monkeypatch.setattr(game, "_RENUMBER_AFTER", 0)
     seen = renumberings(monkeypatch)
     rng = random.Random(1156)
     answers = set()
@@ -235,7 +283,7 @@ def test_member_renumbers_circuit_hosts_with_unreachable_states(monkeypatch):
 
 def test_member_does_not_renumber_after_its_last_letter(monkeypatch):
     rng = random.Random(77)
-    n, k = 200, decision._RENUMBER_AFTER
+    n, k = 200, automata._RENUMBER_AFTER
     host = relabeled(exact_ones_dfa(n), rng)
     word = "AB" * 25 + "A" * n
     # the number of letters the reversed walk reads up to its k-th gather

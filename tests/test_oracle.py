@@ -90,8 +90,12 @@ def test_dyck_basics():
     t = dyck_predicate(4)
     assert alice_wins(t, "AAAA")
     assert not alice_wins(t, "BBBB")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no balanced word has odd length 3"):
         dyck_predicate(3)
+    # a negative length is refused as such, not as an odd one
+    for n in (-2, -3):
+        with pytest.raises(ValueError, match="^length must be nonnegative$"):
+            dyck_predicate(n)
 
 
 def test_dfa_predicate_matches_language():
