@@ -29,6 +29,7 @@ from .automata import (
     coaccessible,
     determinize_reverse,
     explore,
+    preimages,
 )
 
 GameState = tuple[int, ...]
@@ -68,8 +69,8 @@ class _Host:
         self.coacc = _mask(coaccessible(host))
         # final states looping to themselves on both symbols
         self.acc_sink = _mask(q for q in host.finals if host.delta[q] == (q, q))
-        # per member mask, its normalized successors on each turn
-        self._step_memo: dict[str, dict[int, GameState]] = {"A": {}, "B": {}}
+        # per member mask, its normalized A and B images
+        self._memo: dict[int, tuple[GameState, GameState]] = {}
 
     def a_images(self, mask: int) -> tuple[int, ...]:
         """All images of the set ``mask`` under choice functions into {0,1}."""
@@ -109,20 +110,28 @@ class _Host:
                 members.add(m)
         return _minimal(members)
 
-    def step(self, g: Iterable[int], c: str) -> GameState:
-        """``normalize(successors(g, c))``, from per-member memos: the
-        minimal members of a union are those of the union of its parts'
-        minimal members."""
-        memo = self._step_memo.get(c)
-        if memo is None:
-            raise ValueError(f"turn symbol must be A or B, got {c!r}")
-        members = set()
+    def images(self, m: int) -> tuple[GameState, GameState]:
+        """The normalized A and B images of the member ``m``."""
+        return self.normalize(self.a_images(m)), self.normalize((self.b_image(m),))
+
+    def steps(self, g: Iterable[int]) -> tuple[GameState, GameState]:
+        """The A and the B step of ``g``, from per-member memos of
+        :meth:`images`: the minimal members of a union are those of the
+        union of its parts' minimal members."""
+        memo, a, b = self._memo, set(), set()
         for m in g:
-            image = memo.get(m)
-            if image is None:
-                image = memo[m] = self.normalize(self.successors((m,), c))
-            members.update(image)
-        return _minimal(members)
+            pair = memo.get(m)
+            if pair is None:
+                pair = memo[m] = self.images(m)
+            a.update(pair[0])
+            b.update(pair[1])
+        return _minimal(a), _minimal(b)
+
+    def step(self, g: Iterable[int], c: str) -> GameState:
+        """``normalize(successors(g, c))``."""
+        if c not in TURNS:
+            raise ValueError(f"turn symbol must be A or B, got {c!r}")
+        return self.steps(g)[c == "B"]
 
     def accepting(self, g: GameState) -> bool:
         fmask = self.fmask
@@ -131,8 +140,86 @@ class _Host:
     def equivalent(self, g: Iterable[int], h: Iterable[int]) -> bool:
         """Do two game states accept the same turn-order language?  Lazy
         bisimulation of the normalized game states."""
-        return _bisimilar(self.normalize(g), self.normalize(h), self.accepting,
-                          lambda x: (self.step(x, "A"), self.step(x, "B")))
+        return _bisimilar(self.normalize(g), self.normalize(h), self.accepting, self.steps)
+
+
+def _game_preorder(delta: tuple[tuple[int, int], ...], fmask: int) -> list[int]:
+    """The game preorder of a binary host: ``rel[p]`` is the mask of the
+    states q with p ⊑ q.
+
+    ⊑ is the greatest relation in which p ⊑ q implies (1) p ∈ F ⇒ q ∈ F,
+    (2) every successor p_i of p has a successor q_j of q with p_i ⊑ q_j,
+    and (3) every successor q_j of q has a successor p_i of p with
+    p_i ⊑ q_j.  Then Alice wins every turn word from q that she wins from
+    p, by induction on the word v: on the empty word by (1); on A·v she
+    wins from p iff she wins v from some p_i, hence by (2) from some q_j;
+    on B·v she wins from p iff she wins v from every p_i, hence by (3) from
+    every q_j.  An accepting sink is above every state and a state with no
+    path into F below every state.
+
+    Rows start at F for final states and at every state for the others and
+    shrink to the greatest fixpoint.  With (a_i, b_i) the preimages of
+    rel[δ_i(p)] on symbols 0 and 1, (2) keeps the q in (a_0|b_0) & (a_1|b_1)
+    and (3) those in (a_0|a_1) & (b_0|b_1); a row that shrinks puts its
+    state's predecessors back on the worklist.
+    """
+    n = len(delta)
+    pre = preimages(delta)
+    preds: list[set[int]] = [set() for _ in range(n)]
+    for p, row in enumerate(delta):
+        for t in row:
+            preds[t].add(p)
+    rel = [fmask if fmask >> p & 1 else (1 << n) - 1 for p in range(n)]
+    work = set(range(n))
+    while work:
+        p = work.pop()
+        a0, b0 = pre(rel[delta[p][0]])
+        a1, b1 = pre(rel[delta[p][1]])
+        row = rel[p] & (a0 | b0) & (a1 | b1) & (a0 | a1) & (b0 | b1)
+        if row != rel[p]:
+            rel[p] = row
+            work |= preds[p]
+    return rel
+
+
+class _Preordered(_Host):
+    """The forward engine's host: members held as up-closures under the
+    game preorder of :func:`_game_preorder`.
+
+    A member S of a game state stands for "Alice wins from every state of
+    S", which does not change when the states ⊑-above S are added.  So a
+    member is held as its up-closure ↑S, less the states above an accepting
+    sink, which win every word; a member whose closure holds a state with
+    no path into F, which wins none, is dropped.  The subset test of
+    :func:`_minimal` then also absorbs a member T when every state of
+    another member lies above some state of T.  A member steps from its
+    ⊑-minimal states, the lowest-numbered of each class of equivalent
+    states: by conditions (2) and (3) of :func:`_game_preorder`, the
+    closures of its images are the same as from all of its states.  A game
+    state accepts iff some member lies inside F, and F is up-closed.  The
+    game states differ from :func:`normalize`'s but accept the same
+    languages, so Hopcroft and the breadth-first renumbering give the same
+    minimal DFA.
+    """
+
+    def __init__(self, host: Dfa):
+        super().__init__(host)
+        rel = _game_preorder(host.delta, self.fmask)
+        keep = ~_image(self.acc_sink, rel)
+        self.up = [row & keep for row in rel]
+        # equivalent states have equal rows; above[q] holds the states above
+        # q but for q's equivalents of index at most q
+        classes: dict[int, int] = {}
+        for q, row in enumerate(rel):
+            classes[row] = classes.get(row, 0) | 1 << q
+        self.above = [row & ~(classes[row] & (2 << q) - 1) for q, row in enumerate(rel)]
+
+    def images(self, m: int) -> tuple[GameState, GameState]:
+        base = m & ~_image(m, self.above)
+        return tuple(
+            self.normalize(_image(x, self.up) for x in xs)
+            for xs in (self.a_images(base), (self.b_image(base),))
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +250,7 @@ def winning_step(host: Dfa, g: Iterable[int], c: str) -> GameState:
     On A every member expands to its images under all choice functions; on B
     each member collapses to the single set of all possible successors.  The
     result equals ``normalize(host, successors)`` whether or not ``g`` is
-    normalized: it is the engine's own step, :meth:`_Host.step`.
+    normalized: it is :meth:`_Host.step`.
     """
     return _Host(host).step(g, c)
 
@@ -213,10 +300,11 @@ def winset_nfa(host: Dfa) -> Nfa:
 # Reversal subsets past which winset_dfa leaves the reversal engine for the
 # forward one.  Measured: the reversal engine lost only on the game-state
 # factory and lower-bound gadgets, with many reversal subsets (589 to
-# 143,983) but small winning sets, by 3 ms at 589 and 64 ms at 3,947
-# subsets.  It won on every other host, by up to 600x on random 15-state
-# hosts, and a random 23-state host with 1,033 subsets took it 0.5 s where
-# the forward engine ran for over 6 minutes.  Giving up here costs ~7 ms.
+# 143,983) but small winning sets: 2.1 against 0.35 ms at 589 subsets and
+# 44 against 5.3 ms at 3,947; it won at 31 and 87.  It won on every other
+# host: three random 20- to 23-state hosts with 764 to 1,021 subsets took
+# it 0.5 to 1.9 s, and the forward engine 15 s, 27 s and over 40 s.
+# Giving up here costs ~4 ms.
 REVERSAL_SUBSETS = 2048
 
 
@@ -228,14 +316,15 @@ def winset_dfa(host: Dfa, *, max_game_states: int = STATE_BUDGET) -> Dfa:
     of that automaton, which yields the minimal DFA directly (Brzozowski's
     double reversal).  It runs first; if the reversal automaton has more
     than :data:`REVERSAL_SUBSETS` subsets, it gives up and the forward
-    engine runs instead: subset construction over normalized game states,
-    then Hopcroft minimization.
+    engine runs instead: subset construction over game states reduced by
+    the game preorder on host states, then Hopcroft minimization.
 
     ``max_game_states`` caps the states of the result on the reversal
-    route, and the normalized game states materialized before minimizing
-    on the forward route.  Past it :class:`BudgetExceededError` is raised;
-    the winning-set DFA can be doubly exponential in the host, so silent
-    truncation is never an option.
+    route, and on the forward route the game states materialized before
+    minimizing, counted after the preorder reduction.  Past it
+    :class:`BudgetExceededError` is raised; the winning-set DFA can be
+    doubly exponential in the host, so silent truncation is never an
+    option.
     """
     # the forward engine runs after the except clause, so the give-up's
     # traceback, which holds the reversal subsets, is freed before it
@@ -249,13 +338,11 @@ def winset_dfa(host: Dfa, *, max_game_states: int = STATE_BUDGET) -> Dfa:
 
 
 def _forward_winset_dfa(host: Dfa, max_game_states: int = STATE_BUDGET) -> Dfa:
-    """The forward engine: normalized game states, then minimization."""
-    h = _Host(host)
+    """The forward engine: game states of :class:`_Preordered`, then
+    minimization."""
+    h = _Preordered(host)
     order, rows = explore(
-        h.normalize((1 << host.initial,)),
-        lambda g: (h.step(g, "A"), h.step(g, "B")),
-        max_game_states,
-        "game states",
+        h.normalize((h.up[host.initial],)), h.steps, max_game_states, "game states"
     )
     finals = {i for i, g in enumerate(order) if h.accepting(g)}
     del order, h  # free the game states before the quotient reaches its peak

@@ -265,7 +265,9 @@ def test_enumerate_line_format(tmp_path, capsys):
 
 
 def test_enumerate_budget_reports_partial(capsys):
-    assert main(["enumerate", "4", "--budget", "0.05"]) == 0
+    # the full n = 4 search takes 0.06-0.1 s, so it could end before a
+    # 0.05 s budget did; 1 ms is far below any full run
+    assert main(["enumerate", "4", "--budget", "0.001"]) == 0
     out = capsys.readouterr().out.strip()
     assert out.startswith("n=4 max=") and out.endswith("exhausted=false")
 

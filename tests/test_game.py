@@ -3,6 +3,7 @@ import random
 import sys
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -39,7 +40,16 @@ from winset.game import (
     winset_dfa,
     winset_nfa,
 )
-from winset.gadgets import chain_dfa, exact_ones_dfa, exact_ones_wsize, lower_bound_dfa
+from winset.gadgets import (
+    testing as build_tester,
+    chain_dfa,
+    exact_ones_dfa,
+    exact_ones_wsize,
+    gen_state,
+    gen_subset,
+    lower_bound_dfa,
+)
+from winset.oracle import alice_wins, dfa_predicate
 from .conftest import dfas, random_host, relabeled, words_upto
 
 PARITY = Dfa(alphabet=("0", "1"), delta=((0, 1), (1, 0)), initial=0, finals=frozenset({1}))
@@ -231,10 +241,66 @@ def test_winset_budget_is_enforced():
 
 
 def test_forward_route_budget_counts_normalized_game_states():
+    # the forward engine's game states, reduced by the game preorder
     host = lower_bound_dfa(2)
-    assert winset_dfa(host, max_game_states=622).state_count == 215
+    assert winset_dfa(host, max_game_states=440).state_count == 215
     with pytest.raises(BudgetExceededError):
-        winset_dfa(host, max_game_states=621)
+        winset_dfa(host, max_game_states=439)
+
+
+def test_public_algebra_keeps_its_own_game_states():
+    # normalize and _Host.step do not use the game preorder
+    for n, count in ((1, 35), (2, 622)):
+        host = lower_bound_dfa(n)
+        h = game._Host(host)
+        order, _ = explore(
+            normalize(host, (1 << host.initial,)),
+            lambda g: (h.step(g, "A"), h.step(g, "B")),
+            10_000,
+            "game states",
+        )
+        assert len(order) == count
+
+
+def host_with_sinks(rng: random.Random, n: int) -> Dfa:
+    """A random n-state host, n >= 2, whose last two states are an
+    accepting sink and a dead state."""
+    delta = tuple((rng.randrange(n), rng.randrange(n)) for _ in range(n - 2))
+    delta += ((n - 2, n - 2), (n - 1, n - 1))
+    finals = frozenset(q for q in range(n - 2) if rng.random() < 0.5) | {n - 2}
+    return Dfa(alphabet=("0", "1"), delta=delta, initial=0, finals=finals)
+
+
+def test_game_preorder_is_sound_against_the_oracle():
+    rng = random.Random(2112)
+    words = words_upto("AB", 6)
+    strict = 0
+    for i in range(36):
+        if i % 3 == 0:
+            host = host_with_sinks(rng, rng.randint(2, 6))
+        else:
+            host = random_host(rng, rng.randint(1, 6))
+        n = host.state_count
+        rel = game._game_preorder(host.delta, automata._mask(host.finals))
+        wins = [
+            [alice_wins(dfa_predicate(replace(host, initial=p), len(w)), w) for w in words]
+            for p in range(n)
+        ]
+        for p in range(n):
+            assert rel[p] >> p & 1
+            for q in range(n):
+                if rel[p] >> q & 1:
+                    strict += p != q
+                    assert all(wq for wp, wq in zip(wins[p], wins[q]) if wp), (host, p, q)
+        everyone = (1 << n) - 1
+        dead = everyone & ~automata._mask(automata.coaccessible(host))
+        for q in range(n):
+            if q in host.finals and host.delta[q] == (q, q):
+                assert all(rel[p] >> q & 1 for p in range(n))
+            if dead >> q & 1:
+                assert rel[q] == everyone
+    # the sample relates distinct states, so the implication was tested
+    assert strict > 50
 
 
 def test_step_is_normalized_successors(sampled_hosts):
@@ -257,11 +323,7 @@ def test_step_is_normalized_successors(sampled_hosts):
     rng = random.Random(23)
     for _ in range(200):
         n = rng.randint(3, 7)
-        delta = tuple((rng.randrange(n), rng.randrange(n)) for _ in range(n - 2))
-        # state n - 2 is an accepting sink, state n - 1 a dead one
-        delta += ((n - 2, n - 2), (n - 1, n - 1))
-        finals = frozenset(q for q in range(n - 2) if rng.random() < 0.5) | {n - 2}
-        host = Dfa(alphabet=("0", "1"), delta=delta, initial=0, finals=finals)
+        host = host_with_sinks(rng, n)
         h = game._Host(host)
         sink, dead = 1 << n - 2, 1 << n - 1
         states = [(), (0,), (sink,), (dead,), (0, dead)]
@@ -509,6 +571,21 @@ def test_engines_agree_on_corpus_and_gadgets(small_hosts):
 def test_engines_agree_on_random_hosts(host):
     reversal = determinize_reverse(ReversalDfa(host).to_dfa())
     assert dfa_to_text(reversal) == dfa_to_text(_forward_winset_dfa(host))
+
+
+FACTORY_GADGETS = [
+    build(n).dfa
+    for build in (gen_subset, lambda n: gen_subset(n, closure="accept"), gen_state, build_tester)
+    for n in (1, 2, 3)
+]
+
+
+def test_engines_agree_on_many_seeded_hosts():
+    rng = random.Random(2113)
+    hosts = [random_host(rng, rng.randint(1, 7)) for _ in range(2000)] + FACTORY_GADGETS
+    for host in hosts:
+        reversal = determinize_reverse(ReversalDfa(host).to_dfa())
+        assert dfa_to_text(reversal) == dfa_to_text(_forward_winset_dfa(host)), host
 
 
 def test_hosts_over_the_threshold_take_the_forward_route(monkeypatch):
