@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections import deque
 from operator import itemgetter
-from typing import Callable, Iterable
+from typing import Callable, Collection, Iterable, Sequence
 
 BINARY = ("0", "1")
 TURNS = ("A", "B")
@@ -507,38 +507,26 @@ def preimages(delta: tuple[tuple[int, int], ...]) -> Callable[[int], tuple[int, 
     route's table of sources and the shift step's table of offsets, each
     O(n) in size, are built on their route's first use.
     """
-    return _preimages(delta)[0]
-
-
-def _preimages(delta, dense=None):
-    """:func:`preimages` of ``delta``, and a one-item list counting the
-    steps that took the gather.  A ``dense`` step given here, the
-    :func:`_shift_step` of ``delta``, is the dense route from the start."""
     n = len(delta)
     full = (1 << n) - 1
     guard = full + 1
     # bin(mask | guard) is "0b1" and then bit t at index n+2-t; the gathered
     # 2n digits are p0 then p1, most significant first
     pick = itemgetter(*[n + 2 - row[i] for i in (0, 1) for row in reversed(delta)])
-    gathers = [0]
 
     def gather(mask: int) -> tuple[int, int]:
         x = int("".join(pick(bin(mask & full | guard))), 2)
         return x >> n, x & full
 
     if n <= _GATHER_STATES:
-        return gather, gathers
-
-    def counted_gather(mask: int) -> tuple[int, int]:
-        gathers[0] += 1
-        return gather(mask)
+        return gather
 
     def first_dense(mask: int) -> tuple[int, int]:
         nonlocal dense
-        dense = _shift_step(delta) or counted_gather
+        dense = _shift_step(delta) or gather
         return dense(mask)
 
-    dense = dense or first_dense
+    dense = first_dense
     lo = n // _SPARSE_DENSITY  # the sparse route takes k <= lo or k >= n - lo
     hi = n - lo
     nbytes = (n + 7) >> 3
@@ -576,7 +564,7 @@ def _preimages(delta, dense=None):
         x = int.from_bytes(out, "little")
         return (x & full) ^ flip, (x >> shift) ^ flip
 
-    return pre, gathers
+    return pre
 
 
 def _shift_step(delta):
@@ -625,45 +613,6 @@ def _shift_step(delta):
     return step
 
 
-# ReversalDfa.accepts renumbers the host once its walk has taken
-# _RENUMBER_AFTER gather steps.  It is a ski-rental constant: the
-# renumbering costs about that many gathers, so a walk never pays much more
-# than twice what the better of renumbering at once and never renumbering
-# would cost.  Both costs are O(n), so the constant does not depend on the
-# host's size.  Measured in gathers on a 2-core Xeon VM with Python 3.11
-# (min of 7): 15-16 on a relabeled exact_ones_dfa(n) at n = 100 and 200,
-# 16-17 at 1,000 and 18 at 4,000, all of which end on the shift step; 9-10
-# on random hosts of 100 to 4,096 states, whose tables are too scattered
-# for it and are given up right after the breadth-first search.  On the
-# benchmark's 60 exact-ones words (seeds 21-23, in-process, min of 5) the
-# walks took 46-47 ms at 8, 50-52 at 16, 59 at 32 and 125-134 ms never
-# renumbering.
-_RENUMBER_AFTER = 16
-
-
-def _banded(host: Dfa, mask: int):
-    """The host's reachable part, numbered breadth-first as
-    :func:`minimize` trims it: its compiled preimage map and ``mask`` in the
-    new numbers, or None when the new table's dense route would not be the
-    shift step.
-
-    Each reachable state moves to reachable ones, so on the reachable set R
-    the step commutes with the restriction, ``pre_i(m) & R = pre_i(m & R) &
-    R``, and the initial state, now 0, is in R: a walk ends in the same
-    answer on either table.
-    """
-    n = host.state_count
-    order, rows = explore(host.initial, host.delta.__getitem__, n, "states")
-    delta = tuple(rows)
-    step = _shift_step(delta) if len(delta) > _GATHER_STATES else None
-    if step is None:
-        return None
-    # bit j of the carried mask is bit order[j] of mask, read from bin(mask | 1 << n)
-    pick = itemgetter(*[n + 2 - q for q in reversed(order)])
-    carried = int("".join(pick(bin(mask | 1 << n))), 2)
-    return _preimages(delta, step)[0], carried
-
-
 def determinize_reverse(d: Dfa, budget: int = STATE_BUDGET) -> Dfa:
     """Subset construction on the reverse of ``d``: a DFA for the reversed
     language, numbered breadth-first like :func:`minimize`.
@@ -696,7 +645,7 @@ def coaccessible(d: Dfa) -> set[int]:
     return seen
 
 
-def _hopcroft_classes(rows: list[tuple[int, int]], finals: Iterable[int]) -> list[int]:
+def _hopcroft_classes(rows: Sequence[tuple[int, int]], finals: Iterable[int]) -> list[int]:
     """Hopcroft partition refinement of a complete two-symbol row table.
 
     States are ``0..len(rows)-1``, ``rows[q]`` holds the successors of q
@@ -755,14 +704,20 @@ def minimize(d: Dfa) -> Dfa:
     breadth-first order from the initial state, visiting symbols in alphabet
     order, so equal languages give byte-identical serializations.
     """
-    # the reachable part, numbered 0..k-1 in BFS order with the initial at 0
+    t = _trim(d)
+    return _quotient(t.alphabet, t.delta, t.finals)
+
+
+def _trim(d: Dfa) -> Dfa:
+    """The reachable part of ``d``, numbered 0..k-1 in BFS order with the
+    initial state at 0."""
     order, rows = explore(d.initial, d.delta.__getitem__, d.state_count, "states")
-    finals = {i for i, q in enumerate(order) if q in d.finals}
-    return _quotient(d.alphabet, rows, finals)
+    finals = frozenset(i for i, q in enumerate(order) if q in d.finals)
+    return Dfa(alphabet=d.alphabet, delta=tuple(rows), initial=0, finals=finals)
 
 
 def _quotient(
-    alphabet: tuple[str, str], rows: list[tuple[int, int]], finals: set[int]
+    alphabet: tuple[str, str], rows: Sequence[tuple[int, int]], finals: Collection[int]
 ) -> Dfa:
     """:func:`minimize` of a row table whose states are all reachable from
     state 0, the initial one; ``finals`` is the set of accepting states."""

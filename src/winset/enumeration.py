@@ -26,7 +26,6 @@ halves the counting: the size at F is mirrored to full ^ F.
 from __future__ import annotations
 
 import time
-from itertools import permutations
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from .automata import BINARY, STATE_BUDGET, Dfa, explore, preimages
@@ -70,21 +69,6 @@ def _bfs_ordered(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
     return extend((), 1)
 
 
-def _relabelings(
-    delta: tuple[tuple[int, int], ...], n: int
-) -> Iterator[tuple[tuple[int, int], ...]]:
-    """``delta`` under every relabeling that keeps state 0 initial, the
-    identity first, with each row's targets sorted."""
-    for perm in permutations(range(1, n)):
-        pi = (0,) + perm
-        relabeled = [None] * n
-        for q in range(n):
-            a, b = delta[q]
-            pa, pb = pi[a], pi[b]
-            relabeled[pi[q]] = (pa, pb) if pa <= pb else (pb, pa)
-        yield tuple(relabeled)
-
-
 def _is_canonical(delta: tuple[tuple[int, int], ...], n: int) -> bool:
     """Whether the breadth-first ordered ``delta`` is the least encoding of
     its relabelings fixing 0.  The least is breadth-first ordered (see
@@ -112,27 +96,19 @@ def _is_canonical(delta: tuple[tuple[int, int], ...], n: int) -> bool:
     return True
 
 
-def _structures(n: int, canonical: bool) -> Iterator[tuple[int, tuple[tuple[int, int], ...]]]:
-    """``(position, delta)`` for every canonical transition structure (the
-    least encoding among its relabelings) or, without ``canonical``, for
-    every structure that reaches all n states: each canonical one, then its
-    other distinct relabelings.  ``position`` counts the breadth-first
-    candidates of :func:`_bfs_ordered` tried so far, kept or not."""
+def _structures(n: int) -> Iterator[tuple[int, tuple[tuple[int, int], ...]]]:
+    """``(position, delta)`` for every canonical transition structure, the
+    least encoding among its relabelings.  ``position`` counts the
+    breadth-first candidates of :func:`_bfs_ordered` tried so far, kept or
+    not."""
     for position, delta in enumerate(_bfs_ordered(n), start=1):
         if _is_canonical(delta, n):
-            for relabeled in (delta,) if canonical else dict.fromkeys(_relabelings(delta, n)):
-                yield position, relabeled
+            yield position, delta
 
 
 def _host(delta: tuple[tuple[int, int], ...], fmask: int) -> Dfa:
     finals = frozenset(q for q in range(len(delta)) if fmask >> q & 1)
     return Dfa(alphabet=BINARY, delta=delta, initial=0, finals=finals)
-
-
-def _hosts(delta: tuple[tuple[int, int], ...], n: int) -> Iterator[Dfa]:
-    """The 2^n hosts on one structure, one per final set."""
-    for fmask in range(1 << n):
-        yield _host(delta, fmask)
 
 
 def _structure_sizes(delta: tuple[tuple[int, int], ...], n: int) -> list[int]:
@@ -183,22 +159,6 @@ def _structure_sizes(delta: tuple[tuple[int, int], ...], n: int) -> list[int]:
     return sizes
 
 
-def host_corpus(n: int, *, canonical: bool = True) -> Iterator[Dfa]:
-    """Every complete n-state binary host, all final sets included.
-
-    Transition structures are taken up to edge-label swaps and, with
-    ``canonical``, also up to relabelings fixing the initial state; neither
-    quotient loses a winning set.  Structures not reaching all n states are
-    never generated — their languages show up verbatim at smaller n.
-    Without ``canonical``, each canonical structure's hosts come first, then
-    those of its other distinct relabelings.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    for _, delta in _structures(n, canonical):
-        yield from _hosts(delta, n)
-
-
 def max_winset_complexity(
     n: int,
     budget_seconds: Optional[float] = None,
@@ -224,7 +184,7 @@ def max_winset_complexity(
 
     best_size = 0
     best: Optional[Dfa] = None
-    for done, delta in _structures(n, canonical=True):
+    for done, delta in _structures(n):
         if deadline is not None and time.monotonic() > deadline:
             return EnumerationResult(best_size, best, False)
         for fmask, size in enumerate(_structure_sizes(delta, n)):

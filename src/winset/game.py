@@ -19,13 +19,11 @@ from .automata import (
     BudgetExceededError,
     Dfa,
     Nfa,
-    _RENUMBER_AFTER,
-    _banded,
     _bisimilar,
     _image,
     _mask,
-    _preimages,
     _quotient,
+    _trim,
     coaccessible,
     determinize_reverse,
     explore,
@@ -304,7 +302,8 @@ def winset_nfa(host: Dfa) -> Nfa:
 # 44 against 5.3 ms at 3,947; it won at 31 and 87.  It won on every other
 # host: three random 20- to 23-state hosts with 764 to 1,021 subsets took
 # it 0.5 to 1.9 s, and the forward engine 15 s, 27 s and over 40 s.
-# Giving up here costs ~4 ms.
+# Giving up here costs ~4 ms.  The subsets counted are those of the host's
+# reachable part, so unreachable states never push a host over the limit.
 REVERSAL_SUBSETS = 2048
 
 
@@ -315,9 +314,10 @@ def winset_dfa(host: Dfa, *, max_game_states: int = STATE_BUDGET) -> Dfa:
     the host subsets of :class:`ReversalDfa` and determinizes the reverse
     of that automaton, which yields the minimal DFA directly (Brzozowski's
     double reversal).  It runs first; if the reversal automaton has more
-    than :data:`REVERSAL_SUBSETS` subsets, it gives up and the forward
-    engine runs instead: subset construction over game states reduced by
-    the game preorder on host states, then Hopcroft minimization.
+    than :data:`REVERSAL_SUBSETS` subsets of the host's reachable states, it
+    gives up and the forward engine runs instead: subset construction over
+    game states reduced by the game preorder on host states, then Hopcroft
+    minimization.
 
     ``max_game_states`` caps the states of the result on the reversal
     route, and on the forward route the game states materialized before
@@ -362,17 +362,26 @@ class ReversalDfa:
     successor in the current set, reading B those with *both*: with
     pre₀/pre₁ the preimages under the host's two symbols, A maps m to
     pre₀(m) | pre₁(m) and B to pre₀(m) & pre₁(m).  A set is final iff it
-    contains the host initial state.  The host's preimage map is compiled
+    contains the host initial state.  The host is trimmed to its reachable
+    part, numbered breadth-first as :func:`~winset.automata.minimize`
+    numbers it, and kept as :attr:`host`; its preimage map is compiled
     once, in the constructor, and transitions are computed per step, so
     membership queries never materialize 2^n states.  Masks passed in and
-    returned are in the host's own state numbers.
+    returned are over :attr:`host`, in those numbers, not the given host's.
     """
 
     def __init__(self, host: Dfa):
         _require_binary(host)
-        self.host = host
-        self._pre, self._gathers = _preimages(host.delta)
-        self.initial_mask = _mask(host.finals)
+        # Each reachable state moves to reachable ones, so on the reachable
+        # set R the step commutes with the restriction, pre_i(m) & R =
+        # pre_i(m & R) & R, and the initial state is in R: every walk ends in
+        # the same answer on the trimmed table as on the host's own.  Sets
+        # that differ only outside R merge, and the breadth-first numbers
+        # give chains and cycles few offsets, so that the dense route of
+        # preimages is the shift step on them whatever the given numbering.
+        self.host = _trim(host)
+        self._pre = preimages(self.host.delta)
+        self.initial_mask = _mask(self.host.finals)
 
     def successors(self, mask: int) -> tuple[int, int]:
         """The A and the B successor of ``mask``."""
@@ -390,39 +399,23 @@ class ReversalDfa:
     def accepts(self, word: str) -> bool:
         """Does the automaton accept ``word``, a turn word read backwards?
 
-        Walks a single subset of host states through the word.  With n host
-        states that is O(|word| * n) time at worst; on large hosts a step
-        from a sparse or co-sparse subset costs less, as
-        :func:`~winset.automata.preimages` describes.  After
-        ``_RENUMBER_AFTER`` steps of this walk that took the O(n) gather,
-        the host's reachable part is renumbered breadth-first, once, in
-        O(n).  When that table has the shift step, the walk goes on there,
-        and each dense step costs O(#offsets) big-integer operations: two on
-        :func:`~winset.gadgets.exact_ones_dfa`.  A letter other than A or B
-        raises ``ValueError`` naming the first one in ``word``.
+        Walks a single subset of host states through the word.  With n
+        reachable host states that is O(|word| * n) time at worst; a step
+        from a sparse or co-sparse subset costs less, and on a host whose
+        breadth-first numbered transitions have few offsets, such as
+        :func:`~winset.gadgets.exact_ones_dfa`, a dense step costs
+        O(#offsets) big-integer operations, as
+        :func:`~winset.automata.preimages` describes.  A letter other than
+        A or B raises ``ValueError`` naming the first one in ``word``.
         """
         if word.count("A") + word.count("B") != len(word):
             bad = next(c for c in word if c not in TURNS)
             raise ValueError(f"turn symbol must be A or B, got {bad!r}")
-        pre, gathers = self._pre, self._gathers
-        # successors and earlier walks count their gathers here too
-        stop = gathers[0] + _RENUMBER_AFTER
-        m = self.initial_mask
-        for i, c in enumerate(word):
-            if gathers[0] == stop:
-                break
+        pre, m = self._pre, self.initial_mask
+        for c in word:
             p0, p1 = pre(m)
             m = p0 & p1 if c == "B" else p0 | p1
-        else:
-            return self.is_final(m)
-        initial = self.host.initial
-        banded = _banded(self.host, m)
-        if banded is not None:
-            (pre, m), initial = banded, 0
-        for c in word[i:]:
-            p0, p1 = pre(m)
-            m = p0 & p1 if c == "B" else p0 | p1
-        return bool(m >> initial & 1)
+        return self.is_final(m)
 
     def to_dfa(self, *, max_states: int = STATE_BUDGET) -> Dfa:
         """Materialize the reachable part as an explicit DFA."""

@@ -1,10 +1,73 @@
 import random
+from itertools import permutations
+from typing import Iterator
 
 import pytest
 from hypothesis import strategies as st
 
+from winset import automata
 from winset.automata import Dfa
-from winset.enumeration import host_corpus
+from winset.enumeration import _host, _structures
+
+
+def shift_steps(monkeypatch) -> list:
+    """What each request for a shift step returns, in order: None where the
+    table has more than ``_SHIFT_RUNS`` offsets and its dense masks take the
+    gather."""
+    build, built = automata._shift_step, []
+
+    def spy(delta):
+        built.append(build(delta))
+        return built[-1]
+
+    # preimages looks the name up in automata when its first dense step comes
+    monkeypatch.setattr(automata, "_shift_step", spy)
+    return built
+
+
+def relabelings(
+    delta: tuple[tuple[int, int], ...], n: int
+) -> Iterator[tuple[tuple[int, int], ...]]:
+    """``delta`` under every relabeling that keeps state 0 initial, the
+    identity first, with each row's targets sorted."""
+    for perm in permutations(range(1, n)):
+        pi = (0,) + perm
+        relabeled = [None] * n
+        for q in range(n):
+            a, b = delta[q]
+            pa, pb = pi[a], pi[b]
+            relabeled[pi[q]] = (pa, pb) if pa <= pb else (pb, pa)
+        yield tuple(relabeled)
+
+
+def structure_hosts(delta: tuple[tuple[int, int], ...], n: int) -> Iterator[Dfa]:
+    """The 2^n hosts on one structure, one per final set."""
+    for fmask in range(1 << n):
+        yield _host(delta, fmask)
+
+
+def host_corpus(n: int) -> Iterator[Dfa]:
+    """Every complete n-state binary host, all final sets included.
+
+    Transition structures are taken up to edge-label swaps and relabelings
+    fixing the initial state, the canonical structures of the exhaustive
+    search; neither quotient loses a winning set.  Structures not reaching
+    all n states are never generated — their languages show up verbatim at
+    smaller n.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    for _, delta in _structures(n):
+        yield from structure_hosts(delta, n)
+
+
+def relabeled_host_corpus(n: int) -> Iterator[Dfa]:
+    """:func:`host_corpus` without the quotient by relabelings: each
+    canonical structure's hosts, then those of its other distinct
+    relabelings fixing the initial state."""
+    for _, delta in _structures(n):
+        for relabeled in dict.fromkeys(relabelings(delta, n)):
+            yield from structure_hosts(relabeled, n)
 
 
 @pytest.fixture(scope="session")

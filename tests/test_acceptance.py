@@ -14,7 +14,7 @@ import pytest
 from winset.automata import accepts, congruent, count_words, enumerate_words
 from winset.circuits import or_with_index, circuit_value_instance, iterated_instance
 from winset.decision import member
-from winset.enumeration import host_corpus, max_winset_complexity
+from winset.enumeration import max_winset_complexity
 from winset.gadgets import (
     chain_dfa,
     dyck_closed_form,
@@ -35,7 +35,7 @@ from winset.game import (
     winset_dfa,
 )
 from winset.oracle import alice_wins, dfa_predicate, dyck_predicate, winning_slice
-from .conftest import random_circuit
+from .conftest import random_circuit, relabeled_host_corpus
 
 
 @pytest.fixture(scope="session")
@@ -53,7 +53,7 @@ def enumeration_results():
 @pytest.fixture(scope="session")
 def exhaustive_hosts():
     """Every reachable ≤3-state binary host up to edge-label swaps."""
-    return [d for n in (1, 2, 3) for d in host_corpus(n, canonical=False)]
+    return [d for n in (1, 2, 3) for d in relabeled_host_corpus(n)]
 
 
 def antichain_count(n: int) -> int:

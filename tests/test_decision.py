@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from winset import automata, game
+from winset import automata
 from winset.automata import Dfa, Nfa, accepts, enumerate_words, nfa_accepts
 from winset.circuits import circuit_value_instance, iterated_instance, or_with_index, parse_circuit
 from winset.cli import _build_parser
@@ -12,7 +12,7 @@ from winset.decision import intersect_nonempty, member
 from winset.game import BudgetExceededError, ReversalDfa, winset_dfa
 from winset.gadgets import exact_ones_dfa, exact_ones_winset_member
 from winset.oracle import alice_wins, dfa_predicate
-from .conftest import random_host, relabeled, words_upto
+from .conftest import random_host, relabeled, shift_steps, words_upto
 
 PARITY = Dfa(alphabet=("0", "1"), delta=((0, 1), (1, 0)), initial=0, finals=frozenset({1}))
 
@@ -136,7 +136,8 @@ def test_intersect_budget_defaults_to_the_state_budget():
 def sparse_and_dense_steps(host: Dfa, w: str) -> tuple[int, int]:
     """How many of ``member(host, w)``'s steps start from a mask sparse or
     co-sparse enough for the sparse route, and how many from a denser one."""
-    rev, n = ReversalDfa(host), host.state_count
+    rev = ReversalDfa(host)
+    n = rev.host.state_count
     lo = n // automata._SPARSE_DENSITY
     m, sparse = rev.initial_mask, 0
     for c in reversed(w):
@@ -166,23 +167,6 @@ def test_member_on_a_large_exact_ones_host():
     assert sparse > 0 and dense > 0
 
 
-def renumberings(monkeypatch, masks=None) -> list:
-    """What each of the reversal walk's breadth-first renumberings returns,
-    in order: None where the renumbered table has no shift step.  The masks
-    they start from go to ``masks``, if given."""
-    real, seen = automata._banded, []
-
-    def spy(host, mask):
-        if masks is not None:
-            masks.append(mask)
-        seen.append(real(host, mask))
-        return seen[-1]
-
-    # the walk looks the name up in game, which imports it from automata
-    monkeypatch.setattr(game, "_banded", spy)
-    return seen
-
-
 def reference_member(host: Dfa, w: str) -> bool:
     """``member`` as a loop over the host states per letter."""
     m = {q for q in range(host.state_count) if q in host.finals}
@@ -193,77 +177,60 @@ def reference_member(host: Dfa, w: str) -> bool:
     return host.initial in m
 
 
+def exact_ones_words(rng: random.Random, n: int, count: int) -> list[str]:
+    """Seeded turn words of n to n + 5(count - 1) letters; a third of them
+    have one A too few, so they are no members of the exact-ones host."""
+    words = []
+    for i in range(count):
+        length = n + 5 * i
+        b = 5 * i + 1 if i % 3 == 0 else rng.randint(0, 5 * i)
+        letters = ["A"] * (length - b) + ["B"] * b
+        rng.shuffle(letters)
+        words.append("".join(letters))
+    return words
+
+
 def test_member_switches_to_the_shift_step_on_a_relabeled_exact_ones_host(monkeypatch):
     rng = random.Random(301)
     n = 300
     host = relabeled(exact_ones_dfa(n), rng)
     # its own numbering is too scattered for the shift step
     assert automata._shift_step(host.delta) is None
-    seen = renumberings(monkeypatch)
-    answers = set()
-    for i in range(12):
-        length = n + 5 * i
-        b = 5 * i + 1 if i % 3 == 0 else rng.randint(0, 5 * i)
-        letters = ["A"] * (length - b) + ["B"] * b
-        rng.shuffle(letters)
-        word = "".join(letters)
+    built = shift_steps(monkeypatch)
+    answers, calls = set(), 0
+    for word in exact_ones_words(rng, n, 12):
         want = exact_ones_winset_member(n, word)
         assert member(host, word) == want, word
         answers.add(want)
+        # each call's automaton builds the shift step at most once, on the
+        # first dense step of its walk, in the breadth-first numbers
+        assert len(built) <= calls + 1
+        calls = len(built)
     assert answers == {False, True}
-    # a walk renumbers at most once, and only a walk whose set dies early
-    # takes too few gathers to; every renumbered table has the shift step
-    assert 10 <= len(seen) <= 12 and None not in seen
+    # only a walk whose set dies early takes no dense step
+    assert 10 <= len(built) <= 12 and None not in built
 
 
-def renumbered_mask(host: Dfa, w: str):
-    """The mask from which the reversed walk of ``w`` renumbers the host:
-    the one after the walk's ``_RENUMBER_AFTER``-th gather, counted on a
-    fresh compiled map, or None when no letter is left to read by then."""
-    pre, gathers = automata._preimages(host.delta)
-    m = automata._mask(host.finals)
-    for c in reversed(w):
-        if gathers[0] == automata._RENUMBER_AFTER:
-            return m
-        p0, p1 = pre(m)
-        m = p0 & p1 if c == "B" else p0 | p1
-    return None
-
-
-def test_one_reversal_automaton_renumbers_once_per_walk(monkeypatch):
+def test_one_reversal_automaton_builds_its_shift_step_once(monkeypatch):
     rng = random.Random(302)
     n = 300
     host = relabeled(exact_ones_dfa(n), rng)
+    built = shift_steps(monkeypatch)
     rev = ReversalDfa(host)
-    masks = []
-    seen = renumberings(monkeypatch, masks)
-    # every other state: a mid-density mask, whose step takes the gather
-    mid = int("01" * host.state_count, 2) & (1 << host.state_count) - 1
-    answers, renumbered = set(), 0
-    for i in range(12):
-        length = n + 5 * i
-        b = 5 * i + 1 if i % 3 == 0 else rng.randint(0, 5 * i)
-        letters = ["A"] * (length - b) + ["B"] * b
-        rng.shuffle(letters)
-        word = "".join(letters)
+    k = rev.host.state_count
+    # every other state: a mid-density mask, whose step is a dense one
+    mid = int("01" * k, 2) & (1 << k) - 1
+    answers = set()
+    for word in exact_ones_words(rng, n, 12):
         want = exact_ones_winset_member(n, word)
-        start = renumbered_mask(host, word)
         assert rev.accepts(word[::-1]) == want, word
         answers.add(want)
-        # gathers are counted from the walk's own start, whatever successors
-        # calls and earlier walks on the same automaton took
-        assert masks == ([] if start is None else [start]), i
-        renumbered += start is not None
-        masks.clear()
         rev.successors(mid)
     assert answers == {False, True}
-    assert renumbered >= 10 and len(seen) == renumbered and None not in seen
+    assert len(built) == 1 and built[0] is not None
 
 
-def test_member_renumbers_circuit_hosts_with_unreachable_states(monkeypatch):
-    # their walks take no gather, so renumber before the first letter
-    monkeypatch.setattr(game, "_RENUMBER_AFTER", 0)
-    seen = renumberings(monkeypatch)
+def test_member_renumbers_circuit_hosts_with_unreachable_states():
     rng = random.Random(1156)
     answers = set()
     for _ in range(2):
@@ -274,50 +241,45 @@ def test_member_renumbers_circuit_hosts_with_unreachable_states(monkeypatch):
             reachable, _ = automata.explore(host.initial, host.delta.__getitem__,
                                             host.state_count, "states")
             assert len(reachable) < host.state_count and host.initial != 0
+            # the automaton holds the reachable part, breadth-first from 0
+            trimmed = ReversalDfa(host).host
+            assert trimmed.state_count == len(reachable) and trimmed.initial == 0
             want = c.evaluate(bits)[0]
             assert member(host, word) == want, (c, bits)
             answers.add(want)
     assert answers == {False, True}
-    assert len(seen) == 32 and None not in seen
 
 
-def test_member_does_not_renumber_after_its_last_letter(monkeypatch):
+def test_member_on_every_suffix_of_a_word_on_a_relabeled_exact_ones_host():
     rng = random.Random(77)
-    n, k = 200, automata._RENUMBER_AFTER
+    n = 200
     host = relabeled(exact_ones_dfa(n), rng)
     word = "AB" * 25 + "A" * n
-    # the number of letters the reversed walk reads up to its k-th gather
-    pre, gathers = automata._preimages(host.delta)
-    m = automata._mask(host.finals)
-    for j, c in enumerate(reversed(word), 1):
-        p0, p1 = pre(m)
-        m = p0 & p1 if c == "B" else p0 | p1
-        if gathers[0] == k:
-            break
-    assert gathers[0] == k and j < len(word)
-    seen = renumberings(monkeypatch)
-    for tail, renumbered in ((word[-j:], 0), (word[-j - 1:], 1)):
-        assert member(host, tail) == exact_ones_winset_member(n, tail)
-        assert len(seen) == renumbered
-        seen.clear()
+    answers = set()
+    for j in range(len(word) + 1):
+        want = exact_ones_winset_member(n, word[j:])
+        assert member(host, word[j:]) == want, j
+        answers.add(want)
+    assert answers == {False, True}
 
 
-def test_member_stays_on_the_host_when_renumbering_gives_no_shift_step(monkeypatch):
+def test_member_takes_the_gather_where_the_trimmed_host_has_no_shift_step(monkeypatch):
     rng = random.Random(4099)
     host = random_host(rng, 120)
     # a word whose walk keeps the set near half full, so nearly every step
-    # takes the gather: each letter is chosen against the set's size
+    # is a dense one: each letter is chosen against the set's size
     rev, reversed_word = ReversalDfa(host), []
     m = rev.initial_mask
     for _ in range(120):
-        c = "A" if 2 * m.bit_count() < host.state_count else "B"
+        c = "A" if 2 * m.bit_count() < rev.host.state_count else "B"
         reversed_word.append(c)
         m = rev.step(m, c)
     word = "".join(reversed(reversed_word))
-    seen = renumberings(monkeypatch)
+    built = shift_steps(monkeypatch)
     for w in (word, word[1:], word[2:]):
         assert member(host, w) == reference_member(host, w)
-    assert seen == [None, None, None]
+    # each call's trimmed table is too scattered for the shift step
+    assert built == [None, None, None]
 
 
 def deep_circuit(rng: random.Random, inputs: int, gates: int):

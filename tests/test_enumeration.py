@@ -4,18 +4,10 @@ from itertools import islice, permutations, product
 import pytest
 
 from winset.automata import Dfa, count_words, dfa_to_text, equivalent, language_slice, preimages
-from winset.enumeration import (
-    _bfs_ordered,
-    _hosts,
-    _relabelings,
-    _structure_sizes,
-    _structures,
-    host_corpus,
-    max_winset_complexity,
-)
+from winset.enumeration import _bfs_ordered, _structure_sizes, _structures, max_winset_complexity
 from winset.game import _forward_winset_dfa, winset_dfa
 from winset.oracle import dfa_predicate, winning_slice
-from .conftest import random_host
+from .conftest import host_corpus, random_host, relabeled_host_corpus, relabelings, structure_hosts
 
 
 def test_small_sequence():
@@ -75,7 +67,7 @@ def test_corpus_is_reachable_and_complete():
                     stack.append(t)
         assert len(seen) == 2
     # the non-canonical corpus is a superset realized by relabeling
-    assert len(list(host_corpus(2, canonical=False))) >= len(hosts)
+    assert len(list(relabeled_host_corpus(2))) >= len(hosts)
 
 
 def test_witness_attains_the_maximum_deterministically():
@@ -120,9 +112,9 @@ def test_progress_callback_counts_structures():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_structure_sizes_match_winset_dfa(n):
-    for _, delta in _structures(n, canonical=True):
+    for _, delta in _structures(n):
         sizes = _structure_sizes(delta, n)
-        assert sizes == [winset_dfa(host).state_count for host in _hosts(delta, n)]
+        assert sizes == [winset_dfa(host).state_count for host in structure_hosts(delta, n)]
 
 
 def _reversal_graph_by_definition(delta, n):
@@ -163,7 +155,7 @@ def _check_restriction_argument(delta, n, rng):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_restriction_to_reach_commutes_with_pre_g(n):
     rng = random.Random(90 + n)
-    for _, delta in _structures(n, canonical=True):
+    for _, delta in _structures(n):
         _check_restriction_argument(delta, n, rng)
 
 
@@ -175,11 +167,11 @@ def test_restriction_to_reach_commutes_with_pre_g_on_seeded_n5_structures():
 
 
 def test_structure_sizes_match_winset_dfa_on_an_n5_sample():
-    sample = list(islice(_structures(5, canonical=True), 0, None, 97))
+    sample = list(islice(_structures(5), 0, None, 97))
     assert len(sample) > 100
     for _, delta in sample:
         sizes = _structure_sizes(delta, 5)
-        assert sizes == [winset_dfa(host).state_count for host in _hosts(delta, 5)]
+        assert sizes == [winset_dfa(host).state_count for host in structure_hosts(delta, 5)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -206,7 +198,7 @@ N6_DELTA = ((1, 1), (2, 2), (3, 3), (4, 4), (0, 5), (1, 5))
 
 
 def test_n6_witness_is_pinned():
-    assert all(r >= N6_DELTA for r in _relabelings(N6_DELTA, 6))
+    assert all(r >= N6_DELTA for r in relabelings(N6_DELTA, 6))
     sizes = _structure_sizes(N6_DELTA, 6)
     assert max(sizes) == 15_624
     assert [f for f, s in enumerate(sizes) if s == 15_624] == [0b010101, 0b101010]
@@ -258,12 +250,12 @@ def _reachable_structures(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_canonical_structures_match_the_reference_in_order(n):
     reference = [d for d in _reachable_structures(n) if _least_relabeling(d, n) == d]
-    assert [d for _, d in _structures(n, True)] == reference
+    assert [d for _, d in _structures(n)] == reference
 
 
 @pytest.mark.parametrize("n, count", [(1, 1), (2, 6), (3, 108), (4, 3960)])
 def test_full_corpus_is_every_reachable_structure_once(n, count):
-    hosts = [(h.delta, h.finals) for h in host_corpus(n, canonical=False)]
+    hosts = [(h.delta, h.finals) for h in relabeled_host_corpus(n)]
     assert len(hosts) == len(set(hosts))
     reference = {
         (d, frozenset(q for q in range(n) if f >> q & 1))
@@ -283,12 +275,12 @@ def test_progress_total_counts_bfs_candidates():
     calls = []
     max_winset_complexity(3, progress=lambda done, total: calls.append((done, total)))
     assert {total for _, total in calls} == {72}
-    assert [done for done, _ in calls] == [p for p, _ in _structures(3, True)]
+    assert [done for done, _ in calls] == [p for p, _ in _structures(3)]
 
 
 def test_breadth_first_canonicity_matches_all_relabelings_on_n5_candidates():
-    kept = [d for d in _bfs_ordered(5) if all(r >= d for r in _relabelings(d, 5))]
-    assert [d for _, d in _structures(5, True)] == kept
+    kept = [d for d in _bfs_ordered(5) if all(r >= d for r in relabelings(d, 5))]
+    assert [d for _, d in _structures(5)] == kept
 
 
 def test_structure_sizes_match_winset_dfa_on_seeded_n6_structures():
@@ -300,9 +292,9 @@ def test_structure_sizes_match_winset_dfa_on_seeded_n6_structures():
             sample.add(_least_relabeling(delta, 6))
     for delta in sorted(sample):
         sizes = _structure_sizes(delta, 6)
-        assert sizes == [winset_dfa(host).state_count for host in _hosts(delta, 6)]
+        assert sizes == [winset_dfa(host).state_count for host in structure_hosts(delta, 6)]
 
 
 def test_bfs_candidate_and_canonical_counts():
     assert [sum(1 for _ in _bfs_ordered(n)) for n in range(1, 6)] == [1, 6, 72, 1080, 20925]
-    assert sum(1 for _ in _structures(5, True)) == 10398
+    assert sum(1 for _ in _structures(5)) == 10398

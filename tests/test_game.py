@@ -50,7 +50,7 @@ from winset.gadgets import (
     lower_bound_dfa,
 )
 from winset.oracle import alice_wins, dfa_predicate
-from .conftest import dfas, random_host, relabeled, words_upto
+from .conftest import dfas, random_host, relabeled, shift_steps, words_upto
 
 PARITY = Dfa(alphabet=("0", "1"), delta=((0, 1), (1, 0)), initial=0, finals=frozenset({1}))
 
@@ -392,7 +392,8 @@ def test_gather_step_matches_the_per_state_loop(host, data):
     # masks reach 8 bits past the states; the stray bits must be ignored
     mask = data.draw(st.integers(min_value=0, max_value=(1 << host.state_count + 8) - 1))
     rev = ReversalDfa(host)
-    want = tuple(reference_step(host, mask, c) for c in TURNS)
+    # the automaton's masks are over its trimmed, breadth-first numbered host
+    want = tuple(reference_step(rev.host, mask, c) for c in TURNS)
     assert rev.successors(mask) == want
     assert tuple(rev.step(mask, c) for c in TURNS) == want
 
@@ -430,6 +431,14 @@ def masks_of_every_density(rng: random.Random, n: int) -> list[int]:
     return masks
 
 
+def masks_of_every_route(rng: random.Random, host: Dfa) -> list[int]:
+    """:func:`masks_of_every_density` on the host's states, then the state
+    with the most sources alone and alone cleared."""
+    n = host.state_count
+    [(top, _)] = Counter(t for row in host.delta for t in row).most_common(1)
+    return masks_of_every_density(rng, n) + [1 << top, ((1 << n) - 1) ^ (1 << top)]
+
+
 def test_both_step_routes_match_the_per_state_loop():
     rng = random.Random(2611)
     sizes = [60, automata._GATHER_STATES, automata._GATHER_STATES + 1, 66, 100, 203, 400]
@@ -440,11 +449,10 @@ def test_both_step_routes_match_the_per_state_loop():
     for host in hosts:
         n = host.state_count
         pre, rev = preimages(host.delta), ReversalDfa(host)
-        # the state with the most sources, alone and alone cleared
-        [(top, _)] = Counter(t for row in host.delta for t in row).most_common(1)
-        for mask in masks_of_every_density(rng, n) + [1 << top, ((1 << n) - 1) ^ (1 << top)]:
+        for mask in masks_of_every_route(rng, host):
             assert pre(mask) == reference_preimages(host, mask), (n, mask.bit_count())
-            want = tuple(reference_step(host, mask, c) for c in TURNS)
+        for mask in masks_of_every_route(rng, rev.host):
+            want = tuple(reference_step(rev.host, mask, c) for c in TURNS)
             assert rev.successors(mask) == want
             assert tuple(rev.step(mask, c) for c in TURNS) == want
         for bad in ("0", "", "AB"):
@@ -492,7 +500,7 @@ def table_with_offsets(n: int, offsets) -> tuple[tuple[int, int], ...]:
     return tuple(rows)
 
 
-def test_shift_step_matches_the_per_state_loop():
+def test_shift_step_matches_the_per_state_loop(monkeypatch):
     rng = random.Random(1907)
     cap = automata._SHIFT_RUNS
     banded = {
@@ -506,17 +514,19 @@ def test_shift_step_matches_the_per_state_loop():
     # its offset past the cap first shows beyond the rows checked up front
     scattered = table_with_offsets(300, range(-16, cap - 15))
     assert len({t - q for q, row in enumerate(scattered) for t in row}) == cap + 1
-    assert automata._shift_step(scattered) is None
+    built = shift_steps(monkeypatch)
     for name, delta in [*banded.items(), ("cap + 1", scattered)]:
         host = Dfa(alphabet=("0", "1"), delta=delta, initial=0, finals=frozenset())
         n = len(delta)
-        pre, gathers = automata._preimages(delta)
+        pre = preimages(delta)
         for mask in masks_of_every_density(rng, n):
             assert pre(mask) == reference_preimages(host, mask), (name, mask.bit_count())
-        # the dense masks took the shift step, or the gather past the cap
-        assert (gathers[0] > 0) == (name == "cap + 1"), name
-        if name != "cap + 1":
-            step = automata._shift_step(delta)
+        # the first dense mask asked for the shift step once; past the cap
+        # there is none, and the dense masks took the gather
+        [step] = built
+        built.clear()
+        assert (step is None) == (name == "cap + 1"), name
+        if step is not None:
             for mask in masks_of_every_density(rng, n):
                 assert step(mask & (1 << n) - 1) == reference_preimages(host, mask), name
 
@@ -583,6 +593,12 @@ FACTORY_GADGETS = [
 def test_engines_agree_on_many_seeded_hosts():
     rng = random.Random(2113)
     hosts = [random_host(rng, rng.randint(1, 7)) for _ in range(2000)] + FACTORY_GADGETS
+    # the reversal engine trims these first: unreachable states, initial not 0
+    shuffled = [relabeled(random_host(rng, rng.randint(2, 7)), rng) for _ in range(400)]
+    reached = [len(explore(h.initial, h.delta.__getitem__, h.state_count, "states")[0])
+               for h in shuffled]
+    assert sum(r < h.state_count and h.initial != 0 for r, h in zip(reached, shuffled)) > 50
+    hosts += shuffled
     for host in hosts:
         reversal = determinize_reverse(ReversalDfa(host).to_dfa())
         assert dfa_to_text(reversal) == dfa_to_text(_forward_winset_dfa(host)), host
