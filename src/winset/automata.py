@@ -438,12 +438,14 @@ def determinize(n: Nfa) -> Dfa:
     return Dfa(alphabet=n.alphabet, delta=tuple(rows), initial=0, finals=finals)
 
 
-# The reversal step's routes, chosen per mask.  Tables of at most
-# _GATHER_STATES states take the gather alone.  On larger ones a mask whose
-# smaller side (its set or its cleared bits) has k bits takes the sparse
-# route when _SPARSE_DENSITY * k <= n, and the dense route otherwise.  Swept on
-# random hosts (two sources per target on average), in microseconds per
-# step, gather/sparse, on a 2-core Xeon VM with Python 3.11: the gather
+# The reversal step's route, chosen once per table.  Tables of at most
+# _GATHER_STATES states take the gather.  A larger table with at most
+# _SHIFT_RUNS distinct offsets takes the shift step for every mask.  Any
+# other table picks per mask: a mask whose smaller side (its set or its
+# cleared bits) has k bits takes the sparse route when _SPARSE_DENSITY * k
+# <= n, and the gather otherwise.  Swept on random hosts (two sources per
+# target on average), in microseconds per step, gather/sparse, on a 2-core
+# Xeon VM with Python 3.11: the gather
 # costs about 0.028 us per state whatever the mask holds (2.3 at n = 64,
 # 130 at 4,467, 700-740 at 25,000), the sparse route about 0.9 us plus
 # 0.25 us per walked bit.  They break even near k = n/9.5 from n = 96 up
@@ -455,24 +457,35 @@ def determinize(n: Nfa) -> Dfa:
 # 0.03-0.06 us to a step that takes the gather.
 #
 # A state with more than n/_HEAVY_SHARE sources sends every mask whose
-# walked side holds it to the dense route: each source costs the sparse
+# walked side holds it to the gather: each source costs the sparse
 # route about 0.06 us, so a dead state that all others fall into made a
 # 1,000-state host's sparse steps twice as slow as the gather (151-152
 # against 78 us, 630-750 against 320-340 at 4,467 states); with this
 # limit they cost what the gather does.  In the reversal automaton such a
 # state, never in a mask, is on the walked side of every co-sparse one.
 #
-# The dense route is the shift step when the table has at most _SHIFT_RUNS
-# distinct offsets, and the gather otherwise.  Swept on banded tables with
-# mid-density masks, in microseconds per step, gather/shift, on the same
-# VM (whose cores then ran about 2x slower than in the sweep above): the
-# shift step costs about 0.25 us plus 0.12-0.25 us per offset up to a few
-# thousand states, and stays far below the gather above that.  At 30-32
-# offsets it is 3.7/3.5 at n = 65, 8.7/5.7 at 100, 16/8.1 at 202, 70/9.6
-# at 1,000, 195/18.5 at 4,467 and 1,054/66 at 25,000; at 47-60 offsets it
-# loses at n = 65 and 100 (3.6/5.4, 8.3/9.9).  So the cap sits where the
-# smallest tables break even, and the shift table holds at most
-# _SHIFT_RUNS integers of 2n bits each.
+# _SHIFT_RUNS caps the offsets of a table that takes the shift step.  Swept
+# on banded tables with mid-density masks, in microseconds per step,
+# gather/shift, on the same VM (whose cores then ran about 2x slower than
+# in the sweep above): the shift step costs about 0.25 us plus 0.12-0.25 us
+# per offset up to a few thousand states, and stays far below the gather
+# above that.  At 30-32 offsets it is 3.7/3.5 at n = 65, 8.7/5.7 at 100,
+# 16/8.1 at 202, 70/9.6 at 1,000, 195/18.5 at 4,467 and 1,054/66 at 25,000;
+# at 47-60 offsets it loses at n = 65 and 100 (3.6/5.4, 8.3/9.9).  So the
+# cap sits where the smallest tables break even, and the shift table holds
+# at most _SHIFT_RUNS integers of 2n bits each.
+#
+# A table with a shift step takes it for sparse masks too.  Swept on banded
+# tables, in microseconds per step, sparse route/shift step, on the same VM:
+# at 2 and 8 offsets the shift step is as fast or faster for every mask
+# (one bit: 1.6/0.6 at n = 202 and 29/4.1 at 25,000 with 2 offsets,
+# 1.4-1.6/1.2-1.6 and 29-33/19-22 with 8).  At 32 offsets a one-bit mask
+# costs 2-2.4x as much (1.4-1.6/3.3-3.7 at n = 202, 30-31/61-64 at 25,000)
+# and a mask of n/20 bits 1.2-8x less (4.7-5.3/3.8-4.3, 536-550/66-100).
+# The breadth-first numbered hosts the reversal automaton walks have few
+# offsets (2 on exact-ones) or more than _SHIFT_RUNS (48-59 on the
+# circuit-value and counter hosts), so no rule weighs the offsets against
+# the walked bits.
 _GATHER_STATES = 64
 _SPARSE_DENSITY = 10
 _HEAVY_SHARE = 16
@@ -499,13 +512,13 @@ def preimages(delta: tuple[tuple[int, int], ...]) -> Callable[[int], tuple[int, 
     ``_SHIFT_RUNS`` offsets, as breadth-first numbered chains and cycles
     are.
 
-    Tables of at most ``_GATHER_STATES`` states take the gather alone.
-    Larger ones pick the route per mask: the sparse route by
+    The route is picked once, here, per table.  Tables of at most
+    ``_GATHER_STATES`` states take the gather.  A larger table with a shift
+    step takes it for every mask, and its table of offsets, O(n) in size,
+    is built now.  Any other table picks per mask: the sparse route by
     ``_SPARSE_DENSITY`` and by whether the walked side holds a state with
-    more than n/``_HEAVY_SHARE`` sources, else the dense route, which is the
-    shift step where it exists and the gather otherwise.  The sparse
-    route's table of sources and the shift step's table of offsets, each
-    O(n) in size, are built on their route's first use.
+    more than n/``_HEAVY_SHARE`` sources, else the gather.  Its table of
+    sources, O(n) in size, is built on the sparse route's first use.
     """
     n = len(delta)
     full = (1 << n) - 1
@@ -521,12 +534,9 @@ def preimages(delta: tuple[tuple[int, int], ...]) -> Callable[[int], tuple[int, 
     if n <= _GATHER_STATES:
         return gather
 
-    def first_dense(mask: int) -> tuple[int, int]:
-        nonlocal dense
-        dense = _shift_step(delta) or gather
-        return dense(mask)
-
-    dense = first_dense
+    shift_step = _shift_step(delta)
+    if shift_step is not None:
+        return shift_step
     lo = n // _SPARSE_DENSITY  # the sparse route takes k <= lo or k >= n - lo
     hi = n - lo
     nbytes = (n + 7) >> 3
@@ -539,7 +549,7 @@ def preimages(delta: tuple[tuple[int, int], ...]) -> Callable[[int], tuple[int, 
         mask &= full
         k = mask.bit_count()
         if lo < k < hi:
-            return dense(mask)
+            return gather(mask)
         if not sources:
             # sources[i]: the states moving into the bit at index i of
             # bin(mask | guard), those on symbol 1 offset by shift; an index
@@ -553,7 +563,7 @@ def preimages(delta: tuple[tuple[int, int], ...]) -> Callable[[int], tuple[int, 
         flip = full if 2 * k > n else 0
         walked = mask ^ flip
         if walked & heavy:
-            return dense(mask)
+            return gather(mask)
         out = bytearray(2 * nbytes)
         digits = bin(walked | guard)
         i = digits.find("1", 3)
@@ -568,9 +578,9 @@ def preimages(delta: tuple[tuple[int, int], ...]) -> Callable[[int], tuple[int, 
 
 
 def _shift_step(delta):
-    """The shift step of ``delta``: ``step(mask) -> (p0, p1)`` for masks
-    below ``2**n``, or None when the table has more than ``_SHIFT_RUNS``
-    distinct offsets.
+    """The shift step of ``delta``: ``step(mask) -> (p0, p1)``, ignoring the
+    bits of ``mask`` at or above n, or None when the table has more than
+    ``_SHIFT_RUNS`` distinct offsets.
 
     Read ``p0 | p1 << n`` as one buffer.  Its bit q comes from bit
     ``t = delta[q][0]`` of the mask, and its bit ``n + q`` from bit
@@ -604,6 +614,7 @@ def _shift_step(delta):
     top = n + base
 
     def step(mask: int) -> tuple[int, int]:
+        mask &= full
         m2 = mask << base | mask << top
         x = 0
         for r, s in runs:

@@ -242,8 +242,9 @@ def exact_ones_wsize(n: int) -> int:
 
 def exact_ones_winset_member(n: int, w: str) -> bool:
     """Suffix law: enough A's, not too many B's, and no suffix majority of B's."""
-    if any(c not in ("A", "B") for c in w):
-        raise ValueError("turn word must be over A, B")
+    for c in w:
+        if c not in ("A", "B"):
+            raise ValueError(f"turn symbol must be A or B, got {c!r}")
     if w.count("A") < n or w.count("B") > n:
         return False
     deficit = 0

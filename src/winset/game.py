@@ -377,8 +377,8 @@ class ReversalDfa:
         # pre_i(m & R) & R, and the initial state is in R: every walk ends in
         # the same answer on the trimmed table as on the host's own.  Sets
         # that differ only outside R merge, and the breadth-first numbers
-        # give chains and cycles few offsets, so that the dense route of
-        # preimages is the shift step on them whatever the given numbering.
+        # give chains and cycles few offsets, so that preimages takes the
+        # shift step on them, for every mask, whatever the given numbering.
         self.host = _trim(host)
         self._pre = preimages(self.host.delta)
         self.initial_mask = _mask(self.host.finals)
@@ -400,11 +400,11 @@ class ReversalDfa:
         """Does the automaton accept ``word``, a turn word read backwards?
 
         Walks a single subset of host states through the word.  With n
-        reachable host states that is O(|word| * n) time at worst; a step
-        from a sparse or co-sparse subset costs less, and on a host whose
-        breadth-first numbered transitions have few offsets, such as
-        :func:`~winset.gadgets.exact_ones_dfa`, a dense step costs
-        O(#offsets) big-integer operations, as
+        reachable host states that is O(|word| * n) time at worst.  On a
+        host whose breadth-first numbered transitions have few offsets, such
+        as :func:`~winset.gadgets.exact_ones_dfa`, every step costs
+        O(#offsets) big-integer operations; on other large hosts a step from
+        a sparse or co-sparse subset costs less, as
         :func:`~winset.automata.preimages` describes.  A letter other than
         A or B raises ``ValueError`` naming the first one in ``word``.
         """

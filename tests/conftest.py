@@ -12,15 +12,15 @@ from winset.enumeration import _host, _structures
 
 def shift_steps(monkeypatch) -> list:
     """What each request for a shift step returns, in order: None where the
-    table has more than ``_SHIFT_RUNS`` offsets and its dense masks take the
-    gather."""
+    table has more than ``_SHIFT_RUNS`` offsets and keeps the per-mask pick
+    between the sparse route and the gather."""
     build, built = automata._shift_step, []
 
     def spy(delta):
         built.append(build(delta))
         return built[-1]
 
-    # preimages looks the name up in automata when its first dense step comes
+    # preimages looks the name up in automata when it compiles a table
     monkeypatch.setattr(automata, "_shift_step", spy)
     return built
 

@@ -62,6 +62,12 @@ def test_member_rejects_what_the_reversal_automaton_rejects():
                 with pytest.raises(ValueError) as got:
                     walk()
                 assert str(got.value) == f"turn symbol must be A or B, got {bad}", w
+    # the suffix law reads the word forwards and names its first bad letter
+    for w in named:
+        first = next(c for c in w if c not in "AB")
+        with pytest.raises(ValueError) as got:
+            exact_ones_winset_member(100, w)
+        assert str(got.value) == f"turn symbol must be A or B, got {first!r}", w
 
 
 def test_intersect_empty():
@@ -134,8 +140,9 @@ def test_intersect_budget_defaults_to_the_state_budget():
 
 
 def sparse_and_dense_steps(host: Dfa, w: str) -> tuple[int, int]:
-    """How many of ``member(host, w)``'s steps start from a mask sparse or
-    co-sparse enough for the sparse route, and how many from a denser one."""
+    """How many of ``member(host, w)``'s steps start from a mask with at
+    most n/``_SPARSE_DENSITY`` bits set or cleared, and how many from a
+    denser one."""
     rev = ReversalDfa(host)
     n = rev.host.state_count
     lo = n // automata._SPARSE_DENSITY
@@ -202,13 +209,12 @@ def test_member_switches_to_the_shift_step_on_a_relabeled_exact_ones_host(monkey
         want = exact_ones_winset_member(n, word)
         assert member(host, word) == want, word
         answers.add(want)
-        # each call's automaton builds the shift step at most once, on the
-        # first dense step of its walk, in the breadth-first numbers
-        assert len(built) <= calls + 1
-        calls = len(built)
+        # each call's automaton builds the shift step exactly once, when it
+        # compiles the table in the breadth-first numbers
+        calls += 1
+        assert len(built) == calls
     assert answers == {False, True}
-    # only a walk whose set dies early takes no dense step
-    assert 10 <= len(built) <= 12 and None not in built
+    assert None not in built
 
 
 def test_one_reversal_automaton_builds_its_shift_step_once(monkeypatch):

@@ -502,48 +502,55 @@ def table_with_offsets(n: int, offsets) -> tuple[tuple[int, int], ...]:
 
 def test_shift_step_matches_the_per_state_loop(monkeypatch):
     rng = random.Random(1907)
-    cap = automata._SHIFT_RUNS
+    cap, small = automata._SHIFT_RUNS, automata._GATHER_STATES
     banded = {
         "chain": chain_dfa(150, range(0, 149, 3)).delta,
         # offsets 1 and -3, and -(n - 1) and n - 3 where the cycle wraps
         "cycle": tuple(((q + 1) % 131, (q - 3) % 131) for q in range(131)),
         "exact-ones, breadth-first": minimize(relabeled(exact_ones_dfa(200), rng)).delta,
         "cap": table_with_offsets(300, range(-15, cap - 15)),
+        "gather states + 1": table_with_offsets(small + 1, range(-3, 5)),
     }
     assert len({t - q for q, row in enumerate(banded["cap"]) for t in row}) == cap
     # its offset past the cap first shows beyond the rows checked up front
     scattered = table_with_offsets(300, range(-16, cap - 15))
     assert len({t - q for q, row in enumerate(scattered) for t in row}) == cap + 1
     built = shift_steps(monkeypatch)
-    for name, delta in [*banded.items(), ("cap + 1", scattered)]:
+    tables = [*banded.items(), ("cap + 1", scattered),
+              ("gather states", table_with_offsets(small, range(-3, 5)))]
+    for name, delta in tables:
         host = Dfa(alphabet=("0", "1"), delta=delta, initial=0, finals=frozenset())
         n = len(delta)
         pre = preimages(delta)
+        # a table of at most _GATHER_STATES states takes the gather and asks
+        # for no shift step; a larger one asks once, as it is compiled, and
+        # past the cap there is none
+        if name == "gather states":
+            assert built == []
+        else:
+            [step] = built
+            built.clear()
+            assert (step is None) == (name == "cap + 1"), name
+            assert (pre is step) == (name != "cap + 1"), name
+        # every mask has stray bits above n - 1, which the step ignores
         for mask in masks_of_every_density(rng, n):
             assert pre(mask) == reference_preimages(host, mask), (name, mask.bit_count())
-        # the first dense mask asked for the shift step once; past the cap
-        # there is none, and the dense masks took the gather
-        [step] = built
-        built.clear()
-        assert (step is None) == (name == "cap + 1"), name
-        if step is not None:
-            for mask in masks_of_every_density(rng, n):
-                assert step(mask & (1 << n) - 1) == reference_preimages(host, mask), name
+        assert built == [], name
 
 
-def test_shift_step_table_is_linear_and_lazy(monkeypatch):
+def test_shift_step_table_is_linear_and_built_once(monkeypatch):
     build, built = automata._shift_step, []
     monkeypatch.setattr(automata, "_shift_step", lambda delta: built.append(delta) or build(delta))
+    rng = random.Random(534)
     held = {}
     for n in (25_000, 50_000):
         delta = table_with_offsets(n, range(-15, automata._SHIFT_RUNS - 15))
-        pre, full = preimages(delta), (1 << n) - 1
-        pre(1 << n // 3)
-        pre(full ^ 1 << n // 3)
-        # the shift step's table is built on the first dense step, not before
-        assert built == []
-        pre(full >> n // 2)
-        pre(full >> n // 3)
+        pre = preimages(delta)
+        # the shift step is built once, as the table is compiled, and then
+        # serves masks of every density with no further build
+        assert built == [delta]
+        for mask in masks_of_every_density(rng, n):
+            pre(mask)
         assert built == [delta]
         built.clear()
         tracemalloc.start()
