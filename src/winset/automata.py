@@ -18,6 +18,16 @@ TURNS = ("A", "B")
 _ALPHABETS = {"01": BINARY, "AB": TURNS}
 
 
+def _turn_index(c: str) -> int:
+    """0 for the turn symbol A, 1 for B; anything else, the empty string and
+    a word of several letters included, raises ``ValueError``."""
+    if c == "A":
+        return 0
+    if c == "B":
+        return 1
+    raise ValueError(f"turn symbol must be A or B, got {c!r}")
+
+
 # Default cap on the states one subset construction may materialize.
 STATE_BUDGET = 2_000_000
 
@@ -147,6 +157,8 @@ class Nfa:
         if len(self.alphabet) != 2:
             raise ValueError("alphabet must have exactly 2 symbols")
         for q, row in enumerate(self.delta):
+            if len(row) != 2:
+                raise ValueError(f"state {q}: need a target set per symbol")
             for targets in row:
                 for t in targets:
                     if not 0 <= t < n:
@@ -512,15 +524,20 @@ def preimages(delta: tuple[tuple[int, int], ...]) -> Callable[[int], tuple[int, 
     ``_SHIFT_RUNS`` offsets, as breadth-first numbered chains and cycles
     are.
 
-    The route is picked once, here, per table.  Tables of at most
-    ``_GATHER_STATES`` states take the gather.  A larger table with a shift
-    step takes it for every mask, and its table of offsets, O(n) in size,
-    is built now.  Any other table picks per mask: the sparse route by
-    ``_SPARSE_DENSITY`` and by whether the walked side holds a state with
-    more than n/``_HEAVY_SHARE`` sources, else the gather.  Its table of
-    sources, O(n) in size, is built on the sparse route's first use.
+    The route is picked once, here, per table.  A table of more than
+    ``_GATHER_STATES`` states with a shift step takes it for every mask,
+    and its table of offsets, O(n) in size, is built now.  Every other
+    table builds the gather's index of 2n digits now.  Tables of at most
+    ``_GATHER_STATES`` states take the gather; the larger ones pick per
+    mask: the sparse route by ``_SPARSE_DENSITY`` and by whether the walked
+    side holds a state with more than n/``_HEAVY_SHARE`` sources, else the
+    gather.  Their table of sources, O(n) in size, is built on the sparse
+    route's first use.
     """
     n = len(delta)
+    shift_step = _shift_step(delta) if n > _GATHER_STATES else None
+    if shift_step is not None:
+        return shift_step
     full = (1 << n) - 1
     guard = full + 1
     # bin(mask | guard) is "0b1" and then bit t at index n+2-t; the gathered
@@ -533,10 +550,6 @@ def preimages(delta: tuple[tuple[int, int], ...]) -> Callable[[int], tuple[int, 
 
     if n <= _GATHER_STATES:
         return gather
-
-    shift_step = _shift_step(delta)
-    if shift_step is not None:
-        return shift_step
     lo = n // _SPARSE_DENSITY  # the sparse route takes k <= lo or k >= n - lo
     hi = n - lo
     nbytes = (n + 7) >> 3

@@ -30,14 +30,19 @@ class Circuit:
     outputs: tuple[tuple[str, str], ...]
 
     def __post_init__(self):
+        # every node name defined so far; a gate's own name joins after its
+        # arguments are checked, so a gate cannot name itself
         seen: set[str] = set()
+
+        def fresh(name: str) -> str:
+            if name in seen:
+                raise ValueError(f"duplicate node name {name!r}")
+            return name
+
         for name in self.inputs:
-            if name in seen:
-                raise ValueError(f"duplicate node name {name!r}")
-            seen.add(name)
+            seen.add(fresh(name))
         for name, kind, args in self.gates:
-            if name in seen:
-                raise ValueError(f"duplicate node name {name!r}")
+            fresh(name)
             if kind not in GATE_ARITY:
                 raise ValueError(f"unknown gate kind {kind!r}")
             if len(args) != GATE_ARITY[kind]:
@@ -50,11 +55,11 @@ class Circuit:
             seen.add(name)
         if not self.outputs:
             raise ValueError("a circuit needs at least one output")
+        # an output's source is an input or a gate, never another output
+        sources = frozenset(seen)
         for name, src in self.outputs:
-            if name in seen:
-                raise ValueError(f"duplicate node name {name!r}")
-            seen.add(name)
-            if src not in set(self.inputs) | {g[0] for g in self.gates}:
+            seen.add(fresh(name))
+            if src not in sources:
                 raise ValueError(f"output {name!r}: unknown source {src!r}")
 
     @property

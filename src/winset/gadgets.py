@@ -22,6 +22,7 @@ from .automata import (
     BudgetExceededError,
     Dfa,
     GraphBuilder,
+    _turn_index,
     coaccessible,
     explore,
 )
@@ -243,8 +244,7 @@ def exact_ones_wsize(n: int) -> int:
 def exact_ones_winset_member(n: int, w: str) -> bool:
     """Suffix law: enough A's, not too many B's, and no suffix majority of B's."""
     for c in w:
-        if c not in ("A", "B"):
-            raise ValueError(f"turn symbol must be A or B, got {c!r}")
+        _turn_index(c)
     if w.count("A") < n or w.count("B") > n:
         return False
     deficit = 0

@@ -24,6 +24,7 @@ from .automata import (
     _mask,
     _quotient,
     _trim,
+    _turn_index,
     coaccessible,
     determinize_reverse,
     explore,
@@ -90,14 +91,12 @@ class _Host:
 
     def successors(self, g: Iterable[int], c: str) -> set[int]:
         """The unnormalized members of the game state after turn ``c``."""
-        if c == "A":
-            out = set()
-            for m in g:
-                out.update(self.a_images(m))
-            return out
-        if c == "B":
+        if _turn_index(c):
             return {self.b_image(m) for m in g}
-        raise ValueError(f"turn symbol must be A or B, got {c!r}")
+        out = set()
+        for m in g:
+            out.update(self.a_images(m))
+        return out
 
     def normalize(self, g: Iterable[int]) -> GameState:
         keep, dead = ~self.acc_sink, ~self.coacc
@@ -127,9 +126,8 @@ class _Host:
 
     def step(self, g: Iterable[int], c: str) -> GameState:
         """``normalize(successors(g, c))``."""
-        if c not in TURNS:
-            raise ValueError(f"turn symbol must be A or B, got {c!r}")
-        return self.steps(g)[c == "B"]
+        i = _turn_index(c)
+        return self.steps(g)[i]
 
     def accepting(self, g: GameState) -> bool:
         fmask = self.fmask
@@ -389,9 +387,8 @@ class ReversalDfa:
         return p0 | p1, p0 & p1
 
     def step(self, mask: int, c: str) -> int:
-        if c not in TURNS:
-            raise ValueError(f"turn symbol must be A or B, got {c!r}")
-        return self.successors(mask)[c == "B"]
+        i = _turn_index(c)
+        return self.successors(mask)[i]
 
     def is_final(self, mask: int) -> bool:
         return bool((mask >> self.host.initial) & 1)
@@ -409,8 +406,8 @@ class ReversalDfa:
         A or B raises ``ValueError`` naming the first one in ``word``.
         """
         if word.count("A") + word.count("B") != len(word):
-            bad = next(c for c in word if c not in TURNS)
-            raise ValueError(f"turn symbol must be A or B, got {bad!r}")
+            for c in word:
+                _turn_index(c)
         pre, m = self._pre, self.initial_mask
         for c in word:
             p0, p1 = pre(m)

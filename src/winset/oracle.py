@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .automata import BudgetExceededError, Dfa, accepts
+from .automata import BudgetExceededError, Dfa, _turn_index, accepts
 
 SLICE_LIMIT = 24  # 2^n table entries; past this the "oracle" stops being one
 
@@ -38,8 +38,7 @@ def alice_wins(t: TargetPredicate, w: str) -> bool:
     if len(w) != t.length:
         raise ValueError(f"turn word length {len(w)} != target length {t.length}")
     for c in w:
-        if c not in ("A", "B"):
-            raise ValueError(f"turn symbol must be A or B, got {c!r}")
+        _turn_index(c)
     if len(w) > SLICE_LIMIT:
         raise BudgetExceededError(f"turn word length {len(w)} exceeds the limit {SLICE_LIMIT}")
 

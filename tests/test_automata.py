@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from winset.automata import (
     BINARY,
+    TURNS,
     BudgetExceededError,
     Dfa,
     FormatError,
@@ -187,6 +188,10 @@ NO_MOVES = (frozenset(), frozenset())
         (lambda: Nfa(BINARY, ((frozenset({1}), frozenset()),), frozenset(), frozenset()),
          "target 1 out of range"),
         (lambda: Nfa(BINARY, (NO_MOVES,), frozenset({1}), frozenset()), "state 1 out of range"),
+        (lambda: Nfa(TURNS, ((frozenset(),),), frozenset({0}), frozenset({0})),
+         "^state 0: need a target set per symbol$"),
+        (lambda: Nfa(BINARY, (NO_MOVES, NO_MOVES + (frozenset(),)), frozenset({0}), frozenset()),
+         "^state 1: need a target set per symbol$"),
     ],
 )
 def test_constructors_reject_malformed_automata(build, message):

@@ -51,27 +51,36 @@ def test_parse_gate_shorthand_equivalence():
     assert a == b
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "input x\ngate g XOR x x\noutput y g\n",  # unknown kind
-        "input x\nand g x\noutput y g\n",  # wrong arity
-        "input x\ninput x\nnot g x\noutput y g\n",  # duplicate name
-        "input x\nnot g z\noutput y g\n",  # unknown argument
-        "input x\n",  # no outputs
-        "input x\nfrob g x\noutput y g\n",  # unknown line
-        "input x\nnot g x\nnot g x\noutput y g\n",  # duplicate gate
-        "input x\noutput y x\noutput y x\n",  # duplicate output
-        "input x\noutput y z\n",  # unknown output source
-    ],
-)
+# each malformed circuit text and the message that refuses it
+MALFORMED = {
+    "input x\ngate g XOR x x\noutput y g\n": "unknown gate kind 'XOR'",
+    "input x\nand g x\noutput y g\n": "gate 'g': AND takes 2 arguments",
+    "input x\ninput x\nnot g x\noutput y g\n": "duplicate node name 'x'",
+    "input x\nnot g z\noutput y g\n": "gate 'g': unknown argument 'z'",
+    "input x\n": "a circuit needs at least one output",
+    "input x\nfrob g x\noutput y g\n": "line 2: unrecognized line 'frob g x'",
+    "input x\nnot g x\nnot g x\noutput y g\n": "duplicate node name 'g'",
+    "input x\noutput y x\noutput y x\n": "duplicate node name 'y'",
+    "input x\noutput y z\n": "output 'y': unknown source 'z'",
+    # a gate is defined only after its arguments are checked
+    "input x\nnot g g\noutput y g\n": "gate 'g': unknown argument 'g'",
+    # an output's source is an input or a gate, not another output
+    "input x\noutput y x\noutput z y\n": "output 'z': unknown source 'y'",
+    # a duplicate name is named before the node's other faults
+    "input g\ngate g XOR x\noutput y g\n": "duplicate node name 'g'",
+    "input x\noutput x z\n": "duplicate node name 'x'",
+}
+
+
+@pytest.mark.parametrize("text", list(MALFORMED))
 def test_parse_rejects_malformed(text, tmp_path, capsys):
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError) as got:
         parse_circuit(text)
+    assert str(got.value) == MALFORMED[text]
     path = tmp_path / "bad.circuit"
     path.write_text(text)
     assert main(["gadget", "circuit", str(path)]) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    assert capsys.readouterr().err == f"error: {MALFORMED[text]}\n"
 
 
 def test_reduction_shape():

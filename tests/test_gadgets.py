@@ -266,6 +266,9 @@ def test_cycle_profile_of_families():
     # the trim part {0, 1, 2} is strongly connected with a chord 1 -> 0
     with pytest.raises(ValueError):
         cycle_profile(host(((1, 3), (2, 0), (0, 3), (3, 3)), {0}))
+    # the trim part {0, 1} is a 2-cycle whose arc 0 -> 1 is doubled
+    with pytest.raises(ValueError, match="^a strongly connected part is not a simple cycle$"):
+        cycle_profile(host(((1, 1), (0, 2), (2, 2)), {1}))
     # no finals: the trim part is empty
     assert cycle_profile(host(((1, 1), (0, 0)), ())) == ((), 0)
     # a 1,999-state transit chain numbered against its edges, from the

@@ -44,12 +44,13 @@ from winset.gadgets import (
     testing as build_tester,
     chain_dfa,
     exact_ones_dfa,
+    exact_ones_winset_member,
     exact_ones_wsize,
     gen_state,
     gen_subset,
     lower_bound_dfa,
 )
-from winset.oracle import alice_wins, dfa_predicate
+from winset.oracle import alice_wins, dfa_predicate, parity_predicate
 from .conftest import dfas, random_host, relabeled, shift_steps, words_upto
 
 PARITY = Dfa(alphabet=("0", "1"), delta=((0, 1), (1, 0)), initial=0, finals=frozenset({1}))
@@ -109,6 +110,36 @@ def test_winning_step_on_parity():
     assert winning_step(PARITY, g, "B") == (0b11,)
     with pytest.raises(ValueError):
         winning_step(PARITY, g, "0")
+
+
+def test_every_turn_letter_check_gives_one_message():
+    g, rev, h = game_state([[0]]), ReversalDfa(PARITY), game._Host(PARITY)
+    # entry points that read one letter refuse the empty word and a word of two
+    letters = {
+        "winning_step": lambda c: winning_step(PARITY, g, c),
+        "_Host.step": lambda c: h.step(g, c),
+        "_Host.successors": lambda c: h.successors(g, c),
+        "ReversalDfa.step": lambda c: rev.step(1, c),
+    }
+    for name, call in letters.items():
+        for bad in ("X", "", "AB"):
+            with pytest.raises(ValueError) as got:
+                call(bad)
+            assert str(got.value) == f"turn symbol must be A or B, got {bad!r}", name
+    # entry points that read a word name the first bad letter they read
+    words = {
+        "winning_run": lambda w: winning_run(PARITY, g, w),
+        "winning_run raw": lambda w: winning_run(PARITY, g, w, normalized=False),
+        "ReversalDfa.accepts": rev.accepts,
+        "alice_wins": lambda w: alice_wins(parity_predicate(len(w)), w),
+        "exact_ones_winset_member": lambda w: exact_ones_winset_member(2, w),
+    }
+    for name, call in words.items():
+        for w in ("X", "AXB", "BAXAY", "ABBA\n"):
+            bad = next(c for c in w if c not in "AB")
+            with pytest.raises(ValueError) as got:
+                call(w)
+            assert str(got.value) == f"turn symbol must be A or B, got {bad!r}", (name, w)
 
 
 def test_winset_rejects_turn_alphabet_host():
