@@ -28,6 +28,18 @@ def _turn_index(c: str) -> int:
     raise ValueError(f"turn symbol must be A or B, got {c!r}")
 
 
+def _check_alphabet(alphabet: tuple[str, str]):
+    if len(alphabet) != 2 or alphabet[0] == alphabet[1]:
+        raise ValueError("alphabet must have exactly 2 symbols, and they must differ")
+
+
+def _symbol_index(alphabet: tuple[str, str], symbol: str) -> int:
+    try:
+        return alphabet.index(symbol)
+    except ValueError:
+        raise ValueError(f"symbol {symbol!r} not in alphabet {''.join(alphabet)}") from None
+
+
 # Default cap on the states one subset construction may materialize.
 STATE_BUDGET = 2_000_000
 
@@ -58,8 +70,7 @@ class Dfa:
         n = len(self.delta)
         if n == 0:
             raise ValueError("a DFA needs at least one state")
-        if len(self.alphabet) != 2:
-            raise ValueError("alphabet must have exactly 2 symbols")
+        _check_alphabet(self.alphabet)
         if not 0 <= self.initial < n:
             raise ValueError(f"initial state {self.initial} out of range")
         for q, row in enumerate(self.delta):
@@ -77,18 +88,13 @@ class Dfa:
         return len(self.delta)
 
     def symbol_index(self, symbol: str) -> int:
-        try:
-            return self.alphabet.index(symbol)
-        except ValueError:
-            raise ValueError(
-                f"symbol {symbol!r} not in alphabet {''.join(self.alphabet)}"
-            ) from None
+        return _symbol_index(self.alphabet, symbol)
 
     def run(self, word: str) -> int:
         """State reached from the initial state after reading ``word``."""
         q = self.initial
         for s in word:
-            q = self.delta[q][self.symbol_index(s)]
+            q = self.delta[q][_symbol_index(self.alphabet, s)]
         return q
 
 
@@ -154,8 +160,7 @@ class Nfa:
 
     def __post_init__(self):
         n = len(self.delta)
-        if len(self.alphabet) != 2:
-            raise ValueError("alphabet must have exactly 2 symbols")
+        _check_alphabet(self.alphabet)
         for q, row in enumerate(self.delta):
             if len(row) != 2:
                 raise ValueError(f"state {q}: need a target set per symbol")
@@ -191,7 +196,7 @@ def accepts(d: Dfa, word: str) -> bool:
 def nfa_accepts(n: Nfa, word: str) -> bool:
     current = set(n.initial)
     for s in word:
-        i = n.alphabet.index(s)
+        i = _symbol_index(n.alphabet, s)
         current = set().union(*(n.delta[q][i] for q in current)) if current else set()
     return bool(current & n.finals)
 

@@ -28,6 +28,13 @@ def _emit_dfa(d: Dfa, fmt: str) -> str:
     return automata.dfa_to_text(d)
 
 
+def _int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise FormatError(f"{what} must be an integer, got {text!r}") from None
+
+
 def _target(spec: str, n: int) -> oracle.TargetPredicate:
     if spec == "dyck":
         return oracle.dyck_predicate(n)
@@ -36,7 +43,8 @@ def _target(spec: str, n: int) -> oracle.TargetPredicate:
     if spec == "contains-011":
         return oracle.contains_011_predicate(n)
     if spec.startswith("exact-ones:"):
-        return oracle.exact_ones_predicate(n, int(spec.split(":", 1)[1]))
+        k = _int(spec.split(":", 1)[1], "the count in target exact-ones:<k>")
+        return oracle.exact_ones_predicate(n, k)
     return oracle.dfa_predicate(_read_dfa(spec), n)
 
 
@@ -100,58 +108,36 @@ def _cmd_oracle_slice(args) -> int:
 
 
 _GADGETS = {
-    "gen-subset": lambda n: gadgets.gen_subset(n).dfa,
-    "gen-state": lambda n: gadgets.gen_state(n).dfa,
-    "testing": lambda n: gadgets.testing(n).dfa,
-    "lower-bound": gadgets.lower_bound_dfa,
-    "exact-ones": gadgets.exact_ones_dfa,
+    "gen-subset": lambda args: gadgets.gen_subset(args.n).dfa,
+    "gen-state": lambda args: gadgets.gen_state(args.n).dfa,
+    "testing": lambda args: gadgets.testing(args.n).dfa,
+    "lower-bound": lambda args: gadgets.lower_bound_dfa(args.n),
+    "chain": lambda args: gadgets.chain_dfa(args.n, args.finals),
+    "exact-ones": lambda args: gadgets.exact_ones_dfa(args.n),
 }
 
 
 def _cmd_gadget(args) -> int:
-    if args.n is None:
-        what = "circuit file" if args.name == "circuit" else "gadget size"
-        raise FormatError(f"{what} argument required")
-    if args.finals is not None and args.name != "chain":
-        raise FormatError("--finals applies only to the chain gadget")
-    if args.value is not None or args.iterate is not None:
-        if args.name != "circuit":
-            raise FormatError("--value and --iterate apply only to circuit")
-        if args.value is not None and args.iterate is not None:
-            raise FormatError("--value and --iterate exclude each other")
-    if args.name == "circuit":
-        return _cmd_gadget_circuit(args)
-    n = int(args.n)
-    if args.name == "chain":
-        d = gadgets.chain_dfa(n, args.finals or [])
-    else:
-        try:
-            d = _GADGETS[args.name](n)
-        except KeyError:
-            raise FormatError(f"unknown gadget {args.name!r}")
-    print(_emit_dfa(d, args.emit), end="")
+    print(_emit_dfa(_GADGETS[args.family](args), args.emit), end="")
     return 0
 
 
 def _cmd_gadget_circuit(args) -> int:
-    c = circuits.parse_circuit(Path(args.n).read_text())
+    c = circuits.parse_circuit(Path(args.file).read_text())
     if args.value is not None:
         dfa, word = circuits.circuit_value_instance(c, _parse_bits(args.value))
-        print(_emit_dfa(dfa, args.emit), end="")
-        print(f"word {word}")
-        return 0
-    if args.iterate is not None:
+        tail = [f"word {word}"]
+    elif args.iterate is not None:
         bits, idx = args.iterate
         dfa, base, period = circuits.iterated_instance(
-            c, _parse_bits(bits), int(idx)
+            c, _parse_bits(bits), _int(idx, "--iterate INDEX")
         )
-        print(_emit_dfa(dfa, args.emit), end="")
-        print(f"base {base}")
-        print(f"period {period}")
-        return 0
-    art = circuits.circuit_to_dfa(c)
-    print(_emit_dfa(art.dfa, args.emit), end="")
-    print(f"rounds {art.p}")
+        tail = [f"base {base}", f"period {period}"]
+    else:
+        art = circuits.circuit_to_dfa(c)
+        dfa, tail = art.dfa, [f"rounds {art.p}"]
+    print(_emit_dfa(dfa, args.emit), end="")
+    print(*tail, sep="\n")
     return 0
 
 
@@ -191,8 +177,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def emit_flag(p):
-        p.add_argument("--emit", choices=("text", "dot", "json"), default="text")
+    def emit_flag(p, default="text"):
+        p.add_argument("--emit", choices=("text", "dot", "json"), default=default)
 
     p = sub.add_parser("wdfa", help="minimal winning-set DFA of a host DFA")
     p.add_argument("dfa")
@@ -240,14 +226,24 @@ def _build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=_cmd_oracle_slice)
 
     p = sub.add_parser("gadget", help="generate an automaton family member")
-    p.add_argument("name", help="gen-subset | gen-state | testing | "
-                   "lower-bound | chain | exact-ones | circuit")
-    p.add_argument("n", nargs="?", help="size, or circuit file for 'circuit'")
-    p.add_argument("--finals", type=int, nargs="*", help="finals for 'chain'")
-    p.add_argument("--value", help="input assignment, e.g. TFT")
-    p.add_argument("--iterate", nargs=2, metavar=("BITS", "INDEX"))
+    # --emit may come before the family name too; a family's parser sets it
+    # only when it is given there
     emit_flag(p)
-    p.set_defaults(func=_cmd_gadget)
+    gsub = p.add_subparsers(dest="family", required=True)
+    for name in _GADGETS:
+        q = gsub.add_parser(name, help=f"the {name} family at size n")
+        q.add_argument("n", type=int, help="size")
+        if name == "chain":
+            q.add_argument("--finals", type=int, nargs="*", default=[], help="final states")
+        emit_flag(q, argparse.SUPPRESS)
+        q.set_defaults(func=_cmd_gadget)
+    q = gsub.add_parser("circuit", help="reductions of a circuit file")
+    q.add_argument("file", help="circuit file")
+    mode = q.add_mutually_exclusive_group()
+    mode.add_argument("--value", help="input assignment, e.g. TFT")
+    mode.add_argument("--iterate", nargs=2, metavar=("BITS", "INDEX"))
+    emit_flag(q, argparse.SUPPRESS)
+    q.set_defaults(func=_cmd_gadget_circuit)
 
     p = sub.add_parser("enumerate", help="worst-case winning-set size for n states")
     p.add_argument("n", type=int)

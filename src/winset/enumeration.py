@@ -25,6 +25,7 @@ halves the counting: the size at F is mirrored to full ^ F.
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Callable, Iterator, NamedTuple, Optional
 
@@ -179,6 +180,8 @@ def max_winset_complexity(
     """
     if not 1 <= n <= SIZE_GUARD:
         raise ValueError(f"n must be between 1 and {SIZE_GUARD}")
+    if budget_seconds is not None and math.isnan(budget_seconds):
+        raise ValueError("budget_seconds must be a number, got nan")
     deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
     total = None if progress is None else sum(1 for _ in _bfs_ordered(n))
 

@@ -15,6 +15,7 @@ from winset.automata import (
     Nfa,
     STATE_BUDGET,
     accepts,
+    as_nfa,
     coaccessible,
     congruent,
     count_words,
@@ -192,11 +193,23 @@ NO_MOVES = (frozenset(), frozenset())
          "^state 0: need a target set per symbol$"),
         (lambda: Nfa(BINARY, (NO_MOVES, NO_MOVES + (frozenset(),)), frozenset({0}), frozenset()),
          "^state 1: need a target set per symbol$"),
+        (lambda: Dfa(("0", "0"), ((0, 0),), 0, frozenset()),
+         "^alphabet must have exactly 2 symbols, and they must differ$"),
+        (lambda: Nfa(("A", "A"), (NO_MOVES,), frozenset({0}), frozenset()),
+         "^alphabet must have exactly 2 symbols, and they must differ$"),
     ],
 )
 def test_constructors_reject_malformed_automata(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+def test_symbol_outside_the_alphabet_gives_one_message():
+    d = Dfa(BINARY, ((0, 0),), 0, frozenset())
+    for read in (lambda: d.symbol_index("X"), lambda: accepts(d, "01X"),
+                 lambda: nfa_accepts(as_nfa(d), "01X")):
+        with pytest.raises(ValueError, match="^symbol 'X' not in alphabet 01$"):
+            read()
 
 
 def test_parse_nfa_shares_the_row_of_states_without_transitions():

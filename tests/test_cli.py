@@ -161,6 +161,12 @@ def test_oracle_member_builtin(capsys):
     assert main(["oracle", "member", "dyck", "AAB"]) == 2  # odd length
     assert main(["oracle", "member", "parity", "A" * 40]) == 2  # over the limit
     assert "exceeds the limit" in capsys.readouterr().err
+    for target in ("exact-ones:x", "exact-ones:"):
+        assert main(["oracle", "member", target, "AB"]) == 2
+        k = target.split(":")[1]
+        assert capsys.readouterr() == (
+            "", f"error: the count in target exact-ones:<k> must be an integer, got {k!r}\n"
+        )
 
 
 def test_oracle_slice(capsys):
@@ -199,11 +205,24 @@ def test_gadget_sizes_over_the_budget_exit_2(name, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def _usage_error(argv, capsys) -> str:
+    """argparse's stderr for an argument vector it refuses with exit 2,
+    after checking that nothing reached stdout."""
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2, argv
+    out, err = capsys.readouterr()
+    assert out == "" and "error:" in err, argv
+    return err
+
+
 def test_gadget_errors(capsys):
-    assert main(["gadget", "frobnicate", "3"]) == 2
-    assert main(["gadget", "gen-subset"]) == 2
-    assert main(["gadget", "circuit"]) == 2
-    assert "circuit file argument required" in capsys.readouterr().err
+    assert "invalid choice: 'frobnicate'" in _usage_error(["gadget", "frobnicate", "3"], capsys)
+    assert "arguments are required: n" in _usage_error(["gadget", "gen-subset"], capsys)
+    assert "arguments are required: file" in _usage_error(["gadget", "circuit"], capsys)
+    assert "argument n: invalid int value: 'abc'" in _usage_error(
+        ["gadget", "chain", "abc"], capsys
+    )
 
 
 @pytest.fixture
@@ -233,26 +252,37 @@ def test_gadget_circuit_reduction(not_circuit, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv,named",
     [
-        ["exact-ones", "2", "--value", "TF"],
-        ["chain", "3", "--iterate", "TF", "0"],
-        ["exact-ones", "2", "--finals", "1"],
-        ["circuit", "FILE", "--finals", "1"],
-        ["circuit", "FILE", "--value", "T", "--iterate", "T", "0"],
+        (["exact-ones", "2", "--value", "TF"], "unrecognized arguments: --value TF"),
+        (["chain", "3", "--iterate", "TF", "0"], "unrecognized arguments: --iterate TF 0"),
+        (["exact-ones", "2", "--finals", "1"], "unrecognized arguments: --finals 1"),
+        (["circuit", "FILE", "--finals", "1"], "unrecognized arguments: --finals 1"),
+        (["circuit", "FILE", "--value", "T", "--iterate", "T", "0"],
+         "argument --iterate: not allowed with argument --value"),
     ],
+    ids=[f"argv{i}" for i in range(5)],
 )
-def test_gadget_flags_that_do_not_apply_exit_2(argv, not_circuit, capsys):
+def test_gadget_flags_that_do_not_apply_exit_2(argv, named, not_circuit, capsys):
     argv = [not_circuit if a == "FILE" else a for a in argv]
-    assert main(["gadget", *argv]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+    assert named in _usage_error(["gadget", *argv], capsys)
+
+
+def test_gadget_emit_may_precede_the_family(not_circuit, capsys):
+    assert main(["gadget", "--emit", "json", "exact-ones", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["states"] == 4
+    assert main(["gadget", "--emit", "json", "circuit", not_circuit, "--value", "F"]) == 0
+    assert capsys.readouterr().out.startswith("{")
+    # a family's own options do not
+    _usage_error(["gadget", "--value", "F", "circuit", not_circuit], capsys)
 
 
 def test_gadget_circuit_iterate(not_circuit, capsys):
     assert main(["gadget", "circuit", not_circuit, "--iterate", "T", "0"]) == 0
     dfa, base, period = iterated_instance(parse_circuit(NOT_CIRCUIT), (True,), 0)
     assert capsys.readouterr().out == f"{dfa_to_text(dfa)}base {base}\nperiod {period}\n"
+    assert main(["gadget", "circuit", not_circuit, "--iterate", "T", "x"]) == 2
+    assert capsys.readouterr() == ("", "error: --iterate INDEX must be an integer, got 'x'\n")
 
 
 def test_enumerate_line_format(tmp_path, capsys):
@@ -262,6 +292,11 @@ def test_enumerate_line_format(tmp_path, capsys):
     from winset.game import winset_dfa
 
     assert winset_dfa(parse_dfa(witness.read_text())).state_count == 4
+
+
+def test_enumerate_refuses_a_nan_budget(capsys):
+    assert main(["enumerate", "3", "--budget", "nan"]) == 2
+    assert capsys.readouterr() == ("", "error: budget_seconds must be a number, got nan\n")
 
 
 def test_enumerate_budget_reports_partial(capsys):

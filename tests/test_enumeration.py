@@ -93,6 +93,11 @@ def test_budget_returns_partial_result():
     assert result.max_size <= 62
 
 
+def test_nan_budget_is_refused():
+    with pytest.raises(ValueError, match="^budget_seconds must be a number, got nan$"):
+        max_winset_complexity(3, budget_seconds=float("nan"))
+
+
 def test_size_guard():
     with pytest.raises(ValueError):
         max_winset_complexity(0)
