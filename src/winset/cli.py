@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 for success (including positive decisions), 1 for negative
-answers (not a member, not equivalent, empty intersection), 2 for usage
-errors, malformed inputs, and exceeded resource budgets.
+answers (not a member, for any of the words asked, not equivalent, empty
+intersection), 2 for usage errors, malformed inputs, and exceeded resource
+budgets.
 """
 
 from __future__ import annotations
@@ -80,9 +81,12 @@ def _cmd_congruent(args) -> int:
 
 
 def _cmd_decide_member(args) -> int:
-    ok = decision.member(_read_dfa(args.dfa), args.word)
-    print("member" if ok else "not member")
-    return 0 if ok else 1
+    host = _read_dfa(args.dfa)
+    # every answer before the first line, so a bad word prints none
+    answers = [decision.member(host, w) for w in args.words]
+    for ok in answers:
+        print("member" if ok else "not member")
+    return 0 if all(answers) else 1
 
 
 def _cmd_decide_intersect(args) -> int:
@@ -203,9 +207,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decide", help="winning-set decision procedures")
     dsub = p.add_subparsers(dest="decide_command", required=True)
-    q = dsub.add_parser("member", help="is the turn word in the winning set")
+    q = dsub.add_parser("member", help="are the turn words in the winning set")
     q.add_argument("dfa")
-    q.add_argument("word")
+    q.add_argument("words", nargs="+", metavar="word", help="one answer line per word")
     q.set_defaults(func=_cmd_decide_member)
     q = dsub.add_parser("intersect", help="winning set meets a regular set?")
     q.add_argument("dfa")

@@ -5,6 +5,11 @@ turn word backwards through the reversal automaton,
 :meth:`ReversalDfa.accepts <winset.game.ReversalDfa.accepts>`, which
 carries just one host state-set.  Intersection with a regular turn-order
 language is product reachability over the same lazy state space.
+
+Both compile the host into a :class:`~winset.game.ReversalDfa` and keep
+the last host's table until a call on another host object, so a run of
+queries on one host compiles it once.  The module holds at most one
+compiled host, and drops it before it compiles the next.
 """
 
 from __future__ import annotations
@@ -22,15 +27,38 @@ from .automata import (
 )
 from .game import ReversalDfa
 
+# The last compiled host and its table, as one tuple, so that a thread that
+# reads it never pairs one host with another host's table.
+_last: Optional[tuple[Dfa, ReversalDfa]] = None
+
+
+def _reversal(host: Dfa) -> ReversalDfa:
+    """The reversal automaton of ``host``, compiled on the first call on
+    this host object and kept until a call on another one."""
+    global _last
+    last = _last
+    # A Dfa is frozen, so the same object has the same table; equality would
+    # hash the whole table on every call.
+    if last is not None and last[0] is host:
+        return last[1]
+    # drop the old table before compiling the new one, so that at most one
+    # is alive, and none is left behind if the host is refused
+    last = _last = None
+    rev = ReversalDfa(host)
+    _last = (host, rev)
+    return rev
+
 
 def member(host: Dfa, w: str) -> bool:
     """Is the turn word in the winning set of the host's language?
 
     Runs :meth:`ReversalDfa.accepts <winset.game.ReversalDfa.accepts>` on
     the reversed word, which carries a single subset of host states and
-    materializes nothing; its docstring gives the cost.
+    materializes nothing; its docstring gives the cost.  The first call on
+    a host object compiles it, and later calls on the same object only walk,
+    until a call on another host replaces the compiled table.
     """
-    return ReversalDfa(host).accepts(w[::-1])
+    return _reversal(host).accepts(w[::-1])
 
 
 def intersect_nonempty(
@@ -51,7 +79,7 @@ def intersect_nonempty(
         raise ValueError("intersection NFA must be over the AB alphabet")
     if budget < 1:
         raise BudgetExceededError(f"more than {budget} product states visited")
-    rev = ReversalDfa(host)
+    rev = _reversal(host)
 
     # predecessor masks of b, per symbol: reading b's language backwards
     pred = [[0] * b.state_count for _ in range(2)]

@@ -396,20 +396,30 @@ class ReversalDfa:
     def accepts(self, word: str) -> bool:
         """Does the automaton accept ``word``, a turn word read backwards?
 
-        Walks a single subset of host states through the word.  With n
-        reachable host states that is O(|word| * n) time at worst.  On a
-        host whose breadth-first numbered transitions have few offsets, such
-        as :func:`~winset.gadgets.exact_ones_dfa`, every step costs
-        O(#offsets) big-integer operations; on other large hosts a step from
-        a sparse or co-sparse subset costs less, as
-        :func:`~winset.automata.preimages` describes.  A letter other than
-        A or B raises ``ValueError`` naming the first one in ``word``.
+        Walks a single subset of host states through the word, and stops
+        early once the subset is empty or holds every state of :attr:`host`.
+        With n reachable host states and k letters read before either, that
+        is O(k * n) time at worst, and k <= |word|.  On a host whose
+        breadth-first numbered transitions have few offsets, such as
+        :func:`~winset.gadgets.exact_ones_dfa`, every step costs O(#offsets)
+        big-integer operations; on other large hosts a step from a sparse or
+        co-sparse subset costs less, as :func:`~winset.automata.preimages`
+        describes.  A letter other than A or B raises ``ValueError`` naming
+        the first one in ``word``, wherever the walk stops.
         """
         if word.count("A") + word.count("B") != len(word):
             for c in word:
                 _turn_index(c)
         pre, m = self._pre, self.initial_mask
+        # Both sets are fixed points of both steps: pre_i(0) = 0, and since
+        # the table is total every state has an i-successor in the full set,
+        # so pre_i(full) = full; their union and intersection are then 0 and
+        # full again.  The rest of the word cannot change the answer: 0 does
+        # not hold the initial state, and full does.
+        full = (1 << self.host.state_count) - 1
         for c in word:
+            if not m or m == full:
+                break
             p0, p1 = pre(m)
             m = p0 & p1 if c == "B" else p0 | p1
         return self.is_final(m)

@@ -107,6 +107,20 @@ def test_member_commands_name_the_bad_turn_letter(parity_file, capsys):
         assert capsys.readouterr().err == "error: turn symbol must be A or B, got 'X'\n", argv
 
 
+def test_decide_member_answers_each_word_in_order(parity_file, capsys):
+    # parity's winning set is the turn words that end in A
+    assert main(["decide", "member", parity_file, "A", "BBA", "B", ""]) == 1
+    assert capsys.readouterr().out == "member\nmember\nnot member\nnot member\n"
+    assert main(["decide", "member", parity_file, "BA", "A"]) == 0
+    assert capsys.readouterr().out == "member\nmember\n"
+    # a bad letter in any word exits 2 before any answer line
+    for words in (["A", "ABX"], ["ABX", "A"], ["B", "A", "AxB"]):
+        assert main(["decide", "member", parity_file, *words]) == 2, words
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: turn symbol must be A or B"), words
+    assert "required: word" in _usage_error(["decide", "member", parity_file], capsys)
+
+
 def test_decide_intersect(tmp_path, parity_file, capsys):
     bstar = tmp_path / "b.nfa"
     bstar.write_text("nfa 1 AB\ninitial 0\nfinals 0\n0 B 0\n")
@@ -376,7 +390,7 @@ _COMMANDS = st.one_of(
     _argv(_one(st.sampled_from(["wdfa", "minimize"])), _files, _emit),
     _argv(_lit("equiv"), _files, _files),
     _argv(_lit("congruent"), _files, _bits, _bits),
-    _argv(_lit("decide", "member"), _files, _words),
+    _argv(_lit("decide", "member"), _files, _words, _maybe(_words, _words)),
     _argv(_lit("decide", "intersect"), _files, _files,
           _maybe(_lit("--budget"), _one(st.integers(-1, 50).map(str)))),
     _argv(_lit("oracle", "member"), _targets, _words),

@@ -1,10 +1,14 @@
+import dataclasses
 import inspect
 import random
+import sys
+import threading
+import weakref
 from itertools import product
 
 import pytest
 
-from winset import automata
+from winset import automata, decision
 from winset.automata import Dfa, Nfa, accepts, enumerate_words, nfa_accepts
 from winset.circuits import circuit_value_instance, iterated_instance, or_with_index, parse_circuit
 from winset.cli import _build_parser
@@ -204,15 +208,15 @@ def test_member_switches_to_the_shift_step_on_a_relabeled_exact_ones_host(monkey
     # its own numbering is too scattered for the shift step
     assert automata._shift_step(host.delta) is None
     built = shift_steps(monkeypatch)
-    answers, calls = set(), 0
+    answers = set()
     for word in exact_ones_words(rng, n, 12):
         want = exact_ones_winset_member(n, word)
         assert member(host, word) == want, word
         answers.add(want)
-        # each call's automaton builds the shift step exactly once, when it
-        # compiles the table in the breadth-first numbers
-        calls += 1
-        assert len(built) == calls
+        # the first call compiles the table in the breadth-first numbers and
+        # builds the shift step there, once; the later calls on this host
+        # only walk
+        assert len(built) == 1
     assert answers == {False, True}
     assert None not in built
 
@@ -284,8 +288,138 @@ def test_member_takes_the_gather_where_the_trimmed_host_has_no_shift_step(monkey
     built = shift_steps(monkeypatch)
     for w in (word, word[1:], word[2:]):
         assert member(host, w) == reference_member(host, w)
-    # each call's trimmed table is too scattered for the shift step
-    assert built == [None, None, None]
+    # the trimmed table, compiled once for the three calls, is too scattered
+    # for the shift step
+    assert built == [None]
+
+
+def test_accepts_stops_at_the_empty_and_the_full_set_with_a_full_walks_answer():
+    rng = random.Random(4103)
+    # walks that reached the empty (False) or the full set (True) before
+    # their last letter, where the early stop skips letters
+    early = {False: 0, True: 0}
+    for trial in range(300):
+        n = rng.randint(60, 90) if trial % 10 == 0 else rng.randint(1, 12)
+        rev = ReversalDfa(random_host(rng, n))
+        full = (1 << rev.host.state_count) - 1
+        for _ in range(5):
+            word = "".join(rng.choice("AB") for _ in range(rng.randint(0, 3 * n)))
+            m, hit = rev.initial_mask, None
+            for c in word:
+                if hit is None and m in (0, full):
+                    hit = m == full
+                m = rev.step(m, c)
+            assert rev.accepts(word) == rev.is_final(m), (rev.host, word)
+            if hit is not None:
+                early[hit] += 1
+    assert early[False] > 100 and early[True] > 100
+    # a walk that stops at once still checks every letter
+    for finals in (frozenset(), frozenset({0})):
+        one_state = Dfa(alphabet=("0", "1"), delta=((0, 0),), initial=0, finals=finals)
+        with pytest.raises(ValueError, match="got 'x'"):
+            ReversalDfa(one_state).accepts("ABx")
+
+
+# ---------------------------------------------------------------------------
+# one compiled host for a run of queries
+
+
+def reversal_builds(monkeypatch) -> list:
+    """A weak reference to each reversal automaton that ``decision``
+    compiles, in order; a compile fails the test if an earlier one is still
+    alive.  Callers ask only about hosts they build themselves, so no entry
+    left by another test can match one, whatever order the tests run in."""
+    built = []
+
+    class Counted(ReversalDfa):
+        def __init__(self, host):
+            assert all(ref() is None for ref in built), "an old table is alive"
+            super().__init__(host)
+            built.append(weakref.ref(self))
+
+    monkeypatch.setattr(decision, "ReversalDfa", Counted)
+    return built
+
+
+def test_member_compiles_a_host_once_per_run_of_calls(monkeypatch):
+    rng = random.Random(4100)
+    a, b = random_host(rng, 9), random_host(rng, 11)
+    words = list(words_upto("AB", 5))
+    built = reversal_builds(monkeypatch)
+    answers = set()
+    for host, compiles in ((a, 1), (b, 2), (a, 3)):
+        for w in words:
+            want = reference_member(host, w)
+            assert member(host, w) == want, w
+            answers.add(want)
+        assert len(built) == compiles
+    assert answers == {False, True}
+    # the entry is keyed by the object: an equal host compiles again
+    twin = dataclasses.replace(a)
+    assert twin == a and twin is not a
+    assert [member(twin, w) for w in words] == [reference_member(a, w) for w in words]
+    assert len(built) == 4
+
+
+def test_the_old_table_dies_once_another_host_is_asked(monkeypatch):
+    rng = random.Random(4101)
+    a, b = random_host(rng, 6), random_host(rng, 6)
+    built = reversal_builds(monkeypatch)
+    member(a, "AB")
+    assert built[0]() is not None
+    member(b, "AB")
+    assert built[0]() is None and built[1]() is not None
+
+
+def test_member_and_intersect_on_one_host_compile_once(monkeypatch):
+    host = dataclasses.replace(exact_ones_dfa(1))
+    built = reversal_builds(monkeypatch)
+    assert member(host, "BA")
+    assert intersect_nonempty(host, BA_STAR) == "BA"
+    assert not member(host, "B")
+    assert len(built) == 1
+
+
+def test_a_refused_host_leaves_no_table_behind(monkeypatch):
+    rng = random.Random(4102)
+    host = random_host(rng, 5)
+    turn_host = Dfa(alphabet=("A", "B"), delta=((0, 0),), initial=0, finals=frozenset())
+    built = reversal_builds(monkeypatch)
+    member(host, "A")
+    for ask in (lambda: member(turn_host, "A"), lambda: intersect_nonempty(turn_host, A_STAR)):
+        with pytest.raises(ValueError, match="host DFA must be over the 01 alphabet"):
+            ask()
+        assert built[0]() is None
+    # so the next call on the first host compiles it again
+    assert member(host, "A") == reference_member(host, "A")
+    assert len(built) == 2
+
+
+def test_threads_never_pair_a_host_with_another_hosts_table():
+    # A^k is in the winning set of exact-ones(j) just when k >= j, so a walk
+    # on another host's table can give a wrong answer
+    hosts = {j: exact_ones_dfa(j) for j in range(3, 7)}
+    failures = []
+
+    def ask(seed):
+        rng = random.Random(seed)
+        for _ in range(300):
+            j, k = rng.randint(3, 6), rng.randint(3, 6)
+            if member(hosts[j], "A" * k) != exact_ones_winset_member(j, "A" * k):
+                failures.append((j, k))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ask, args=(seed,)) for seed in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
 
 
 def deep_circuit(rng: random.Random, inputs: int, gates: int):
