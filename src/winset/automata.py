@@ -33,6 +33,13 @@ def _check_alphabet(alphabet: tuple[str, str]):
         raise ValueError("alphabet must have exactly 2 symbols, and they must differ")
 
 
+def _require_alphabet(a: Dfa | Nfa, alphabet: tuple[str, str], what: str):
+    """Refuse an automaton handed in from outside that is not over ``alphabet``;
+    ``what`` names it in the message."""
+    if a.alphabet != alphabet:
+        raise ValueError(f"{what} must be over the {''.join(alphabet)} alphabet")
+
+
 def _symbol_index(alphabet: tuple[str, str], symbol: str) -> int:
     try:
         return alphabet.index(symbol)
@@ -458,13 +465,12 @@ def determinize(n: Nfa) -> Dfa:
 # The reversal step's route, chosen once per table.  Tables of at most
 # _GATHER_STATES states take the gather.  A larger table with at most
 # _SHIFT_RUNS distinct offsets takes the shift step for every mask.  Any
-# other table picks per mask: a mask whose smaller side (its set or its
-# cleared bits) has k bits takes the sparse route when _SPARSE_DENSITY * k
-# <= n, and the gather otherwise.  Swept on random hosts (two sources per
-# target on average), in microseconds per step, gather/sparse, on a 2-core
-# Xeon VM with Python 3.11: the gather
-# costs about 0.028 us per state whatever the mask holds (2.3 at n = 64,
-# 130 at 4,467, 700-740 at 25,000), the sparse route about 0.9 us plus
+# other table picks per mask: a mask of k set bits takes the sparse route
+# when _SPARSE_DENSITY * k <= n, and the gather otherwise.  Swept on random
+# hosts (two sources per target on average), in microseconds per step,
+# gather/sparse, on a 2-core Xeon VM with Python 3.11: the gather costs
+# about 0.028 us per state whatever the mask holds (2.3 at n = 64, 130 at
+# 4,467, 700-740 at 25,000), the sparse route about 0.9 us plus
 # 0.25 us per walked bit.  They break even near k = n/9.5 from n = 96 up
 # (n = 202: 6.28/6.01 at k = 22, 6.20/6.70 at 25; n = 4,467: 132/123 at
 # k = 446, 134/136 at 496; n = 25,000: 736/742 at k = 2,500), near n/10 at
@@ -473,13 +479,15 @@ def determinize(n: Nfa) -> Dfa:
 # route would save at most 1.3 us a step; on larger tables the choice adds
 # 0.03-0.06 us to a step that takes the gather.
 #
-# A state with more than n/_HEAVY_SHARE sources sends every mask whose
-# walked side holds it to the gather: each source costs the sparse
-# route about 0.06 us, so a dead state that all others fall into made a
-# 1,000-state host's sparse steps twice as slow as the gather (151-152
-# against 78 us, 630-750 against 320-340 at 4,467 states); with this
-# limit they cost what the gather does.  In the reversal automaton such a
-# state, never in a mask, is on the walked side of every co-sparse one.
+# A state with more than n/_HEAVY_SHARE sources sends every sparse mask
+# that holds it to the gather, since the sparse route pays for each source
+# of each set bit.  In the reversal automaton such a state is, say, an
+# accepting sink that most states fall into: it is its own preimage, so it
+# stays in every mask from the host finals on.  Measured with masks of n/20
+# bits plus the sink, in microseconds per step, sparse route without this
+# limit/gather, on the same VM: 97-99/40 with 1,026 sources at n = 1,000,
+# 414-453/155-177 with 4,033 sources at n = 4,096, and 39/42-44 with 242
+# sources at n = 1,000.
 #
 # _SHIFT_RUNS caps the offsets of a table that takes the shift step.  Swept
 # on banded tables with mid-density masks, in microseconds per step,
@@ -520,24 +528,22 @@ def preimages(delta: tuple[tuple[int, int], ...]) -> Callable[[int], tuple[int, 
     ``p0`` and ``p1`` out of the binary digits of ``mask`` at once: a few
     passes of C-level work, O(n) whatever the mask holds.  The sparse route
     walks only the set bits t of ``mask`` and sets the bits of t's sources,
-    O(k * indegree + n/8) for k set bits.  When more than half the bits are
-    set it walks the cleared ones instead, since ``pre_i(~m) = ~pre_i(m)``
-    for a total table.  The shift step groups the transitions by their
-    offset, target minus source, and gets both preimages with a shift, an
-    AND and an OR per offset: O(#offsets) big-integer operations, see
-    :func:`_shift_step`.  It exists only for tables with at most
-    ``_SHIFT_RUNS`` offsets, as breadth-first numbered chains and cycles
-    are.
+    O(k * indegree + n/8) for k set bits.  The shift step groups the
+    transitions by their offset, target minus source, and gets both
+    preimages with a shift, an AND and an OR per offset: O(#offsets)
+    big-integer operations, see :func:`_shift_step`.  It exists only for
+    tables with at most ``_SHIFT_RUNS`` offsets, as breadth-first numbered
+    chains and cycles are.
 
     The route is picked once, here, per table.  A table of more than
     ``_GATHER_STATES`` states with a shift step takes it for every mask,
     and its table of offsets, O(n) in size, is built now.  Every other
     table builds the gather's index of 2n digits now.  Tables of at most
-    ``_GATHER_STATES`` states take the gather; the larger ones pick per
-    mask: the sparse route by ``_SPARSE_DENSITY`` and by whether the walked
-    side holds a state with more than n/``_HEAVY_SHARE`` sources, else the
-    gather.  Their table of sources, O(n) in size, is built on the sparse
-    route's first use.
+    ``_GATHER_STATES`` states take the gather.  The larger ones pick per
+    mask: a mask of at most n/``_SPARSE_DENSITY`` set bits, none of them a
+    state with more than n/``_HEAVY_SHARE`` sources, takes the sparse route,
+    and every other mask the gather.  Their table of sources, O(n) in size,
+    is built on the sparse route's first use.
     """
     n = len(delta)
     shift_step = _shift_step(delta) if n > _GATHER_STATES else None
@@ -555,8 +561,7 @@ def preimages(delta: tuple[tuple[int, int], ...]) -> Callable[[int], tuple[int, 
 
     if n <= _GATHER_STATES:
         return gather
-    lo = n // _SPARSE_DENSITY  # the sparse route takes k <= lo or k >= n - lo
-    hi = n - lo
+    lo = n // _SPARSE_DENSITY  # the sparse route takes masks of at most lo bits
     nbytes = (n + 7) >> 3
     shift = nbytes << 3  # p1's bits sit this far above p0's in one buffer
     sources: tuple[tuple[int, ...], ...] = ()
@@ -565,8 +570,7 @@ def preimages(delta: tuple[tuple[int, int], ...]) -> Callable[[int], tuple[int, 
     def pre(mask: int) -> tuple[int, int]:
         nonlocal sources, heavy
         mask &= full
-        k = mask.bit_count()
-        if lo < k < hi:
+        if mask.bit_count() > lo:
             return gather(mask)
         if not sources:
             # sources[i]: the states moving into the bit at index i of
@@ -578,19 +582,17 @@ def preimages(delta: tuple[tuple[int, int], ...]) -> Callable[[int], tuple[int, 
                 rows[n + 2 - t1].append(q + shift)
             sources = tuple(tuple(r) if r else () for r in rows)
             heavy = _mask(n + 2 - i for i, r in enumerate(rows) if len(r) * _HEAVY_SHARE > n)
-        flip = full if 2 * k > n else 0
-        walked = mask ^ flip
-        if walked & heavy:
+        if mask & heavy:
             return gather(mask)
         out = bytearray(2 * nbytes)
-        digits = bin(walked | guard)
+        digits = bin(mask | guard)
         i = digits.find("1", 3)
         while i > 0:
             for q in sources[i]:
                 out[q >> 3] |= 1 << (q & 7)
             i = digits.find("1", i + 1)
         x = int.from_bytes(out, "little")
-        return (x & full) ^ flip, (x >> shift) ^ flip
+        return x & full, x >> shift
 
     return pre
 
@@ -610,9 +612,6 @@ def _shift_step(delta):
     every shift is to the right.
     """
     n = len(delta)
-    # a scattered table shows it in its first rows, at a small fixed cost
-    if len({t - q for q, row in enumerate(delta[:_SHIFT_RUNS]) for t in row}) > _SHIFT_RUNS:
-        return None
     offsets = [t0 - q for q, (t0, _) in enumerate(delta)]
     offsets += [t1 - q for q, (_, t1) in enumerate(delta)]
     distinct = sorted(set(offsets))

@@ -24,6 +24,7 @@ from .automata import (
     Nfa,
     _image,
     _mask,
+    _require_alphabet,
 )
 from .game import ReversalDfa
 
@@ -75,8 +76,7 @@ def intersect_nonempty(
     fails before any search; that is a resource verdict, not an emptiness
     one.
     """
-    if b.alphabet != ("A", "B"):
-        raise ValueError("intersection NFA must be over the AB alphabet")
+    _require_alphabet(b, TURNS, "intersection NFA")
     if budget < 1:
         raise BudgetExceededError(f"more than {budget} product states visited")
     rev = _reversal(host)

@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .automata import (
+    BINARY,
     STATE_BUDGET,
     TURNS,
     BudgetExceededError,
@@ -23,6 +24,7 @@ from .automata import (
     _image,
     _mask,
     _quotient,
+    _require_alphabet,
     _trim,
     _turn_index,
     coaccessible,
@@ -279,7 +281,7 @@ def winset_nfa(host: Dfa) -> Nfa:
     it sits inside the host finals.  Only reachable sets are materialized,
     at most :data:`~winset.automata.STATE_BUDGET` of them.
     """
-    _require_binary(host)
+    _require_alphabet(host, BINARY, "host DFA")
     h = _Host(host)
     order, rows = explore(
         1 << host.initial,
@@ -348,11 +350,6 @@ def _forward_winset_dfa(host: Dfa, max_game_states: int = STATE_BUDGET) -> Dfa:
     return _quotient(TURNS, rows, finals)
 
 
-def _require_binary(host: Dfa):
-    if host.alphabet != ("0", "1"):
-        raise ValueError("host DFA must be over the 01 alphabet")
-
-
 class ReversalDfa:
     """Lazy DFA on host state-sets recognizing the reversed winning set.
 
@@ -369,7 +366,7 @@ class ReversalDfa:
     """
 
     def __init__(self, host: Dfa):
-        _require_binary(host)
+        _require_alphabet(host, BINARY, "host DFA")
         # Each reachable state moves to reachable ones, so on the reachable
         # set R the step commutes with the restriction, pre_i(m) & R =
         # pre_i(m & R) & R, and the initial state is in R: every walk ends in
@@ -402,10 +399,12 @@ class ReversalDfa:
         is O(k * n) time at worst, and k <= |word|.  On a host whose
         breadth-first numbered transitions have few offsets, such as
         :func:`~winset.gadgets.exact_ones_dfa`, every step costs O(#offsets)
-        big-integer operations; on other large hosts a step from a sparse or
-        co-sparse subset costs less, as :func:`~winset.automata.preimages`
-        describes.  A letter other than A or B raises ``ValueError`` naming
-        the first one in ``word``, wherever the walk stops.
+        big-integer operations.  On other large hosts a step from a sparse
+        subset walks only its set bits, as
+        :func:`~winset.automata.preimages` describes, and any other step
+        costs O(n); a full subset is not stepped, since it ends the walk.
+        A letter other than A or B raises ``ValueError`` naming the first
+        one in ``word``, wherever the walk stops.
         """
         if word.count("A") + word.count("B") != len(word):
             for c in word:

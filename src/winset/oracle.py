@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .automata import BudgetExceededError, Dfa, _turn_index, accepts
+from .automata import BINARY, BudgetExceededError, Dfa, _require_alphabet, _turn_index, accepts
 
 SLICE_LIMIT = 24  # 2^n table entries; past this the "oracle" stops being one
 
@@ -123,6 +123,5 @@ def exact_ones_predicate(n: int, k: int) -> TargetPredicate:
 
 
 def dfa_predicate(d: Dfa, n: int) -> TargetPredicate:
-    if d.alphabet != ("0", "1"):
-        raise ValueError("predicate DFA must be over the 01 alphabet")
+    _require_alphabet(d, BINARY, "predicate DFA")
     return TargetPredicate(length=n, member=lambda v: accepts(d, v))

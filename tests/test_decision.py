@@ -116,7 +116,7 @@ def test_intersect_rejects_wrong_alphabet():
         initial=frozenset({0}),
         finals=frozenset({0}),
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^intersection NFA must be over the AB alphabet$"):
         intersect_nonempty(PARITY, bad)
 
 
@@ -145,14 +145,12 @@ def test_intersect_budget_defaults_to_the_state_budget():
 
 def sparse_and_dense_steps(host: Dfa, w: str) -> tuple[int, int]:
     """How many of ``member(host, w)``'s steps start from a mask with at
-    most n/``_SPARSE_DENSITY`` bits set or cleared, and how many from a
-    denser one."""
+    most n/``_SPARSE_DENSITY`` bits set, and how many from a denser one."""
     rev = ReversalDfa(host)
-    n = rev.host.state_count
-    lo = n // automata._SPARSE_DENSITY
+    lo = rev.host.state_count // automata._SPARSE_DENSITY
     m, sparse = rev.initial_mask, 0
     for c in reversed(w):
-        sparse += min(m.bit_count(), n - m.bit_count()) <= lo
+        sparse += m.bit_count() <= lo
         m = rev.step(m, c)
     return sparse, len(w) - sparse
 

@@ -510,9 +510,10 @@ def test_sparse_step_table_is_linear_and_lazy():
     for n in (25_000, 50_000):
         rng = random.Random(n)
         delta = tuple((rng.randrange(n), rng.randrange(n)) for _ in range(n))
-        gather_only = held_by_a_compiled_step(delta, [(1 << n // 2) - 1])
+        gather_only = held_by_a_compiled_step(delta, [(1 << n // 2) - 1, (1 << n) - 2])
         held[n] = held_by_a_compiled_step(delta, [1 << n // 3])
-        # the sparse route's table is built on its first step, not before
+        # the sparse route's table is built on its first step, not before;
+        # a mask with half or all but one of its bits set takes the gather
         assert gather_only < 0.75 * held[n]
     # a table of predecessor masks would grow 4x
     assert held[50_000] < 2.5 * held[25_000]
@@ -543,7 +544,8 @@ def test_shift_step_matches_the_per_state_loop(monkeypatch):
         "gather states + 1": table_with_offsets(small + 1, range(-3, 5)),
     }
     assert len({t - q for q, row in enumerate(banded["cap"]) for t in row}) == cap
-    # its offset past the cap first shows beyond the rows checked up front
+    # its offset past the cap first shows at row 40, so only a check over
+    # the whole table rejects it
     scattered = table_with_offsets(300, range(-16, cap - 15))
     assert len({t - q for q, row in enumerate(scattered) for t in row}) == cap + 1
     built = shift_steps(monkeypatch)

@@ -122,7 +122,7 @@ def test_input_validation():
     with pytest.raises(ValueError):
         TargetPredicate(length=-1, member=lambda v: True)
     ab = Dfa(alphabet=("A", "B"), delta=((0, 0),), initial=0, finals=frozenset({0}))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^predicate DFA must be over the 01 alphabet$"):
         dfa_predicate(ab, 2)
 
 
