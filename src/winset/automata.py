@@ -343,18 +343,6 @@ def parse_nfa(text: str) -> Nfa:
     )
 
 
-def nfa_to_text(n: Nfa) -> str:
-    out = [f"nfa {n.state_count} {''.join(n.alphabet)}"]
-    out.append("initial " + " ".join(str(q) for q in sorted(n.initial)))
-    out.append("finals " + " ".join(str(q) for q in sorted(n.finals)))
-    for q in range(n.state_count):
-        for i, sym in enumerate(n.alphabet):
-            targets = n.delta[q][i]
-            if targets:
-                out.append(f"{q} {sym} " + " ".join(str(t) for t in sorted(targets)))
-    return "\n".join(out).rstrip() + "\n"
-
-
 def to_dot(d: Dfa) -> str:
     """Graphviz DOT export: doubled circles for finals, edge labels are symbols."""
     out = ["digraph dfa {", "  rankdir=LR;", '  __start [shape=point, label=""];']
@@ -821,28 +809,3 @@ def congruent(d: Dfa, v: str, w: str) -> bool:
     """
     return transformation(d, v) == transformation(d, w)
 
-
-def enumerate_words(alphabet: Iterable[str], length: int) -> list[str]:
-    words = [""]
-    for _ in range(length):
-        words = [w + s for w in words for s in alphabet]
-    return words
-
-
-def language_slice(d: Dfa, length: int) -> set[str]:
-    """All accepted words of exactly the given length (brute force)."""
-    return {w for w in enumerate_words(d.alphabet, length) if accepts(d, w)}
-
-
-def count_words(d: Dfa, length: int) -> int:
-    """Number of accepted words of the given length, by dynamic programming."""
-    counts = [0] * d.state_count
-    counts[d.initial] = 1
-    for _ in range(length):
-        nxt = [0] * d.state_count
-        for q, c in enumerate(counts):
-            if c:
-                nxt[d.delta[q][0]] += c
-                nxt[d.delta[q][1]] += c
-        counts = nxt
-    return sum(c for q, c in enumerate(counts) if q in d.finals)

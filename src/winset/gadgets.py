@@ -365,7 +365,7 @@ def a_period_bound_check(
     m_bound = lcm_all
 
     h = _Host(host)
-    iterates = [h.normalize(g)]
+    iterates = [h.normalize(h.members(g))]
     for _ in range(k_bound + m_bound):
         iterates.append(h.step(iterates[-1], "A"))
     for k in range(k_bound + 1):

@@ -73,6 +73,16 @@ class _Host:
         # per member mask, its normalized A and B images
         self._memo: dict[int, tuple[GameState, GameState]] = {}
 
+    def members(self, g: Iterable[int]) -> tuple[int, ...]:
+        """The members of ``g``, each checked to be a set of the host's
+        states.  The public entry points check what they are handed; the
+        per-member methods below trust their callers."""
+        g, n = tuple(g), len(self.delta)
+        for m in g:
+            if m < 0 or m >> n:
+                raise ValueError(f"game-state member {m} is not a set of the host's {n} states")
+        return g
+
     def a_images(self, mask: int) -> tuple[int, ...]:
         """All images of the set ``mask`` under choice functions into {0,1}."""
         out = {0}
@@ -233,12 +243,14 @@ def normalize(host: Dfa, g: Iterable[int]) -> GameState:
     drop strict supersets of other members (more uncertainty never helps
     Alice).  Result is a sorted antichain.
     """
-    return _Host(host).normalize(g)
+    h = _Host(host)
+    return h.normalize(h.members(g))
 
 
 def is_accepting(host: Dfa, g: GameState) -> bool:
     """A game state accepts iff some member is contained in the finals."""
-    return _Host(host).accepting(g)
+    h = _Host(host)
+    return h.accepting(h.members(g))
 
 
 def winning_step(host: Dfa, g: Iterable[int], c: str) -> GameState:
@@ -250,11 +262,13 @@ def winning_step(host: Dfa, g: Iterable[int], c: str) -> GameState:
     result equals ``normalize(host, successors)`` whether or not ``g`` is
     normalized: it is :meth:`_Host.step`.
     """
-    return _Host(host).step(g, c)
+    h = _Host(host)
+    return h.step(h.members(g), c)
 
 
 def winning_run(host: Dfa, g: Iterable[int], word: str, *, normalized: bool = True) -> GameState:
     h = _Host(host)
+    g = h.members(g)
     cur = h.normalize(g) if normalized else tuple(sorted(set(g)))
     for c in word:
         cur = h.step(cur, c) if normalized else tuple(sorted(h.successors(cur, c)))
@@ -436,4 +450,5 @@ def game_states_equivalent(host: Dfa, g: Iterable[int], h: Iterable[int]) -> boo
     Lazy bisimulation of the normalized game states, as in
     :func:`~winset.automata.equivalent`.
     """
-    return _Host(host).equivalent(g, h)
+    compiled = _Host(host)
+    return compiled.equivalent(compiled.members(g), compiled.members(h))

@@ -1,12 +1,12 @@
 import random
 from itertools import permutations
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import pytest
 from hypothesis import strategies as st
 
 from winset import automata
-from winset.automata import Dfa
+from winset.automata import Dfa, Nfa, accepts
 from winset.enumeration import _host, _structures
 
 
@@ -120,11 +120,47 @@ token_soup = st.lists(
 ).map("\n".join)
 
 
+def enumerate_words(alphabet: Iterable[str], length: int) -> list[str]:
+    words = [""]
+    for _ in range(length):
+        words = [w + s for w in words for s in alphabet]
+    return words
+
+
 def words_upto(alphabet: str, max_len: int) -> list[str]:
     """All words over the alphabet of length 0 through max_len."""
-    from winset.automata import enumerate_words
-
     return [w for n in range(max_len + 1) for w in enumerate_words(alphabet, n)]
+
+
+def language_slice(d: Dfa, length: int) -> set[str]:
+    """All accepted words of exactly the given length (brute force)."""
+    return {w for w in enumerate_words(d.alphabet, length) if accepts(d, w)}
+
+
+def count_words(d: Dfa, length: int) -> int:
+    """Number of accepted words of the given length, by dynamic programming."""
+    counts = [0] * d.state_count
+    counts[d.initial] = 1
+    for _ in range(length):
+        nxt = [0] * d.state_count
+        for q, c in enumerate(counts):
+            if c:
+                nxt[d.delta[q][0]] += c
+                nxt[d.delta[q][1]] += c
+        counts = nxt
+    return sum(c for q, c in enumerate(counts) if q in d.finals)
+
+
+def nfa_to_text(n: Nfa) -> str:
+    out = [f"nfa {n.state_count} {''.join(n.alphabet)}"]
+    out.append("initial " + " ".join(str(q) for q in sorted(n.initial)))
+    out.append("finals " + " ".join(str(q) for q in sorted(n.finals)))
+    for q in range(n.state_count):
+        for i, sym in enumerate(n.alphabet):
+            targets = n.delta[q][i]
+            if targets:
+                out.append(f"{q} {sym} " + " ".join(str(t) for t in sorted(targets)))
+    return "\n".join(out).rstrip() + "\n"
 
 
 def random_circuit(rng: random.Random, n_inputs: int, n_gates: int, n_outputs: int = 1):

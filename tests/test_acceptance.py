@@ -11,7 +11,7 @@ from itertools import combinations, product
 
 import pytest
 
-from winset.automata import accepts, congruent, count_words, enumerate_words
+from winset.automata import accepts, congruent
 from winset.circuits import or_with_index, circuit_value_instance, iterated_instance
 from winset.decision import member
 from winset.enumeration import max_winset_complexity
@@ -35,7 +35,7 @@ from winset.game import (
     winset_dfa,
 )
 from winset.oracle import alice_wins, dfa_predicate, dyck_predicate, winning_slice
-from .conftest import random_circuit, relabeled_host_corpus
+from .conftest import count_words, enumerate_words, random_circuit, relabeled_host_corpus
 
 
 @pytest.fixture(scope="session")

@@ -18,17 +18,14 @@ from winset.automata import (
     as_nfa,
     coaccessible,
     congruent,
-    count_words,
     determinize,
     determinize_reverse,
     dfa_to_json,
     dfa_to_text,
     equivalent,
     explore,
-    language_slice,
     minimize,
     nfa_accepts,
-    nfa_to_text,
     parse_dfa,
     parse_nfa,
     to_dot,
@@ -36,7 +33,15 @@ from winset.automata import (
 )
 from winset.circuits import parse_circuit
 from winset.cli import main
-from .conftest import dfas, random_host, token_soup, words_upto
+from .conftest import (
+    count_words,
+    dfas,
+    language_slice,
+    nfa_to_text,
+    random_host,
+    token_soup,
+    words_upto,
+)
 
 
 def _reachable(d: Dfa) -> list[int]:

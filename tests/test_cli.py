@@ -1,5 +1,6 @@
 import io
 import json
+import random
 import subprocess
 import sys
 import tempfile
@@ -13,8 +14,9 @@ from hypothesis import strategies as st
 from winset.automata import TURNS, Dfa, dfa_to_text, equivalent, parse_dfa
 from winset.circuits import circuit_to_dfa, iterated_instance, parse_circuit
 from winset.cli import _progress_printer, main
+from winset.gadgets import exact_ones_dfa, lower_bound_dfa
 
-from .conftest import dfas, token_soup
+from .conftest import dfas, relabeled, shift_steps, token_soup
 
 PARITY_TEXT = """\
 dfa 2 01
@@ -47,11 +49,41 @@ finals 0
 NOT_CIRCUIT = "input x\nnot g x\noutput y g\n"
 
 
+def deep_circuit_text() -> str:
+    """A deep circuit, each gate reading the one before it.  Its
+    circuit-value hosts stay scattered once trimmed, so member's walks on
+    them take the sparse route and the gather, not the shift step."""
+    lines, prev = [f"input x{j}" for j in range(4)], "x3"
+    for g in range(30):
+        if g % 5 == 4:
+            lines.append(f"not g{g} {prev}")
+        else:
+            lines.append(f"{('and', 'or')[g % 2]} g{g} {prev} x{g % 4}")
+        prev = f"g{g}"
+    return "\n".join(lines + [f"output y {prev}"]) + "\n"
+
+
 @pytest.fixture
 def parity_file(tmp_path):
     p = tmp_path / "parity.dfa"
     p.write_text(PARITY_TEXT)
     return str(p)
+
+
+def write_hosts(tmp_path, **hosts: Dfa) -> dict[str, str]:
+    """Each host's text in a file named after it; the paths by name."""
+    paths = {}
+    for name, host in hosts.items():
+        paths[name] = str(tmp_path / f"{name}.dfa")
+        Path(paths[name]).write_text(dfa_to_text(host))
+    return paths
+
+
+@pytest.fixture
+def exact_ones_200(tmp_path) -> dict[str, str]:
+    """``exact_ones_dfa(200)`` and a seeded relabeling of it, as files."""
+    host = exact_ones_dfa(200)
+    return write_hosts(tmp_path, gadget=host, relabeled=relabeled(host, random.Random(1)))
 
 
 def test_wdfa_computes_parity_winset(parity_file, capsys):
@@ -95,19 +127,32 @@ def test_congruent_command(tmp_path, capsys):
     assert main(["congruent", str(w), "A", "B"]) == 1
 
 
-def test_decide_member(parity_file, capsys):
+def test_decide_member(parity_file, exact_ones_200, monkeypatch, capsys):
     assert main(["decide", "member", parity_file, "A"]) == 0
     assert main(["decide", "member", parity_file, "B"]) == 1
     assert main(["decide", "member", parity_file, "X"]) == 2
+    capsys.readouterr()
+    # the target is exactly 200 ones: Alice wins A^200, and B·A^200 whatever
+    # the opponent's letter, but not A^199, nor A^200·B, where the opponent
+    # adds a 201st one
+    built, a = shift_steps(monkeypatch), "A" * 200
+    for name, path in exact_ones_200.items():
+        for word, code in ((a, 0), (a[1:], 1), ("B" + a, 0), (a + "B", 1)):
+            assert main(["decide", "member", path, word]) == code, (name, len(word))
+        assert capsys.readouterr().out == "member\nnot member\nmember\nnot member\n"
+    # each call compiles its host; the relabeled one is renumbered
+    # breadth-first, so both walk through the shift step, sparse masks too
+    assert len(built) == 8 and None not in built
 
 
-def test_member_commands_name_the_bad_turn_letter(parity_file, capsys):
-    for argv in (["decide", "member", parity_file, "ABX"], ["oracle", "member", "parity", "ABX"]):
+def test_member_commands_name_the_bad_turn_letter(parity_file, exact_ones_200, capsys):
+    for argv in (["decide", "member", parity_file, "ABX"], ["oracle", "member", "parity", "ABX"],
+                 ["decide", "member", exact_ones_200["gadget"], "ABX"]):
         assert main(argv) == 2, argv
-        assert capsys.readouterr().err == "error: turn symbol must be A or B, got 'X'\n", argv
+        assert capsys.readouterr() == ("", "error: turn symbol must be A or B, got 'X'\n"), argv
 
 
-def test_decide_member_answers_each_word_in_order(parity_file, capsys):
+def test_decide_member_answers_each_word_in_order(parity_file, exact_ones_200, capsys):
     # parity's winning set is the turn words that end in A
     assert main(["decide", "member", parity_file, "A", "BBA", "B", ""]) == 1
     assert capsys.readouterr().out == "member\nmember\nnot member\nnot member\n"
@@ -119,6 +164,10 @@ def test_decide_member_answers_each_word_in_order(parity_file, capsys):
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: turn symbol must be A or B"), words
     assert "required: word" in _usage_error(["decide", "member", parity_file], capsys)
+    # one compiled host answers a run of words on a large host too
+    a = "A" * 200
+    assert main(["decide", "member", exact_ones_200["gadget"], a, a[1:]]) == 1
+    assert capsys.readouterr().out == "member\nnot member\n"
 
 
 def test_decide_intersect(tmp_path, parity_file, capsys):
@@ -234,9 +283,10 @@ def test_gadget_errors(capsys):
     assert "invalid choice: 'frobnicate'" in _usage_error(["gadget", "frobnicate", "3"], capsys)
     assert "arguments are required: n" in _usage_error(["gadget", "gen-subset"], capsys)
     assert "arguments are required: file" in _usage_error(["gadget", "circuit"], capsys)
-    assert "argument n: invalid int value: 'abc'" in _usage_error(
-        ["gadget", "chain", "abc"], capsys
-    )
+    for family, n in (("chain", "abc"), ("exact-ones", "x")):
+        assert f"argument n: invalid int value: '{n}'" in _usage_error(
+            ["gadget", family, n], capsys
+        )
 
 
 @pytest.fixture
@@ -246,17 +296,26 @@ def not_circuit(tmp_path):
     return str(p)
 
 
-def test_gadget_circuit_value(not_circuit, capsys):
+def test_gadget_circuit_value(not_circuit, tmp_path, monkeypatch, capsys):
     assert main(["gadget", "circuit", not_circuit, "--value", "TX"]) == 2
     assert "assignment must be over T/F" in capsys.readouterr().err
-    assert main(["gadget", "circuit", not_circuit, "--value", "F"]) == 0
-    out = capsys.readouterr().out
-    assert "word " in out
-    word = out.rsplit("word ", 1)[1].strip()
-    dfa_text = out.rsplit("word ", 1)[0]
-    from winset.decision import member
-
-    assert member(parse_dfa(dfa_text), word)  # NOT(F) is true
+    deep = tmp_path / "deep.circuit"
+    deep.write_text(deep_circuit_text())
+    built, values = shift_steps(monkeypatch), set()
+    for circuit, bits in ((not_circuit, "F"), (str(deep), "TFTF"), (str(deep), "FFTT")):
+        assert main(["gadget", "circuit", circuit, "--value", bits]) == 0
+        # the host, then a trailing "word W" line
+        host_text, word = capsys.readouterr().out.rsplit("word ", 1)
+        host = tmp_path / "cv.dfa"
+        host.write_text(host_text)
+        (value,) = parse_circuit(Path(circuit).read_text()).evaluate(b == "T" for b in bits)
+        # the word is a member exactly when the circuit's value is true
+        assert main(["decide", "member", str(host), word.strip()]) == (0 if value else 1), bits
+        assert capsys.readouterr().out == ("member\n" if value else "not member\n")
+        values.add(value)
+    assert values == {False, True}
+    # the last two compiles, the deep circuit's hosts, built no shift step
+    assert built[-2:] == [None, None]
 
 
 def test_gadget_circuit_reduction(not_circuit, capsys):
@@ -297,6 +356,32 @@ def test_gadget_circuit_iterate(not_circuit, capsys):
     assert capsys.readouterr().out == f"{dfa_to_text(dfa)}base {base}\nperiod {period}\n"
     assert main(["gadget", "circuit", not_circuit, "--iterate", "T", "x"]) == 2
     assert capsys.readouterr() == ("", "error: --iterate INDEX must be an integer, got 'x'\n")
+
+
+def test_wdfa_on_the_lower_bound_gadget_at_3(tmp_path, capsys):
+    # its reversal automaton passes the reversal engine's subset limit, so
+    # the forward engine computes it
+    assert main(["gadget", "lower-bound", "3"]) == 0
+    path = tmp_path / "lb3.dfa"
+    path.write_text(capsys.readouterr().out)
+    assert path.read_text() == dfa_to_text(lower_bound_dfa(3))
+    assert main(["wdfa", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "dfa 3689 AB"
+
+
+def test_wdfa_and_minimize_do_not_depend_on_the_host_numbering(tmp_path, capsys):
+    host = exact_ones_dfa(12)
+    paths = write_hosts(tmp_path, gadget=host, relabeled=relabeled(host, random.Random(1)))
+    assert Path(paths["gadget"]).read_text() != Path(paths["relabeled"]).read_text()
+    out = {}
+    for cmd in ("wdfa", "minimize"):
+        for name, path in paths.items():
+            assert main([cmd, path]) == 0
+            out[cmd, name] = capsys.readouterr().out
+    assert out["wdfa", "gadget"] == out["wdfa", "relabeled"]
+    # minimize numbers states breadth-first, so the relabeled host comes back
+    # as the gadget, which is minimal and numbered that way
+    assert out["minimize", "gadget"] == out["minimize", "relabeled"] == dfa_to_text(host)
 
 
 def test_enumerate_line_format(tmp_path, capsys):

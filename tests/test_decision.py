@@ -9,14 +9,14 @@ from itertools import product
 import pytest
 
 from winset import automata, decision
-from winset.automata import Dfa, Nfa, accepts, enumerate_words, nfa_accepts
+from winset.automata import Dfa, Nfa, accepts, nfa_accepts
 from winset.circuits import circuit_value_instance, iterated_instance, or_with_index, parse_circuit
 from winset.cli import _build_parser
 from winset.decision import intersect_nonempty, member
 from winset.game import BudgetExceededError, ReversalDfa, winset_dfa
 from winset.gadgets import exact_ones_dfa, exact_ones_winset_member
 from winset.oracle import alice_wins, dfa_predicate
-from .conftest import random_host, relabeled, shift_steps, words_upto
+from .conftest import enumerate_words, random_host, relabeled, shift_steps, words_upto
 
 PARITY = Dfa(alphabet=("0", "1"), delta=((0, 1), (1, 0)), initial=0, finals=frozenset({1}))
 
@@ -264,9 +264,10 @@ def test_member_on_every_suffix_of_a_word_on_a_relabeled_exact_ones_host():
     host = relabeled(exact_ones_dfa(n), rng)
     word = "AB" * 25 + "A" * n
     answers = set()
-    for j in range(len(word) + 1):
-        want = exact_ones_winset_member(n, word[j:])
-        assert member(host, word[j:]) == want, j
+    # and A^n·B, where the opponent's last letter can add an (n+1)st one
+    for w in [word[j:] for j in range(len(word) + 1)] + ["A" * n + "B"]:
+        want = exact_ones_winset_member(n, w)
+        assert member(host, w) == want, w
         answers.add(want)
     assert answers == {False, True}
 

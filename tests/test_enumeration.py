@@ -3,11 +3,19 @@ from itertools import islice, permutations, product
 
 import pytest
 
-from winset.automata import Dfa, count_words, dfa_to_text, equivalent, language_slice, preimages
+from winset.automata import Dfa, dfa_to_text, equivalent, preimages
 from winset.enumeration import _bfs_ordered, _structure_sizes, _structures, max_winset_complexity
 from winset.game import _forward_winset_dfa, winset_dfa
 from winset.oracle import dfa_predicate, winning_slice
-from .conftest import host_corpus, random_host, relabeled_host_corpus, relabelings, structure_hosts
+from .conftest import (
+    count_words,
+    host_corpus,
+    language_slice,
+    random_host,
+    relabeled_host_corpus,
+    relabelings,
+    structure_hosts,
+)
 
 
 def test_small_sequence():

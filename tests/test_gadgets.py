@@ -4,9 +4,9 @@ from itertools import combinations
 import pytest
 
 from winset import gadgets
-from winset.automata import BudgetExceededError, accepts, enumerate_words
+from winset.automata import BudgetExceededError, accepts
 
-from .conftest import words_upto
+from .conftest import enumerate_words, words_upto
 from winset.gadgets import (
     test_word as probe_word,
     testing as build_tester,

@@ -13,15 +13,12 @@ from winset import automata, game
 from winset.automata import (
     Dfa,
     accepts,
-    count_words,
     determinize,
     determinize_reverse,
     dfa_to_text,
-    enumerate_words,
     equivalent,
     explore,
     minimize,
-    nfa_to_text,
     preimages,
 )
 from winset.game import (
@@ -42,6 +39,7 @@ from winset.game import (
 )
 from winset.gadgets import (
     testing as build_tester,
+    a_period_bound_check,
     chain_dfa,
     exact_ones_dfa,
     exact_ones_winset_member,
@@ -51,7 +49,16 @@ from winset.gadgets import (
     lower_bound_dfa,
 )
 from winset.oracle import alice_wins, dfa_predicate, parity_predicate
-from .conftest import dfas, random_host, relabeled, shift_steps, words_upto
+from .conftest import (
+    count_words,
+    dfas,
+    enumerate_words,
+    nfa_to_text,
+    random_host,
+    relabeled,
+    shift_steps,
+    words_upto,
+)
 
 PARITY = Dfa(alphabet=("0", "1"), delta=((0, 1), (1, 0)), initial=0, finals=frozenset({1}))
 
@@ -140,6 +147,34 @@ def test_every_turn_letter_check_gives_one_message():
             with pytest.raises(ValueError) as got:
                 call(w)
             assert str(got.value) == f"turn symbol must be A or B, got {bad!r}", (name, w)
+
+
+def test_every_game_state_entry_point_refuses_a_member_outside_the_host():
+    # a member is a set of host states, a mask below 1 << state_count
+    e2 = exact_ones_dfa(2)
+    calls = {
+        "normalize": (PARITY, lambda g: normalize(PARITY, g)),
+        "is_accepting": (PARITY, lambda g: is_accepting(PARITY, g)),
+        "winning_step A": (PARITY, lambda g: winning_step(PARITY, g, "A")),
+        "winning_step B": (PARITY, lambda g: winning_step(PARITY, g, "B")),
+        "winning_run": (PARITY, lambda g: winning_run(PARITY, g, "AB")),
+        "winning_run raw": (PARITY, lambda g: winning_run(PARITY, g, "AB", normalized=False)),
+        "game_states_equivalent g": (PARITY, lambda g: game_states_equivalent(PARITY, g, (1,))),
+        "game_states_equivalent h": (PARITY, lambda g: game_states_equivalent(PARITY, (1,), g)),
+        "a_period_bound_check": (e2, lambda g: a_period_bound_check(e2, g)),
+    }
+    for name, (host, call) in calls.items():
+        n = host.state_count
+        for bad in (1 << n, 1 << (n + 3), -1):
+            with pytest.raises(ValueError) as got:
+                call((1, bad))
+            assert str(got.value) == (
+                f"game-state member {bad} is not a set of the host's {n} states"
+            ), (name, bad)
+        # every member in range passes, the full set included, and so does
+        # a game state handed in as a generator
+        call((1, (1 << n) - 1))
+        call(m for m in (1, (1 << n) - 1))
 
 
 def test_winset_rejects_turn_alphabet_host():

@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from winset.automata import BudgetExceededError, Dfa, count_words, enumerate_words
+from winset.automata import BudgetExceededError, Dfa
 from winset.oracle import (
     SLICE_LIMIT,
     TargetPredicate,
@@ -16,7 +16,7 @@ from winset.oracle import (
     parity_predicate,
     winning_slice,
 )
-from .conftest import random_host
+from .conftest import count_words, enumerate_words, random_host
 
 
 def test_two_routes_agree_on_random_targets():
