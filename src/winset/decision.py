@@ -87,7 +87,7 @@ def intersect_nonempty(
         for sym in range(2):
             for t in b.delta[q][sym]:
                 pred[sym][t] |= 1 << q
-    b_init_mask = _mask(b.initial)
+    b_init_mask, h_init_mask = _mask(b.initial), 1 << rev.host.initial
 
     # each visited state maps to its BFS parent and the symbol read from it
     start = (rev.initial_mask, _mask(b.finals))
@@ -96,7 +96,7 @@ def intersect_nonempty(
     # iterating a list while appending to it visits the appended items too
     for state in order:
         hmask, bmask = state
-        if rev.is_final(hmask) and bmask & b_init_mask:
+        if hmask & h_init_mask and bmask & b_init_mask:
             # the BFS path reads the word reversed; walking it back undoes that
             symbols = []
             link = parent[state]
@@ -105,7 +105,7 @@ def intersect_nonempty(
                 symbols.append(c)
                 link = parent[state]
             return "".join(symbols)
-        for sym, nh in enumerate(rev.successors(hmask)):
+        for sym, nh in enumerate(rev._successors(hmask)):
             nb = _image(bmask, pred[sym])
             if not nb:
                 continue  # b's run died; no word extends through here

@@ -191,8 +191,8 @@ def _game_preorder(delta: tuple[tuple[int, int], ...], fmask: int) -> list[int]:
 
 
 class _Preordered(_Host):
-    """The forward engine's host: members held as up-closures under the
-    game preorder of :func:`_game_preorder`.
+    """The forward engine's member generator: members held as up-closures
+    under the game preorder of :func:`_game_preorder`.
 
     A member S of a game state stands for "Alice wins from every state of
     S", which does not change when the states ⊑-above S are added.  So a
@@ -228,6 +228,65 @@ class _Preordered(_Host):
             self.normalize(_image(x, self.up) for x in xs)
             for xs in (self.a_images(base), (self.b_image(base),))
         )
+
+
+def _member_relation(h: _Preordered, start: GameState, budget: int) -> dict[int, int]:
+    """The members reachable from ``start`` through :meth:`_Preordered.images`,
+    numbered breadth-first, each mapped to the mask R[T] of the host states
+    that win every turn word the member T wins.
+
+    R is the greatest family with R[T] ⊆ F when T ⊆ F, R[T] ⊆ pre₀(R[T']) |
+    pre₁(R[T']) for every member T' of the A image A(T), and R[T] ⊆
+    pre₀(R[T']) & pre₁(R[T']) for every T' of the B image B(T).  Then Alice
+    wins from each q ∈ R[T] every word v she wins from all of T, by
+    induction on v: on the empty word, T ⊆ F puts q in F; she wins A·v from
+    T iff she wins v from some T' ∈ A(T), hence from every state of R[T'],
+    and q has a successor there; she wins B·v from T iff she wins v from the
+    member of B(T), hence from every state of R[T'], which holds both of
+    q's successors.  An empty image asks nothing: Alice wins no word through
+    it.  So T and R[T] | T are won on the same words.
+
+    Rows start at F for members inside F and at every state for the others
+    and shrink to the greatest fixpoint.  Each member keeps the pair
+    (pre₀ | pre₁, pre₀ & pre₁) of its row, and a row that shrinks renews it
+    and puts the members whose images hold it back on the worklist.  Raises
+    :class:`BudgetExceededError` past ``budget`` members.
+    """
+    memo = h._memo
+
+    def images(m: int) -> GameState:
+        a, b = memo[m] = h.images(m)
+        return a + b
+
+    # the initial game state holds one up-closure at most
+    members, rows = explore(start[0], images, budget, "members") if start else ([], [])
+    split = [len(memo[m][0]) for m in members]
+    preds: list[set[int]] = [set() for _ in members]
+    for i, row in enumerate(rows):
+        for j in row:
+            preds[j].add(i)
+    pre, fmask = preimages(h.delta), h.fmask
+    full = (1 << len(h.delta)) - 1
+    rel = [full if m & ~fmask else fmask for m in members]
+
+    def or_and(r: int) -> tuple[int, int]:
+        p0, p1 = pre(r)
+        return p0 | p1, p0 & p1
+
+    pairs = [or_and(r) for r in rel]
+    work = set(range(len(members)))
+    while work:
+        i = work.pop()
+        row, k = rel[i], split[i]
+        for j in rows[i][:k]:
+            row &= pairs[j][0]
+        for j in rows[i][k:]:
+            row &= pairs[j][1]
+        if row != rel[i]:
+            rel[i] = row
+            pairs[i] = or_and(row)
+            work |= preds[i]
+    return dict(zip(members, rel))
 
 
 # ---------------------------------------------------------------------------
@@ -329,13 +388,14 @@ def winset_dfa(host: Dfa, *, max_game_states: int = STATE_BUDGET) -> Dfa:
     of that automaton, which yields the minimal DFA directly (Brzozowski's
     double reversal).  It runs first; if the reversal automaton has more
     than :data:`REVERSAL_SUBSETS` subsets of the host's reachable states, it
-    gives up and the forward engine runs instead: subset construction over
-    game states reduced by the game preorder on host states, then Hopcroft
-    minimization.
+    gives up and the forward engine runs instead: it explores the members
+    of game states, closes each under the host states that win every word
+    it wins, and runs a subset construction over antichains of these
+    closures, then Hopcroft minimization.
 
     ``max_game_states`` caps the states of the result on the reversal
-    route, and on the forward route the game states materialized before
-    minimizing, counted after the preorder reduction.  Past it
+    route.  On the forward route it caps, each on its own, the members
+    explored and the game states materialized before minimizing.  Past it
     :class:`BudgetExceededError` is raised; the winning-set DFA can be
     doubly exponential in the host, so silent truncation is never an
     option.
@@ -352,12 +412,24 @@ def winset_dfa(host: Dfa, *, max_game_states: int = STATE_BUDGET) -> Dfa:
 
 
 def _forward_winset_dfa(host: Dfa, max_game_states: int = STATE_BUDGET) -> Dfa:
-    """The forward engine: game states of :class:`_Preordered`, then
-    minimization."""
+    """The forward engine: game states of the closures R[T] | T of
+    :func:`_member_relation`, then minimization.
+
+    A closure is won on the same words as its member, so members with equal
+    closures merge, and :func:`_minimal` absorbs a closure that holds
+    another.  A closure steps from the first member found with it, and the
+    game state accepts iff some closure lies inside F, as its member does.
+    """
     h = _Preordered(host)
-    order, rows = explore(
-        h.normalize((h.up[host.initial],)), h.steps, max_game_states, "game states"
-    )
+    start = h.normalize((h.up[host.initial],))
+    closure = {m: r | m for m, r in _member_relation(h, start, max_game_states).items()}
+    # h.steps then steps closures: the memo maps each to its images' closures
+    memo: dict[int, tuple[GameState, GameState]] = {}
+    for m, c in closure.items():
+        if c not in memo:
+            memo[c] = tuple(_minimal({closure[t] for t in img}) for img in h._memo[m])
+    h._memo = memo
+    order, rows = explore(tuple(map(closure.get, start)), h.steps, max_game_states, "game states")
     finals = {i for i, g in enumerate(order) if h.accepting(g)}
     del order, h  # free the game states before the quotient reaches its peak
     # the rows are BFS-numbered from the initial state, so they need no trim
@@ -392,17 +464,30 @@ class ReversalDfa:
         self._pre = preimages(self.host.delta)
         self.initial_mask = _mask(self.host.finals)
 
-    def successors(self, mask: int) -> tuple[int, int]:
-        """The A and the B successor of ``mask``."""
+    def _check(self, mask: int) -> int:
+        """``mask``, checked to be a set of :attr:`host`'s states.  The
+        public methods check what they are handed; :meth:`to_dfa` and
+        :func:`~winset.decision.intersect_nonempty` step only masks that
+        :meth:`_successors` made, and skip the check."""
+        n = self.host.state_count
+        if mask < 0 or mask >> n:
+            raise ValueError(f"mask {mask} is not a set of the trimmed host's {n} states")
+        return mask
+
+    def _successors(self, mask: int) -> tuple[int, int]:
         p0, p1 = self._pre(mask)
         return p0 | p1, p0 & p1
 
+    def successors(self, mask: int) -> tuple[int, int]:
+        """The A and the B successor of ``mask``."""
+        return self._successors(self._check(mask))
+
     def step(self, mask: int, c: str) -> int:
         i = _turn_index(c)
-        return self.successors(mask)[i]
+        return self._successors(self._check(mask))[i]
 
     def is_final(self, mask: int) -> bool:
-        return bool((mask >> self.host.initial) & 1)
+        return bool(self._check(mask) >> self.host.initial & 1)
 
     def accepts(self, word: str) -> bool:
         """Does the automaton accept ``word``, a turn word read backwards?
@@ -439,8 +524,9 @@ class ReversalDfa:
 
     def to_dfa(self, *, max_states: int = STATE_BUDGET) -> Dfa:
         """Materialize the reachable part as an explicit DFA."""
-        order, rows = explore(self.initial_mask, self.successors, max_states, "subset states")
-        finals = frozenset(i for i, m in enumerate(order) if self.is_final(m))
+        order, rows = explore(self.initial_mask, self._successors, max_states, "subset states")
+        init = 1 << self.host.initial
+        finals = frozenset(i for i, m in enumerate(order) if m & init)
         return Dfa(alphabet=TURNS, delta=tuple(rows), initial=0, finals=finals)
 
 

@@ -307,11 +307,20 @@ def test_winset_budget_is_enforced():
 
 
 def test_forward_route_budget_counts_normalized_game_states():
-    # the forward engine's game states, reduced by the game preorder
+    # the forward engine's game states, antichains of member closures
     host = lower_bound_dfa(2)
-    assert winset_dfa(host, max_game_states=440).state_count == 215
-    with pytest.raises(BudgetExceededError):
-        winset_dfa(host, max_game_states=439)
+    assert winset_dfa(host, max_game_states=217).state_count == 215
+    with pytest.raises(BudgetExceededError, match="more than 216 game states"):
+        winset_dfa(host, max_game_states=216)
+
+
+def test_forward_route_budget_caps_the_members_first():
+    # lower_bound_dfa(3) has 997 members and 3,691 game states
+    host = lower_bound_dfa(3)
+    with pytest.raises(BudgetExceededError, match="more than 996 members"):
+        winset_dfa(host, max_game_states=996)
+    with pytest.raises(BudgetExceededError, match="more than 3690 game states"):
+        winset_dfa(host, max_game_states=3690)
 
 
 def test_public_algebra_keeps_its_own_game_states():
@@ -337,21 +346,31 @@ def host_with_sinks(rng: random.Random, n: int) -> Dfa:
     return Dfa(alphabet=("0", "1"), delta=delta, initial=0, finals=finals)
 
 
+def seeded_hosts(seed: int) -> list[Dfa]:
+    """36 random hosts of at most 6 states; every third has an accepting
+    sink and a dead state."""
+    rng = random.Random(seed)
+    return [
+        host_with_sinks(rng, rng.randint(2, 6)) if i % 3 == 0 else random_host(rng, rng.randint(1, 6))
+        for i in range(36)
+    ]
+
+
+def oracle_wins(host: Dfa, words: list[str]) -> list[list[bool]]:
+    """Per host state p, does Alice win each of ``words`` from p?"""
+    return [
+        [alice_wins(dfa_predicate(replace(host, initial=p), len(w)), w) for w in words]
+        for p in range(host.state_count)
+    ]
+
+
 def test_game_preorder_is_sound_against_the_oracle():
-    rng = random.Random(2112)
     words = words_upto("AB", 6)
     strict = 0
-    for i in range(36):
-        if i % 3 == 0:
-            host = host_with_sinks(rng, rng.randint(2, 6))
-        else:
-            host = random_host(rng, rng.randint(1, 6))
+    for host in seeded_hosts(2112):
         n = host.state_count
         rel = game._game_preorder(host.delta, automata._mask(host.finals))
-        wins = [
-            [alice_wins(dfa_predicate(replace(host, initial=p), len(w)), w) for w in words]
-            for p in range(n)
-        ]
+        wins = oracle_wins(host, words)
         for p in range(n):
             assert rel[p] >> p & 1
             for q in range(n):
@@ -367,6 +386,26 @@ def test_game_preorder_is_sound_against_the_oracle():
                 assert rel[q] == everyone
     # the sample relates distinct states, so the implication was tested
     assert strict > 50
+
+
+def test_member_closures_are_sound_against_the_oracle():
+    words = words_upto("AB", 6)
+    members = beyond = 0
+    for host in seeded_hosts(2114):
+        h = game._Preordered(host)
+        start = h.normalize((h.up[host.initial],))
+        wins = oracle_wins(host, words)
+        for t, r in game._member_relation(h, start, 10_000).items():
+            assert t & ~r == 0, (host, t, r)
+            members += 1
+            states = [q for q in range(host.state_count) if t >> q & 1]
+            won = [all(wins[q][k] for q in states) for k in range(len(words))]
+            for q in range(host.state_count):
+                if r >> q & 1:
+                    beyond += not t >> q & 1
+                    assert all(wq for wt, wq in zip(won, wins[q]) if wt), (host, t, q)
+    # the closures reach past their members, so the implication was tested
+    assert members > 100 and beyond > 20
 
 
 def test_step_is_normalized_successors(sampled_hosts):
@@ -455,26 +494,57 @@ def reference_step(host: Dfa, mask: int, c: str) -> int:
 @settings(max_examples=150, deadline=None)
 @given(dfas(max_states=12), st.data())
 def test_gather_step_matches_the_per_state_loop(host, data):
-    # masks reach 8 bits past the states; the stray bits must be ignored
+    # masks reach 8 bits past the states; the compiled step ignores the
+    # stray bits, and the automaton refuses them
     mask = data.draw(st.integers(min_value=0, max_value=(1 << host.state_count + 8) - 1))
     rev = ReversalDfa(host)
     # the automaton's masks are over its trimmed, breadth-first numbered host
     want = tuple(reference_step(rev.host, mask, c) for c in TURNS)
-    assert rev.successors(mask) == want
-    assert tuple(rev.step(mask, c) for c in TURNS) == want
+    p0, p1 = preimages(rev.host.delta)(mask)
+    assert (p0 | p1, p0 & p1) == want
+    inside = mask & (1 << rev.host.state_count) - 1
+    assert rev.successors(inside) == want
+    assert tuple(rev.step(inside, c) for c in TURNS) == want
+    if inside != mask:
+        with pytest.raises(ValueError):
+            rev.successors(mask)
 
 
 def test_gather_step_on_one_state_hosts():
     for finals in (frozenset(), frozenset({0})):
         host = Dfa(alphabet=("0", "1"), delta=((0, 0),), initial=0, finals=finals)
-        rev = ReversalDfa(host)
+        rev, pre = ReversalDfa(host), preimages(host.delta)
         for mask in range(8):
+            assert pre(mask) == (mask & 1, mask & 1)
+        for mask in range(2):
             want = tuple(reference_step(host, mask, c) for c in TURNS)
-            assert rev.successors(mask) == want == (mask & 1, mask & 1)
+            assert rev.successors(mask) == want == (mask, mask)
             assert tuple(rev.step(mask, c) for c in TURNS) == want
         for bad in ("0", "", "AB"):
             with pytest.raises(ValueError):
                 rev.step(1, bad)
+
+
+def test_reversal_methods_refuse_a_mask_outside_the_trimmed_host():
+    # the host's unreachable state 2 is trimmed away
+    host = Dfa(alphabet=("0", "1"), delta=((1, 0), (1, 1), (2, 0)), initial=0,
+               finals=frozenset({1}))
+    rev = ReversalDfa(host)
+    n = rev.host.state_count
+    assert n == 2
+    calls = {
+        "successors": rev.successors,
+        "step A": lambda m: rev.step(m, "A"),
+        "step B": lambda m: rev.step(m, "B"),
+        "is_final": rev.is_final,
+    }
+    for name, call in calls.items():
+        for bad in (-1, 1 << n):
+            with pytest.raises(ValueError) as got:
+                call(bad)
+            assert str(got.value) == f"mask {bad} is not a set of the trimmed host's 2 states", name
+        call((1 << n) - 1)
+    assert rev.is_final(1) and not rev.is_final(2)
 
 
 def reference_preimages(host: Dfa, mask: int) -> tuple[int, int]:
@@ -518,6 +588,7 @@ def test_both_step_routes_match_the_per_state_loop():
         for mask in masks_of_every_route(rng, host):
             assert pre(mask) == reference_preimages(host, mask), (n, mask.bit_count())
         for mask in masks_of_every_route(rng, rev.host):
+            mask &= (1 << rev.host.state_count) - 1
             want = tuple(reference_step(rev.host, mask, c) for c in TURNS)
             assert rev.successors(mask) == want
             assert tuple(rev.step(mask, c) for c in TURNS) == want
