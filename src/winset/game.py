@@ -11,7 +11,7 @@ set and stays empty forever.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .automata import (
     BINARY,
@@ -37,8 +37,15 @@ GameState = tuple[int, ...]
 
 
 def game_state(sets: Iterable[Iterable[int]]) -> GameState:
-    """Build a (possibly unnormalized) game state from collections of states."""
-    return tuple(sorted({_mask(s) for s in sets}))
+    """Build a (possibly unnormalized) game state from collections of
+    states, each a non-negative int."""
+
+    def state(q: int) -> int:
+        if isinstance(q, int) and q >= 0:
+            return q
+        raise ValueError(f"game-state state {q!r} is not a non-negative int")
+
+    return tuple(sorted({_mask(map(state, s)) for s in sets}))
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +158,63 @@ class _Host:
         return _bisimilar(self.normalize(g), self.normalize(h), self.accepting, self.steps)
 
 
+def _closures(
+    nodes: Sequence[int],
+    a_rows: Sequence[Sequence[int]],
+    b_rows: Sequence[Sequence[int]],
+    delta: tuple[tuple[int, int], ...],
+    fmask: int,
+) -> list[int]:
+    """Per node i, the greatest mask R[i] of host states that win every turn
+    word the node wins.
+
+    A node is a set of host states, won on a word when Alice wins it from
+    every one of them.  The node graph must cover the game: a node wins A·v
+    only if some A successor j wins v, and B·v only if every node of its B
+    group wins v.  R is the greatest family with R[i] ⊆ F when node i ⊆ F,
+    R[i] ⊆ pre₀(R[j]) | pre₁(R[j]) for every A successor j, and R[i] ⊆
+    pre₀(U) & pre₁(U) for the union U of R over a non-empty B group.  Then
+    Alice wins from each q ∈ R[i] every word v that node i wins, by
+    induction on v: on the empty word, node i ⊆ F puts q in F; on A·v some
+    A successor j wins v, hence by induction every state of R[j], and q has
+    a successor there; on B·v every node of the group wins v, hence every
+    state of U, which holds both of q's successors.  An empty group asks
+    nothing: the node wins no B·v.
+
+    Rows start at F for nodes inside F and at every state for the others
+    and shrink to the greatest fixpoint.  Each node keeps the preimages
+    pair of its row, since preimages distribute over the union U; a row
+    that shrinks renews its pair and puts its predecessors back on the
+    worklist.
+    """
+    pre, full = preimages(delta), (1 << len(delta)) - 1
+    rel = [full if t & ~fmask else fmask for t in nodes]
+    first = {r: pre(r) for r in {fmask, full}}
+    pairs = [first[r] for r in rel]
+    preds: list[set[int]] = [set() for _ in nodes]
+    for i, (a, b) in enumerate(zip(a_rows, b_rows)):
+        for j in (*a, *b):
+            preds[j].add(i)
+    work = set(range(len(nodes)))
+    while work:
+        i = work.pop()
+        row = rel[i]
+        for j in a_rows[i]:
+            p0, p1 = pairs[j]
+            row &= p0 | p1
+        if b_rows[i]:
+            u0 = u1 = 0
+            for j in b_rows[i]:
+                p0, p1 = pairs[j]
+                u0, u1 = u0 | p0, u1 | p1
+            row &= u0 & u1
+        if row != rel[i]:
+            rel[i] = row
+            pairs[i] = pre(row)
+            work |= preds[i]
+    return rel
+
+
 def _game_preorder(delta: tuple[tuple[int, int], ...], fmask: int) -> list[int]:
     """The game preorder of a binary host: ``rel[p]`` is the mask of the
     states q with p ⊑ q.
@@ -158,135 +222,69 @@ def _game_preorder(delta: tuple[tuple[int, int], ...], fmask: int) -> list[int]:
     ⊑ is the greatest relation in which p ⊑ q implies (1) p ∈ F ⇒ q ∈ F,
     (2) every successor p_i of p has a successor q_j of q with p_i ⊑ q_j,
     and (3) every successor q_j of q has a successor p_i of p with
-    p_i ⊑ q_j.  Then Alice wins every turn word from q that she wins from
-    p, by induction on the word v: on the empty word by (1); on A·v she
-    wins from p iff she wins v from some p_i, hence by (2) from some q_j;
-    on B·v she wins from p iff she wins v from every p_i, hence by (3) from
-    every q_j.  An accepting sink is above every state and a state with no
+    p_i ⊑ q_j.  It is :func:`_closures` of the singletons {p}, whose A
+    successors and B group are both p's successors: (2) is the A condition
+    and (3) the B one.  So Alice wins every turn word from q that she wins
+    from p.  An accepting sink is above every state and a state with no
     path into F below every state.
-
-    Rows start at F for final states and at every state for the others and
-    shrink to the greatest fixpoint.  With (a_i, b_i) the preimages of
-    rel[δ_i(p)] on symbols 0 and 1, (2) keeps the q in (a_0|b_0) & (a_1|b_1)
-    and (3) those in (a_0|a_1) & (b_0|b_1); a row that shrinks puts its
-    state's predecessors back on the worklist.
     """
-    n = len(delta)
-    pre = preimages(delta)
-    preds: list[set[int]] = [set() for _ in range(n)]
-    for p, row in enumerate(delta):
-        for t in row:
-            preds[t].add(p)
-    rel = [fmask if fmask >> p & 1 else (1 << n) - 1 for p in range(n)]
-    work = set(range(n))
-    while work:
-        p = work.pop()
-        a0, b0 = pre(rel[delta[p][0]])
-        a1, b1 = pre(rel[delta[p][1]])
-        row = rel[p] & (a0 | b0) & (a1 | b1) & (a0 | a1) & (b0 | b1)
-        if row != rel[p]:
-            rel[p] = row
-            work |= preds[p]
-    return rel
+    return _closures([1 << p for p in range(len(delta))], delta, delta, delta, fmask)
 
 
-class _Preordered(_Host):
-    """The forward engine's member generator: members held as up-closures
-    under the game preorder of :func:`_game_preorder`.
+def _member_closures(host: Dfa, budget: int) -> tuple[_Host, GameState, dict[int, int]]:
+    """The forward engine's members and their closures.
 
     A member S of a game state stands for "Alice wins from every state of
-    S", which does not change when the states ⊑-above S are added.  So a
-    member is held as its up-closure ↑S, less the states above an accepting
-    sink, which win every word; a member whose closure holds a state with
-    no path into F, which wins none, is dropped.  The subset test of
-    :func:`_minimal` then also absorbs a member T when every state of
-    another member lies above some state of T.  A member steps from its
-    ⊑-minimal states, the lowest-numbered of each class of equivalent
-    states: by conditions (2) and (3) of :func:`_game_preorder`, the
-    closures of its images are the same as from all of its states.  A game
-    state accepts iff some member lies inside F, and F is up-closed.  The
-    game states differ from :func:`normalize`'s but accept the same
-    languages, so Hopcroft and the breadth-first renumbering give the same
-    minimal DFA.
+    S", which does not change when the states ⊑-above S, under
+    :func:`_game_preorder`, are added.  So a member is held as its
+    up-closure ↑S, less the states above an accepting sink, which win every
+    word; a member whose closure holds a state with no path into F, which
+    wins none, is dropped.  The subset test of :func:`_minimal` then also
+    absorbs a member T when every state of another member lies above some
+    state of T.  A member steps from its ⊑-minimal states, the
+    lowest-numbered of each class of equivalent states: by conditions (2)
+    and (3) of :func:`_game_preorder`, the closures of its images are the
+    same as from all of its states.
+
+    The members reachable from the initial game state are numbered
+    breadth-first, and R is :func:`_closures` over the member graph: a
+    member wins A·v iff some member of its A image wins v, and B·v iff the
+    member of its B image does.  A member T is held as its closure
+    R[T] | T.  Returns a compiled host whose step memo maps each closure
+    to its images' closures, from the first member found with it, the
+    initial game state of closures, and the map from members T to R[T].
+    Raises :class:`BudgetExceededError` past ``budget`` members.
     """
+    h = _Host(host)
+    rel = _game_preorder(host.delta, h.fmask)
+    keep = ~_image(h.acc_sink, rel)
+    up = [row & keep for row in rel]
+    # equivalent states have equal rows; above[q] holds the states above
+    # q but for q's equivalents of index at most q
+    classes: dict[int, int] = {}
+    for q, row in enumerate(rel):
+        classes[row] = classes.get(row, 0) | 1 << q
+    above = [row & ~(classes[row] & (2 << q) - 1) for q, row in enumerate(rel)]
+    images: dict[int, tuple[GameState, GameState]] = {}
 
-    def __init__(self, host: Dfa):
-        super().__init__(host)
-        rel = _game_preorder(host.delta, self.fmask)
-        keep = ~_image(self.acc_sink, rel)
-        self.up = [row & keep for row in rel]
-        # equivalent states have equal rows; above[q] holds the states above
-        # q but for q's equivalents of index at most q
-        classes: dict[int, int] = {}
-        for q, row in enumerate(rel):
-            classes[row] = classes.get(row, 0) | 1 << q
-        self.above = [row & ~(classes[row] & (2 << q) - 1) for q, row in enumerate(rel)]
-
-    def images(self, m: int) -> tuple[GameState, GameState]:
-        base = m & ~_image(m, self.above)
-        return tuple(
-            self.normalize(_image(x, self.up) for x in xs)
-            for xs in (self.a_images(base), (self.b_image(base),))
+    def member_images(m: int) -> GameState:
+        base = m & ~_image(m, above)
+        a, b = images[m] = tuple(
+            h.normalize(_image(x, up) for x in xs) for xs in (h.a_images(base), (h.b_image(base),))
         )
-
-
-def _member_relation(h: _Preordered, start: GameState, budget: int) -> dict[int, int]:
-    """The members reachable from ``start`` through :meth:`_Preordered.images`,
-    numbered breadth-first, each mapped to the mask R[T] of the host states
-    that win every turn word the member T wins.
-
-    R is the greatest family with R[T] ⊆ F when T ⊆ F, R[T] ⊆ pre₀(R[T']) |
-    pre₁(R[T']) for every member T' of the A image A(T), and R[T] ⊆
-    pre₀(R[T']) & pre₁(R[T']) for every T' of the B image B(T).  Then Alice
-    wins from each q ∈ R[T] every word v she wins from all of T, by
-    induction on v: on the empty word, T ⊆ F puts q in F; she wins A·v from
-    T iff she wins v from some T' ∈ A(T), hence from every state of R[T'],
-    and q has a successor there; she wins B·v from T iff she wins v from the
-    member of B(T), hence from every state of R[T'], which holds both of
-    q's successors.  An empty image asks nothing: Alice wins no word through
-    it.  So T and R[T] | T are won on the same words.
-
-    Rows start at F for members inside F and at every state for the others
-    and shrink to the greatest fixpoint.  Each member keeps the pair
-    (pre₀ | pre₁, pre₀ & pre₁) of its row, and a row that shrinks renews it
-    and puts the members whose images hold it back on the worklist.  Raises
-    :class:`BudgetExceededError` past ``budget`` members.
-    """
-    memo = h._memo
-
-    def images(m: int) -> GameState:
-        a, b = memo[m] = h.images(m)
         return a + b
 
+    start = h.normalize((up[host.initial],))
     # the initial game state holds one up-closure at most
-    members, rows = explore(start[0], images, budget, "members") if start else ([], [])
-    split = [len(memo[m][0]) for m in members]
-    preds: list[set[int]] = [set() for _ in members]
-    for i, row in enumerate(rows):
-        for j in row:
-            preds[j].add(i)
-    pre, fmask = preimages(h.delta), h.fmask
-    full = (1 << len(h.delta)) - 1
-    rel = [full if m & ~fmask else fmask for m in members]
-
-    def or_and(r: int) -> tuple[int, int]:
-        p0, p1 = pre(r)
-        return p0 | p1, p0 & p1
-
-    pairs = [or_and(r) for r in rel]
-    work = set(range(len(members)))
-    while work:
-        i = work.pop()
-        row, k = rel[i], split[i]
-        for j in rows[i][:k]:
-            row &= pairs[j][0]
-        for j in rows[i][k:]:
-            row &= pairs[j][1]
-        if row != rel[i]:
-            rel[i] = row
-            pairs[i] = or_and(row)
-            work |= preds[i]
-    return dict(zip(members, rel))
+    members, rows = explore(start[0], member_images, budget, "members") if start else ([], [])
+    a_rows = [row[: len(images[m][0])] for m, row in zip(members, rows)]
+    b_rows = [row[len(a) :] for a, row in zip(a_rows, rows)]
+    rel = dict(zip(members, _closures(members, a_rows, b_rows, host.delta, h.fmask)))
+    closure = {m: r | m for m, r in rel.items()}
+    for m, c in closure.items():
+        if c not in h._memo:
+            h._memo[c] = tuple(_minimal({closure[t] for t in img}) for img in images[m])
+    return h, tuple(map(closure.get, start)), rel
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +371,9 @@ def winset_nfa(host: Dfa) -> Nfa:
 # factory and lower-bound gadgets, with many reversal subsets (589 to
 # 143,983) but small winning sets: 2.1 against 0.35 ms at 589 subsets and
 # 44 against 5.3 ms at 3,947; it won at 31 and 87.  It won on every other
-# host: three random 20- to 23-state hosts with 764 to 1,021 subsets took
-# it 0.5 to 1.9 s, and the forward engine 15 s, 27 s and over 40 s.
+# host: five random 17- to 22-state hosts with 706 to 1,003 subsets took
+# it 1.3 to 7.8 s, and the forward engine, with the game preorder and the
+# member closures, 116 s and 118 s on two and over 150 s on the others.
 # Giving up here costs ~4 ms.  The subsets counted are those of the host's
 # reachable part, so unreachable states never push a host over the limit.
 REVERSAL_SUBSETS = 2048
@@ -412,24 +411,20 @@ def winset_dfa(host: Dfa, *, max_game_states: int = STATE_BUDGET) -> Dfa:
 
 
 def _forward_winset_dfa(host: Dfa, max_game_states: int = STATE_BUDGET) -> Dfa:
-    """The forward engine: game states of the closures R[T] | T of
-    :func:`_member_relation`, then minimization.
+    """The forward engine: game states of the closures of
+    :func:`_member_closures`, then minimization.
 
     A closure is won on the same words as its member, so members with equal
     closures merge, and :func:`_minimal` absorbs a closure that holds
     another.  A closure steps from the first member found with it, and the
     game state accepts iff some closure lies inside F, as its member does.
+    The game states differ from :func:`normalize`'s but accept the same
+    languages, so Hopcroft and the breadth-first renumbering give the same
+    minimal DFA.
     """
-    h = _Preordered(host)
-    start = h.normalize((h.up[host.initial],))
-    closure = {m: r | m for m, r in _member_relation(h, start, max_game_states).items()}
-    # h.steps then steps closures: the memo maps each to its images' closures
-    memo: dict[int, tuple[GameState, GameState]] = {}
-    for m, c in closure.items():
-        if c not in memo:
-            memo[c] = tuple(_minimal({closure[t] for t in img}) for img in h._memo[m])
-    h._memo = memo
-    order, rows = explore(tuple(map(closure.get, start)), h.steps, max_game_states, "game states")
+    # the map from members to rows is dropped before the game states
+    h, start = _member_closures(host, max_game_states)[:2]
+    order, rows = explore(start, h.steps, max_game_states, "game states")
     finals = {i for i, g in enumerate(order) if h.accepting(g)}
     del order, h  # free the game states before the quotient reaches its peak
     # the rows are BFS-numbered from the initial state, so they need no trim

@@ -163,6 +163,12 @@ def test_every_game_state_entry_point_refuses_a_member_outside_the_host():
         "game_states_equivalent h": (PARITY, lambda g: game_states_equivalent(PARITY, (1,), g)),
         "a_period_bound_check": (e2, lambda g: a_period_bound_check(e2, g)),
     }
+    # game_state has no host, so it checks only that each state is a
+    # state number
+    for bad in (-1, "a", 1.0, None):
+        with pytest.raises(ValueError) as got:
+            game_state([[0], [1, bad]])
+        assert str(got.value) == f"game-state state {bad!r} is not a non-negative int", bad
     for name, (host, call) in calls.items():
         n = host.state_count
         for bad in (1 << n, 1 << (n + 3), -1):
@@ -364,6 +370,50 @@ def oracle_wins(host: Dfa, words: list[str]) -> list[list[bool]]:
     ]
 
 
+def naive_game_preorder(host: Dfa) -> list[int]:
+    """The game preorder by its definition, one pair of states at a time:
+    start from the pairs (p, q) with p final only if q is, and drop a pair
+    until every successor of p lies below some successor of q and every
+    successor of q above some successor of p."""
+    n, delta = host.state_count, host.delta
+    rel = {(p, q) for p in range(n) for q in range(n) if p not in host.finals or q in host.finals}
+    changed = True
+    while changed:
+        changed = False
+        for p, q in sorted(rel):
+            if not (
+                all(any((pi, qj) in rel for qj in delta[q]) for pi in delta[p])
+                and all(any((pi, qj) in rel for pi in delta[p]) for qj in delta[q])
+            ):
+                rel.discard((p, q))
+                changed = True
+    return [sum(1 << q for q in range(n) if (p, q) in rel) for p in range(n)]
+
+
+def test_game_preorder_is_exact():
+    # the worklist finds the greatest relation itself, not a sound part of
+    # it: up and above, and so the game states explored, depend on that
+    rng = random.Random(3030)
+    hosts = seeded_hosts(2112) + seeded_hosts(2113)
+    hosts += [random_host(rng, rng.randint(7, 10)) for _ in range(30)]
+    hosts += [host_with_sinks(rng, rng.randint(7, 10)) for _ in range(30)]
+    strict = 0
+    for host in hosts:
+        rel = game._game_preorder(host.delta, automata._mask(host.finals))
+        assert rel == naive_game_preorder(host), host
+        strict += sum(row.bit_count() - 1 for row in rel)
+    assert strict > 200
+
+
+def test_forward_engine_counts_on_the_lower_bound_gadget():
+    # members, their distinct closures and the game states explored: a lost
+    # pruning leaves the minimal DFA's bytes as they are but not these
+    for n, counts in ((1, (29, 22, 25)), (2, (202, 84, 217)), (3, (997, 254, 3691))):
+        h, start, rel = game._member_closures(lower_bound_dfa(n), 10_000)
+        order, _ = explore(start, h.steps, 10_000, "game states")
+        assert (len(rel), len({r | t for t, r in rel.items()}), len(order)) == counts, n
+
+
 def test_game_preorder_is_sound_against_the_oracle():
     words = words_upto("AB", 6)
     strict = 0
@@ -392,10 +442,9 @@ def test_member_closures_are_sound_against_the_oracle():
     words = words_upto("AB", 6)
     members = beyond = 0
     for host in seeded_hosts(2114):
-        h = game._Preordered(host)
-        start = h.normalize((h.up[host.initial],))
+        _, _, rel = game._member_closures(host, 10_000)
         wins = oracle_wins(host, words)
-        for t, r in game._member_relation(h, start, 10_000).items():
+        for t, r in rel.items():
             assert t & ~r == 0, (host, t, r)
             members += 1
             states = [q for q in range(host.state_count) if t >> q & 1]
