@@ -296,34 +296,6 @@ def circuit_to_dfa(c: Circuit) -> ReductionArtifact:
     )
 
 
-def consistent_inputs(
-    art: ReductionArtifact, raw_state: Iterable[int]
-) -> set[tuple[bool, ...]]:
-    """Input vectors encoded by the consistent members of a raw game state."""
-    rail_of = {}
-    for j, (t, f) in enumerate(art.input_states):
-        rail_of[t] = (j, True)
-        rail_of[f] = (j, False)
-    found = set()
-    for mask in raw_state:
-        assignment: dict[int, bool] = {}
-        ok = True
-        m = mask
-        while m:
-            q = (m & -m).bit_length() - 1
-            m &= m - 1
-            if q not in rail_of:
-                ok = False
-                break
-            j, val = rail_of[q]
-            if assignment.setdefault(j, val) != val:
-                ok = False  # both rails of one wire: excessive
-                break
-        if ok and len(assignment) == len(art.input_states):
-            found.add(tuple(assignment[j] for j in range(len(art.input_states))))
-    return found
-
-
 def circuit_value_instance(
     c: Circuit, a: Iterable[bool]
 ) -> tuple[Dfa, str]:

@@ -15,18 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .automata import (
-    STATE_BUDGET,
-    BudgetExceededError,
-    Dfa,
-    GraphBuilder,
-    _turn_index,
-    coaccessible,
-    explore,
-)
-from .game import GameState, _Host, game_state
+from .automata import STATE_BUDGET, BudgetExceededError, Dfa, GraphBuilder, _turn_index
 
 
 @dataclass(frozen=True)
@@ -38,10 +29,6 @@ class Gadget:
 
     def __getitem__(self, name: str) -> int:
         return self.labels[name]
-
-    def named_state(self, names: Iterable[str]) -> GameState:
-        """Game state holding one set built from the given state names."""
-        return game_state([[self.labels[x] for x in names]])
 
 
 def _check_size(n: int, states: int) -> None:
@@ -113,11 +100,6 @@ def subset_word(n: int, s: Iterable[int]) -> str:
     if not chosen <= set(range(1, n + 1)):
         raise ValueError(f"subset {sorted(chosen)} not within 1..{n}")
     return "".join("BA" if i in chosen else "AB" for i in range(1, n + 1))
-
-
-def subset_targets(n: int, s: Iterable[int]) -> list[str]:
-    """The o-states (rightmost e-states) a committed subset ends up on."""
-    return [f"e{2 * n + i - 2}" for i in sorted(set(s))]
 
 
 def _add_gen_state(b: GraphBuilder, n: int, exit_target: str):
@@ -286,93 +268,6 @@ def _lcm_terms(ks: Sequence[int]) -> tuple[int, int]:
         (math.lcm(x, y) for x, y in combinations(ks, 2)), default=ks[0] if ks else 0
     )
     return pair, math.lcm(*ks)
-
-
-def cycle_profile(host: Dfa) -> tuple[tuple[int, ...], int]:
-    """Cycle lengths and leftover-state count of the trim part of a host.
-
-    Raises ValueError when some trim state lies on two cycles — those hosts
-    have non-bounded languages and the A-period bound does not apply.
-    """
-    # Kosaraju: one forward DFS from the initial state finishes every
-    # reachable state; the trim part is closed under paths between its
-    # states, so its strongly connected parts are those of the whole graph
-    delta = host.delta
-    finish: list[int] = []
-    seen = {host.initial}
-    stack = [(host.initial, iter(delta[host.initial]))]
-    while stack:
-        v, targets = stack[-1]
-        for t in targets:
-            if t not in seen:
-                seen.add(t)
-                stack.append((t, iter(delta[t])))
-                break
-        else:
-            stack.pop()
-            finish.append(v)
-    trim = coaccessible(host).intersection(finish)
-
-    pred: dict[int, list[int]] = {v: [] for v in trim}
-    for q in trim:
-        for t in delta[q]:
-            if t in trim:
-                pred[t].append(q)
-    # in decreasing finish order, the unplaced states that reach a state
-    # are exactly its strongly connected part
-    parts: list[list[int]] = []
-    placed: set[int] = set()
-    for v in reversed(finish):
-        if v in trim and v not in placed:
-            part = explore(v, lambda u: [p for p in pred[u] if p not in placed],
-                           len(trim), "states")[0]
-            placed.update(part)
-            parts.append(part)
-
-    cycles: list[int] = []
-    ell = 0
-    # by least state, so the first failure is fixed
-    for part in sorted(parts, key=min):
-        comp = set(part)
-        inner = sum(1 for q in comp for t in delta[q] if t in comp)
-        if len(comp) == 1:
-            if inner == 0:
-                ell += 1
-            elif inner == 1:
-                cycles.append(1)
-            else:
-                raise ValueError("a trim state carries two self-loops; cycles overlap")
-        else:
-            if inner != len(comp):
-                raise ValueError("a strongly connected part is not a simple cycle")
-            cycles.append(len(comp))
-    return tuple(sorted(cycles)), ell
-
-
-def a_period_bound_check(
-    host: Dfa, g: Iterable[int]
-) -> Optional[tuple[int, int]]:
-    """Least (k, m) with the A-iterates of g equivalent at steps k and k+m.
-
-    Searches only within the bounds the theory promises for hosts with
-    disjoint cycles — k at most lcm + 2*states + max pairwise lcm, m at most
-    the lcm of the cycle lengths — and returns None if no pair exists there,
-    which would refute the bound.
-    """
-    ks, _ = cycle_profile(host)
-    pair, lcm_all = _lcm_terms(ks)
-    k_bound = lcm_all + 2 * host.state_count + pair
-    m_bound = lcm_all
-
-    h = _Host(host)
-    iterates = [h.normalize(h.members(g))]
-    for _ in range(k_bound + m_bound):
-        iterates.append(h.step(iterates[-1], "A"))
-    for k in range(k_bound + 1):
-        for m in range(1, m_bound + 1):
-            if h.equivalent(iterates[k], iterates[k + m]):
-                return (k, m)
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -86,8 +86,8 @@ class _Host:
         per-member methods below trust their callers."""
         g, n = tuple(g), len(self.delta)
         for m in g:
-            if m < 0 or m >> n:
-                raise ValueError(f"game-state member {m} is not a set of the host's {n} states")
+            if not isinstance(m, int) or m < 0 or m >> n:
+                raise ValueError(f"game-state member {m!r} is not a set of the host's {n} states")
         return g
 
     def a_images(self, mask: int) -> tuple[int, ...]:
@@ -107,15 +107,6 @@ class _Host:
     def b_image(self, mask: int) -> int:
         """The set of all successors of the set ``mask``."""
         return _image(mask, self.succ)
-
-    def successors(self, g: Iterable[int], c: str) -> set[int]:
-        """The unnormalized members of the game state after turn ``c``."""
-        if _turn_index(c):
-            return {self.b_image(m) for m in g}
-        out = set()
-        for m in g:
-            out.update(self.a_images(m))
-        return out
 
     def normalize(self, g: Iterable[int]) -> GameState:
         keep, dead = ~self.acc_sink, ~self.coacc
@@ -144,7 +135,7 @@ class _Host:
         return _minimal(a), _minimal(b)
 
     def step(self, g: Iterable[int], c: str) -> GameState:
-        """``normalize(successors(g, c))``."""
+        """The normalized union of the members' images on turn ``c``."""
         i = _turn_index(c)
         return self.steps(g)[i]
 
@@ -323,12 +314,11 @@ def winning_step(host: Dfa, g: Iterable[int], c: str) -> GameState:
     return h.step(h.members(g), c)
 
 
-def winning_run(host: Dfa, g: Iterable[int], word: str, *, normalized: bool = True) -> GameState:
+def winning_run(host: Dfa, g: Iterable[int], word: str) -> GameState:
     h = _Host(host)
-    g = h.members(g)
-    cur = h.normalize(g) if normalized else tuple(sorted(set(g)))
+    cur = h.normalize(h.members(g))
     for c in word:
-        cur = h.step(cur, c) if normalized else tuple(sorted(h.successors(cur, c)))
+        cur = h.step(cur, c)
     return cur
 
 
@@ -465,8 +455,8 @@ class ReversalDfa:
         :func:`~winset.decision.intersect_nonempty` step only masks that
         :meth:`_successors` made, and skip the check."""
         n = self.host.state_count
-        if mask < 0 or mask >> n:
-            raise ValueError(f"mask {mask} is not a set of the trimmed host's {n} states")
+        if not isinstance(mask, int) or mask < 0 or mask >> n:
+            raise ValueError(f"mask {mask!r} is not a set of the trimmed host's {n} states")
         return mask
 
     def _successors(self, mask: int) -> tuple[int, int]:

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import strategies as st
 
 from winset import automata
-from winset.automata import Dfa, Nfa, accepts
+from winset.automata import Dfa, Nfa, _turn_index, accepts
 from winset.enumeration import _host, _structures
+from winset.gadgets import Gadget
+from winset.game import GameState, _Host, game_state
 
 
 def shift_steps(monkeypatch) -> list:
@@ -176,3 +178,37 @@ def random_circuit(rng: random.Random, n_inputs: int, n_gates: int, n_outputs: i
         avail.append(f"g{g}")
     outputs = tuple((f"y{i}", rng.choice(avail)) for i in range(n_outputs))
     return Circuit(inputs, tuple(gates), outputs)
+
+
+# ---------------------------------------------------------------------------
+# the raw run and the subset factory's targets, for the lemma checks
+
+
+def raw_successors(h: _Host, g: Iterable[int], c: str) -> set[int]:
+    """The unnormalized members of the game state after turn ``c``."""
+    if _turn_index(c):
+        return {h.b_image(m) for m in g}
+    out = set()
+    for m in g:
+        out.update(h.a_images(m))
+    return out
+
+
+def raw_run(host: Dfa, g: Iterable[int], word: str) -> GameState:
+    """The game state after ``word`` from ``g``, never normalized: every
+    member the game reaches, sorted."""
+    h = _Host(host)
+    cur = tuple(sorted(set(h.members(g))))
+    for c in word:
+        cur = tuple(sorted(raw_successors(h, cur, c)))
+    return cur
+
+
+def subset_targets(n: int, s: Iterable[int]) -> list[str]:
+    """The o-states (rightmost e-states) a committed subset ends up on."""
+    return [f"e{2 * n + i - 2}" for i in sorted(set(s))]
+
+
+def named_state(g: Gadget, names: Iterable[str]) -> GameState:
+    """Game state holding one set built from the given state names."""
+    return game_state([[g.labels[x] for x in names]])

@@ -22,7 +22,6 @@ from winset.gadgets import (
     exact_ones_wsize,
     gen_subset,
     lower_bound_dfa,
-    subset_targets,
     subset_word,
     test_word as probe_word,
     testing as build_tester,
@@ -35,7 +34,14 @@ from winset.game import (
     winset_dfa,
 )
 from winset.oracle import alice_wins, dfa_predicate, dyck_predicate, winning_slice
-from .conftest import count_words, enumerate_words, random_circuit, relabeled_host_corpus
+from .conftest import (
+    count_words,
+    enumerate_words,
+    named_state,
+    random_circuit,
+    relabeled_host_corpus,
+    subset_targets,
+)
 
 
 @pytest.fixture(scope="session")
@@ -150,7 +156,7 @@ def test_criterion_06_gadget_lemmas():
         for r in range(n + 1):
             for s in combinations(range(1, n + 1), r):
                 run = winning_run(g.dfa, start, subset_word(n, s))
-                target = g.named_state(subset_targets(n, s))
+                target = named_state(g, subset_targets(n, s))
                 assert game_states_equivalent(g.dfa, run, target), (n, s)
     # the tester accepts exactly the planted sets inside the probe
     for n in (1, 2, 3):

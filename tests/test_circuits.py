@@ -1,24 +1,24 @@
 import hashlib
 import random
 from itertools import product
+from typing import Iterable
 
 import pytest
 
 from winset.automata import FormatError, dfa_to_text
 from winset.circuits import (
     Circuit,
+    ReductionArtifact,
     _levelize,
     circuit_to_dfa,
     circuit_value_instance,
-    consistent_inputs,
     iterated_instance,
     or_with_index,
     parse_circuit,
 )
 from winset.cli import main
 from winset.decision import member
-from winset.game import winning_run
-from .conftest import random_circuit
+from .conftest import random_circuit, raw_run
 
 MAJORITY_TEXT = """\
 # majority of three
@@ -114,6 +114,34 @@ def inputs_all_live(c: Circuit) -> bool:
     return all(x in live for x in c.inputs)
 
 
+def consistent_inputs(
+    art: ReductionArtifact, raw_state: Iterable[int]
+) -> set[tuple[bool, ...]]:
+    """Input vectors encoded by the consistent members of a raw game state."""
+    rail_of = {}
+    for j, (t, f) in enumerate(art.input_states):
+        rail_of[t] = (j, True)
+        rail_of[f] = (j, False)
+    found = set()
+    for mask in raw_state:
+        assignment: dict[int, bool] = {}
+        ok = True
+        m = mask
+        while m:
+            q = (m & -m).bit_length() - 1
+            m &= m - 1
+            if q not in rail_of:
+                ok = False
+                break
+            j, val = rail_of[q]
+            if assignment.setdefault(j, val) != val:
+                ok = False  # both rails of one wire: excessive
+                break
+        if ok and len(assignment) == len(art.input_states):
+            found.add(tuple(assignment[j] for j in range(len(art.input_states))))
+    return found
+
+
 def test_consistent_preimages_match_brute_force():
     rng = random.Random(61)
     done = 0
@@ -127,9 +155,7 @@ def test_consistent_preimages_match_brute_force():
         art = circuit_to_dfa(c)
         for out_vec in all_bits(m):
             start = rail_mask(art, out_vec, art.output_states)
-            run = winning_run(
-                art.dfa, [start], "AAB" * art.p, normalized=False
-            )
+            run = raw_run(art.dfa, [start], "AAB" * art.p)
             expected = {a for a in all_bits(k) if c.evaluate(a) == out_vec}
             assert consistent_inputs(art, run) == expected
 

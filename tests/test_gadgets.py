@@ -1,19 +1,20 @@
 import random
+import sys
 from itertools import combinations
+from typing import Iterable, Optional
 
 import pytest
 
 from winset import gadgets
-from winset.automata import BudgetExceededError, accepts
+from winset.automata import BudgetExceededError, Dfa, accepts, coaccessible, explore
 
-from .conftest import enumerate_words, words_upto
+from .conftest import enumerate_words, named_state, subset_targets, words_upto
 from winset.gadgets import (
     test_word as probe_word,
     testing as build_tester,
-    a_period_bound_check,
+    _lcm_terms,
     bounded_upper_bound,
     chain_dfa,
-    cycle_profile,
     dyck_closed_form,
     exact_ones_dfa,
     exact_ones_winset_member,
@@ -23,10 +24,10 @@ from winset.gadgets import (
     lower_bound_dfa,
     lower_bound_gadget,
     state_word,
-    subset_targets,
     subset_word,
 )
 from winset.game import (
+    _Host,
     game_state,
     game_states_equivalent,
     is_accepting,
@@ -74,7 +75,7 @@ def test_subset_factory_manufactures_every_subset():
         start = game_state([[g["b1"]]])
         for s in subsets(n):
             run = winning_run(g.dfa, start, subset_word(n, s))
-            target = g.named_state(subset_targets(n, s))
+            target = named_state(g, subset_targets(n, s))
             assert game_states_equivalent(g.dfa, run, target), (n, s)
 
 
@@ -239,6 +240,97 @@ def test_exact_ones_membership_law():
 # bounds
 
 
+# ---------------------------------------------------------------------------
+# bounded languages: the cycle profile and the A-period lemma
+
+
+def cycle_profile(host: Dfa) -> tuple[tuple[int, ...], int]:
+    """Cycle lengths and leftover-state count of the trim part of a host.
+
+    Raises ValueError when some trim state lies on two cycles — those hosts
+    have non-bounded languages and the A-period bound does not apply.
+    """
+    # Kosaraju: one forward DFS from the initial state finishes every
+    # reachable state; the trim part is closed under paths between its
+    # states, so its strongly connected parts are those of the whole graph
+    delta = host.delta
+    finish: list[int] = []
+    seen = {host.initial}
+    stack = [(host.initial, iter(delta[host.initial]))]
+    while stack:
+        v, targets = stack[-1]
+        for t in targets:
+            if t not in seen:
+                seen.add(t)
+                stack.append((t, iter(delta[t])))
+                break
+        else:
+            stack.pop()
+            finish.append(v)
+    trim = coaccessible(host).intersection(finish)
+
+    pred: dict[int, list[int]] = {v: [] for v in trim}
+    for q in trim:
+        for t in delta[q]:
+            if t in trim:
+                pred[t].append(q)
+    # in decreasing finish order, the unplaced states that reach a state
+    # are exactly its strongly connected part
+    parts: list[list[int]] = []
+    placed: set[int] = set()
+    for v in reversed(finish):
+        if v in trim and v not in placed:
+            part = explore(v, lambda u: [p for p in pred[u] if p not in placed],
+                           len(trim), "states")[0]
+            placed.update(part)
+            parts.append(part)
+
+    cycles: list[int] = []
+    ell = 0
+    # by least state, so the first failure is fixed
+    for part in sorted(parts, key=min):
+        comp = set(part)
+        inner = sum(1 for q in comp for t in delta[q] if t in comp)
+        if len(comp) == 1:
+            if inner == 0:
+                ell += 1
+            elif inner == 1:
+                cycles.append(1)
+            else:
+                raise ValueError("a trim state carries two self-loops; cycles overlap")
+        else:
+            if inner != len(comp):
+                raise ValueError("a strongly connected part is not a simple cycle")
+            cycles.append(len(comp))
+    return tuple(sorted(cycles)), ell
+
+
+def a_period_bound_check(
+    host: Dfa, g: Iterable[int]
+) -> Optional[tuple[int, int]]:
+    """Least (k, m) with the A-iterates of g equivalent at steps k and k+m.
+
+    Searches only within the bounds the theory promises for hosts with
+    disjoint cycles — k at most lcm + 2*states + max pairwise lcm, m at most
+    the lcm of the cycle lengths — and returns None if no pair exists there,
+    which would refute the bound.
+    """
+    ks, _ = cycle_profile(host)
+    pair, lcm_all = _lcm_terms(ks)
+    k_bound = lcm_all + 2 * host.state_count + pair
+    m_bound = lcm_all
+
+    h = _Host(host)
+    iterates = [h.normalize(h.members(g))]
+    for _ in range(k_bound + m_bound):
+        iterates.append(h.step(iterates[-1], "A"))
+    for k in range(k_bound + 1):
+        for m in range(1, m_bound + 1):
+            if h.equivalent(iterates[k], iterates[k + m]):
+                return (k, m)
+    return None
+
+
 def test_bounded_upper_bound_values():
     assert bounded_upper_bound((1, 1), 0) == 85
     assert bounded_upper_bound((2, 3), 1) == 475255
@@ -254,8 +346,6 @@ def test_cycle_profile_of_families():
     assert cycles == (1, 1, 1) and ell == 0
     cycles, ell = cycle_profile(exact_ones_dfa(3))
     assert cycles == (1, 1, 1, 1) and ell == 0
-
-    from winset.automata import Dfa
 
     def host(delta, finals):
         return Dfa(alphabet=("0", "1"), delta=delta, initial=0, finals=frozenset(finals))
@@ -280,8 +370,6 @@ def test_cycle_profile_of_families():
 
 
 def test_cycle_profile_rejects_overlapping_cycles():
-    from winset.automata import Dfa
-
     loop = Dfa(alphabet=("0", "1"), delta=((0, 0),), initial=0, finals=frozenset({0}))
     with pytest.raises(ValueError):
         cycle_profile(loop)
@@ -306,8 +394,6 @@ def test_a_iterates_become_periodic_within_bound():
         k, m = found
         assert k >= 0 and m >= 1
 
-    from winset.automata import Dfa
-
     # transit states 0, 13 and 14 lead into a 5-cycle 1..5 and a 7-cycle
     # 6..12, finals 1 and 12; every other edge goes to the dead sink 15
     delta = [None] * 16
@@ -322,15 +408,13 @@ def test_a_iterates_become_periodic_within_bound():
 
 
 def test_a_period_bound_check_reports_a_refutation(monkeypatch):
-    from winset.automata import Dfa
-
     # the 2-cycle 0-1 with a dead sink 2: the A-iterates of {{0}} have period 2
     host = Dfa(alphabet=("0", "1"), delta=((1, 2), (0, 2), (2, 2)), initial=0,
                finals=frozenset({0}))
     g = game_state([[0]])
     assert a_period_bound_check(host, g) == (0, 2)
     # a profile promising period 1 puts the true period out of the search
-    monkeypatch.setattr(gadgets, "cycle_profile", lambda host: ((1,), 0))
+    monkeypatch.setattr(sys.modules[__name__], "cycle_profile", lambda host: ((1,), 0))
     assert a_period_bound_check(host, g) is None
 
 

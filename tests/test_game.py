@@ -39,7 +39,6 @@ from winset.game import (
 )
 from winset.gadgets import (
     testing as build_tester,
-    a_period_bound_check,
     chain_dfa,
     exact_ones_dfa,
     exact_ones_winset_member,
@@ -55,6 +54,8 @@ from .conftest import (
     enumerate_words,
     nfa_to_text,
     random_host,
+    raw_run,
+    raw_successors,
     relabeled,
     shift_steps,
     words_upto,
@@ -125,7 +126,6 @@ def test_every_turn_letter_check_gives_one_message():
     letters = {
         "winning_step": lambda c: winning_step(PARITY, g, c),
         "_Host.step": lambda c: h.step(g, c),
-        "_Host.successors": lambda c: h.successors(g, c),
         "ReversalDfa.step": lambda c: rev.step(1, c),
     }
     for name, call in letters.items():
@@ -136,7 +136,6 @@ def test_every_turn_letter_check_gives_one_message():
     # entry points that read a word name the first bad letter they read
     words = {
         "winning_run": lambda w: winning_run(PARITY, g, w),
-        "winning_run raw": lambda w: winning_run(PARITY, g, w, normalized=False),
         "ReversalDfa.accepts": rev.accepts,
         "alice_wins": lambda w: alice_wins(parity_predicate(len(w)), w),
         "exact_ones_winset_member": lambda w: exact_ones_winset_member(2, w),
@@ -151,17 +150,14 @@ def test_every_turn_letter_check_gives_one_message():
 
 def test_every_game_state_entry_point_refuses_a_member_outside_the_host():
     # a member is a set of host states, a mask below 1 << state_count
-    e2 = exact_ones_dfa(2)
     calls = {
         "normalize": (PARITY, lambda g: normalize(PARITY, g)),
         "is_accepting": (PARITY, lambda g: is_accepting(PARITY, g)),
         "winning_step A": (PARITY, lambda g: winning_step(PARITY, g, "A")),
         "winning_step B": (PARITY, lambda g: winning_step(PARITY, g, "B")),
         "winning_run": (PARITY, lambda g: winning_run(PARITY, g, "AB")),
-        "winning_run raw": (PARITY, lambda g: winning_run(PARITY, g, "AB", normalized=False)),
         "game_states_equivalent g": (PARITY, lambda g: game_states_equivalent(PARITY, g, (1,))),
         "game_states_equivalent h": (PARITY, lambda g: game_states_equivalent(PARITY, (1,), g)),
-        "a_period_bound_check": (e2, lambda g: a_period_bound_check(e2, g)),
     }
     # game_state has no host, so it checks only that each state is a
     # state number
@@ -171,11 +167,11 @@ def test_every_game_state_entry_point_refuses_a_member_outside_the_host():
         assert str(got.value) == f"game-state state {bad!r} is not a non-negative int", bad
     for name, (host, call) in calls.items():
         n = host.state_count
-        for bad in (1 << n, 1 << (n + 3), -1):
+        for bad in (1 << n, 1 << (n + 3), -1, "a", 1.5, None):
             with pytest.raises(ValueError) as got:
                 call((1, bad))
             assert str(got.value) == (
-                f"game-state member {bad} is not a set of the host's {n} states"
+                f"game-state member {bad!r} is not a set of the host's {n} states"
             ), (name, bad)
         # every member in range passes, the full set included, and so does
         # a game state handed in as a generator
@@ -215,12 +211,12 @@ def test_normalized_and_raw_runs_agree(sampled_hosts):
         for _ in range(10):
             w = "".join(rng.choice("AB") for _ in range(rng.randint(0, 6)))
             start = (1 << host.initial,)
-            raw = winning_run(host, start, w, normalized=False)
+            raw = raw_run(host, start, w)
             norm = winning_run(host, start, w)
             assert normalize(host, raw) == norm
             assert is_accepting(host, raw) == is_accepting(host, norm)
     with pytest.raises(ValueError):
-        winning_run(PARITY, (1,), "X", normalized=False)
+        raw_run(PARITY, (1,), "X")
 
 
 def test_reversal_recognizes_reversed_winset(sampled_hosts):
@@ -469,7 +465,7 @@ def test_step_is_normalized_successors(sampled_hosts):
         fresh = game._Host(host)
         for g in order:
             for c in TURNS:
-                want = fresh.normalize(fresh.successors(g, c))
+                want = fresh.normalize(raw_successors(fresh, g, c))
                 assert h.step(g, c) == want
                 assert winning_step(host, g, c) == want
     # unnormalized game states: unsorted, repeated, comparable or empty
@@ -490,7 +486,7 @@ def test_step_is_normalized_successors(sampled_hosts):
             states.append(tuple(members + [0] * (rng.random() < 0.2)))
         for g in states:
             for c in TURNS:
-                want = h.normalize(h.successors(g, c))
+                want = h.normalize(raw_successors(h, g, c))
                 assert h.step(g, c) == want
                 assert winning_step(host, g, c) == want
 
@@ -588,10 +584,10 @@ def test_reversal_methods_refuse_a_mask_outside_the_trimmed_host():
         "is_final": rev.is_final,
     }
     for name, call in calls.items():
-        for bad in (-1, 1 << n):
+        for bad in (-1, 1 << n, "a", 1.5, None):
             with pytest.raises(ValueError) as got:
                 call(bad)
-            assert str(got.value) == f"mask {bad} is not a set of the trimmed host's 2 states", name
+            assert str(got.value) == f"mask {bad!r} is not a set of the trimmed host's 2 states", name
         call((1 << n) - 1)
     assert rev.is_final(1) and not rev.is_final(2)
 

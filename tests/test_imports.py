@@ -1,7 +1,10 @@
 """Every imported name is used: read in its module, listed in ``__all__``,
-or imported on a line marked ``# noqa``."""
+or imported on a line marked ``# noqa``.  Every name the package defines
+has a user: it is exported, named in the README, or referenced in the
+package outside its own definition, so test-only helpers live in tests/."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -43,3 +46,55 @@ def test_unused_import_is_caught():
         "match", "os",
     ]
     assert unused_imports("import os  # noqa: F401\n__all__ = ['sys']\nimport sys\n") == []
+
+
+def bound_names(stmt: ast.stmt) -> list[str]:
+    """The names a module-level statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        return [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        return [stmt.target.id]
+    return []
+
+
+def referenced_names(stmt: ast.stmt) -> set[str]:
+    """The names a statement reads, as a name, an attribute or an import."""
+    out = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+    return out
+
+
+def unused_names(sources: list[str], readme: str) -> list[str]:
+    """Module-level names of ``sources`` outside every ``__all__``, not a
+    word of ``readme``, and read by no other module-level statement."""
+    stmts = [stmt for source in sources for stmt in ast.parse(source).body]
+    exported = set()
+    for stmt in stmts:
+        if "__all__" in bound_names(stmt):
+            exported.update(ast.literal_eval(stmt.value))
+    words = set(re.findall(r"\w+", readme))
+    refs = [referenced_names(stmt) for stmt in stmts]
+    return sorted(
+        name
+        for i, stmt in enumerate(stmts)
+        for name in bound_names(stmt)
+        if not name.startswith("__") and name not in exported and name not in words
+        and not any(name in r for j, r in enumerate(refs) if j != i)
+    )
+
+
+def test_every_package_name_has_a_user():
+    sources = [p.read_text() for p in sorted(ROOT.glob("src/winset/*.py"))]
+    assert unused_names(sources, (ROOT / "README.md").read_text()) == []
+    # a name read only inside its own definition has no user
+    assert unused_names(
+        ["def f(n):\n    return f(n - 1)\ndef g():\n    return h\nh = 1\n"], "g"
+    ) == ["f"]
