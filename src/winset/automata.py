@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections import deque
+from itertools import chain
 from operator import itemgetter
 from typing import Callable, Collection, Iterable, Sequence
 
@@ -28,9 +29,29 @@ def _turn_index(c: str) -> int:
     raise ValueError(f"turn symbol must be A or B, got {c!r}")
 
 
-def _check_alphabet(alphabet: tuple[str, str]):
-    if len(alphabet) != 2 or alphabet[0] == alphabet[1]:
+def _check_range(xs: Iterable, lo: int, hi: float, message: str):
+    """``xs``, once every x in it is an int with ``lo <= x < hi``; the
+    first x that is not raises ``ValueError(message.format(x))``.
+
+    The one check on the states, state sets, sizes and indices the library
+    is handed.  ``message`` holds ``{!r}`` where the value goes, or no
+    field at all; an int's repr is its decimal, so int messages read as
+    an f-string would.  A caller that uses the result passes a tuple, not
+    an iterator."""
+    for x in xs:
+        if not isinstance(x, int) or not lo <= x < hi:
+            raise ValueError(message.format(x))
+    return xs
+
+
+def _check_fields(a: Dfa | Nfa, sets: tuple[frozenset[int], ...]):
+    """What :class:`Dfa` and :class:`Nfa` check alike: an alphabet of two
+    symbols that differ, a tuple ``delta``, and the frozensets ``sets`` of
+    states, which keep the automaton hashable."""
+    if len(a.alphabet) != 2 or a.alphabet[0] == a.alphabet[1]:
         raise ValueError("alphabet must have exactly 2 symbols, and they must differ")
+    if type(a.delta) is not tuple or set(map(type, sets)) != {frozenset}:
+        raise ValueError("an automaton's delta must be a tuple and its state sets frozensets")
 
 
 def _require_alphabet(a: Dfa | Nfa, alphabet: tuple[str, str], what: str):
@@ -64,8 +85,10 @@ class Dfa:
     """A complete deterministic finite automaton.
 
     ``delta[q]`` is a pair of target states, indexed by symbol position in
-    ``alphabet``.  Instances are immutable and hashable, so they can be used
-    as cache keys and shared freely between threads.
+    ``alphabet``.  States are the ints ``0..n-1``; ``delta`` and its rows
+    are tuples and ``finals`` is a frozenset, so instances are immutable and
+    hashable: they can be used as cache keys and shared freely between
+    threads.
     """
 
     alphabet: tuple[str, str]
@@ -74,21 +97,16 @@ class Dfa:
     finals: frozenset[int]
 
     def __post_init__(self):
+        _check_fields(self, (self.finals,))
         n = len(self.delta)
         if n == 0:
             raise ValueError("a DFA needs at least one state")
-        _check_alphabet(self.alphabet)
-        if not 0 <= self.initial < n:
-            raise ValueError(f"initial state {self.initial} out of range")
+        _check_range((self.initial,), 0, n, "initial state {!r} out of range")
         for q, row in enumerate(self.delta):
-            if len(row) != 2:
+            if type(row) is not tuple or len(row) != 2:
                 raise ValueError(f"state {q}: need a target per symbol")
-            for t in row:
-                if not 0 <= t < n:
-                    raise ValueError(f"state {q}: target {t} out of range")
-        for q in self.finals:
-            if not 0 <= q < n:
-                raise ValueError(f"final state {q} out of range")
+        _check_range(chain.from_iterable(self.delta), 0, n, "target {!r} out of range")
+        _check_range(self.finals, 0, n, "final state {!r} out of range")
 
     @property
     def state_count(self) -> int:
@@ -158,7 +176,11 @@ class GraphBuilder:
 
 @dataclass(frozen=True)
 class Nfa:
-    """A nondeterministic finite automaton with a set of initial states."""
+    """A nondeterministic finite automaton with a set of initial states.
+
+    States are the ints ``0..n-1``; ``delta`` and its rows are tuples, and
+    the target sets, ``initial`` and ``finals`` are frozensets.
+    """
 
     alphabet: tuple[str, str]
     delta: tuple[tuple[frozenset[int], frozenset[int]], ...]
@@ -166,18 +188,13 @@ class Nfa:
     finals: frozenset[int]
 
     def __post_init__(self):
+        _check_fields(self, (self.initial, self.finals))
         n = len(self.delta)
-        _check_alphabet(self.alphabet)
         for q, row in enumerate(self.delta):
-            if len(row) != 2:
+            if type(row) is not tuple or list(map(type, row)) != [frozenset] * 2:
                 raise ValueError(f"state {q}: need a target set per symbol")
-            for targets in row:
-                for t in targets:
-                    if not 0 <= t < n:
-                        raise ValueError(f"state {q}: target {t} out of range")
-        for q in self.initial | self.finals:
-            if not 0 <= q < n:
-                raise ValueError(f"state {q} out of range")
+            _check_range(row[0] | row[1], 0, n, "target {!r} out of range")
+        _check_range(self.initial | self.finals, 0, n, "state {!r} out of range")
 
     @property
     def state_count(self) -> int:
@@ -393,9 +410,13 @@ def explore(start, successors, budget: int, what: str):
     inputs give byte-identical automata.  Raises
     :class:`BudgetExceededError` when more than ``budget`` states would be
     discovered, ``start`` included; ``what`` names them in the message.
+    A ``budget`` that does not compare with numbers raises ``ValueError``.
     """
-    if budget < 1:
-        raise BudgetExceededError(f"more than {budget} {what} materialized")
+    try:
+        if budget < 1:
+            raise BudgetExceededError(f"more than {budget} {what} materialized")
+    except TypeError as e:
+        raise ValueError(f"budget must be a number, got {budget!r}") from e
     index = {start: 0}
     order = [start]
     rows = []

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .automata import Dfa, FormatError, GraphBuilder, _fail, _tokenize
+from .automata import Dfa, FormatError, GraphBuilder, _check_range, _fail, _tokenize
 
 GATE_ARITY = {"AND": 2, "OR": 2, "NOT": 1}
 
@@ -275,9 +275,12 @@ def _assemble(c: Circuit, *, merge: bool = False):
     return b, 2 * d - 3, inputs, outputs
 
 
-def _instance(b: GraphBuilder, initial, inputs, bits: tuple[bool, ...]) -> Dfa:
+def _instance(b: GraphBuilder, initial, inputs, a: Iterable[bool]) -> Dfa:
     """Build ``b`` from ``initial``, accepting on the input rails that
-    spell ``bits``."""
+    spell the assignment ``a``, one bit per input."""
+    bits = tuple(a)
+    if len(bits) != len(inputs):
+        raise ValueError("assignment length must match the input count")
     for (t, f), bit in zip(inputs, bits):
         b.state(t if bit else f, final=True)
     return b.build(initial)
@@ -303,11 +306,8 @@ def circuit_value_instance(
     start at the output's T-rail, accept on the input rails spelling ``a``."""
     if c.output_count != 1:
         raise ValueError("the value instance needs exactly one output")
-    bits = tuple(a)
-    if len(bits) != c.input_count:
-        raise ValueError("assignment length must match the input count")
     b, p, inputs, outputs = _assemble(c)
-    return _instance(b, outputs[0][0], inputs, bits), "AAB" * p
+    return _instance(b, outputs[0][0], inputs, a), "AAB" * p
 
 
 def iterated_instance(
@@ -325,11 +325,7 @@ def iterated_instance(
     k = c.input_count
     if c.output_count != k:
         raise ValueError("iterated instances need matching input/output arity")
-    if not 0 <= i < k:
-        raise ValueError("persistent index out of range")
-    bits = tuple(a)
-    if len(bits) != k:
-        raise ValueError("assignment length must match the input count")
+    _check_range((i,), 0, k, "persistent index out of range")
 
     b, p, inputs, _ = _assemble(or_with_index(c, i), merge=True)
     # fan-in tree: depth rounds of AAB turn {root} into all k T-rails; for
@@ -348,7 +344,7 @@ def iterated_instance(
         return w
 
     root = tree(0, 1 << depth, 0)
-    return _instance(b, root, inputs, bits), "AAB" * depth, "AAB" * p
+    return _instance(b, root, inputs, a), "AAB" * depth, "AAB" * p
 
 
 def or_with_index(c: Circuit, i: int) -> Circuit:

@@ -74,11 +74,14 @@ def intersect_nonempty(
     :class:`BudgetExceededError` when more than ``budget`` product states
     would be visited, the start state included, so a ``budget`` below 1
     fails before any search; that is a resource verdict, not an emptiness
-    one.
+    one.  A ``budget`` that is not a number raises ``ValueError``.
     """
     _require_alphabet(b, TURNS, "intersection NFA")
-    if budget < 1:
-        raise BudgetExceededError(f"more than {budget} product states visited")
+    try:
+        if budget < 1:
+            raise BudgetExceededError(f"more than {budget} product states visited")
+    except TypeError as e:
+        raise ValueError(f"budget must be a number, got {budget!r}") from e
     rev = _reversal(host)
 
     # predecessor masks of b, per symbol: reading b's language backwards

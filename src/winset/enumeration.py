@@ -29,7 +29,7 @@ import math
 import time
 from typing import Callable, Iterator, NamedTuple, Optional
 
-from .automata import BINARY, STATE_BUDGET, Dfa, explore, preimages
+from .automata import BINARY, STATE_BUDGET, Dfa, _check_range, explore, preimages
 
 # The largest n run in full: `winset enumerate 6 --emit-witness w.dfa`, on the
 # commit after dd51bd9, gave max=15624 exhausted=true in 228.1 s wall at 20.9 MB
@@ -171,17 +171,21 @@ def max_winset_complexity(
 
     Returns the maximum, the lexicographically least (delta, finals) witness
     achieving it, and whether the search ran to completion; a budget in
-    seconds turns partial results into exhausted=False instead of an error.
+    seconds turns partial results into exhausted=False instead of an error,
+    and one that is nan or not a number raises ``ValueError``, as does an n
+    that is not an int from 1 to ``SIZE_GUARD``.
     ``observe`` sees every computed size (for bound checks); ``progress``
     gets (done, total) after each kept structure, where ``done`` counts the
     breadth-first-numbered candidate structures tried so far, non-canonical
     ones included, and ``total`` is their number (counted only when
     ``progress`` is given).
     """
-    if not 1 <= n <= SIZE_GUARD:
-        raise ValueError(f"n must be between 1 and {SIZE_GUARD}")
-    if budget_seconds is not None and math.isnan(budget_seconds):
-        raise ValueError("budget_seconds must be a number, got nan")
+    _check_range((n,), 1, SIZE_GUARD + 1, f"n must be between 1 and {SIZE_GUARD}")
+    try:
+        if budget_seconds is not None and math.isnan(budget_seconds):
+            raise ValueError("budget_seconds must be a number, got nan")
+    except TypeError as e:
+        raise ValueError(f"budget_seconds must be a number, got {budget_seconds!r}") from e
     deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
     total = None if progress is None else sum(1 for _ in _bfs_ordered(n))
 

@@ -17,7 +17,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
-from .automata import STATE_BUDGET, BudgetExceededError, Dfa, GraphBuilder, _turn_index
+from .automata import (
+    STATE_BUDGET, BudgetExceededError, Dfa, GraphBuilder, _check_range, _turn_index
+)
 
 
 @dataclass(frozen=True)
@@ -31,24 +33,26 @@ class Gadget:
         return self.labels[name]
 
 
-def _check_size(n: int, states: int) -> None:
-    """Reject a size n below 1, or one whose host would have ``states``
-    states, more than :data:`~winset.automata.STATE_BUDGET`; families call
-    this before they build anything."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if states > STATE_BUDGET:
+def _check_size(n: int, per: int = 0, extra: int = 0) -> None:
+    """Reject a size n that is not an int >= 1, or one whose host would have
+    ``per * n + extra`` states, more than
+    :data:`~winset.automata.STATE_BUDGET`.  Families call this before they
+    build anything, so it takes the state count's coefficients rather than
+    the count, which a size that is not a number could not make; with none
+    given, only the size is checked."""
+    _check_range((n,), 1, math.inf, "n must be >= 1")
+    if per * n + extra > STATE_BUDGET:
         raise BudgetExceededError(
-            f"size {n} needs {states} states, more than the budget of {STATE_BUDGET}"
+            f"size {n} needs {per * n + extra} states, more than the budget of {STATE_BUDGET}"
         )
 
 
 def _gadget(
-    n: int, states: int, entry: str, add: Callable[[GraphBuilder], None]
+    n: int, per: int, extra: int, entry: str, add: Callable[[GraphBuilder], None]
 ) -> Gadget:
-    """The ``states``-state gadget of size n that ``add`` lays out, entered
-    at ``entry``, which is numbered 0."""
-    _check_size(n, states)
+    """The gadget of size n and ``per * n + extra`` states that ``add`` lays
+    out, entered at ``entry``, which is numbered 0."""
+    _check_size(n, per, extra)
     b = GraphBuilder()
     b.state(entry)
     add(b)
@@ -91,7 +95,7 @@ def gen_subset(n: int, *, closure: str = "reject") -> Gadget:
         b.state("exit", final=closure == "accept")
         b.arc("exit", "exit")
 
-    return _gadget(n, 7 * n, "b1", add)
+    return _gadget(n, 7, 0, "b1", add)
 
 
 def subset_word(n: int, s: Iterable[int]) -> str:
@@ -121,7 +125,7 @@ def gen_state(n: int) -> Gadget:
         _add_gen_state(b, n, "exit")
         b.arc("exit", "exit")
 
-    return _gadget(n, 13 * n + 2, "a1", add)
+    return _gadget(n, 13, 2, "a1", add)
 
 
 def state_word(n: int, antichain: Iterable[Iterable[int]]) -> str:
@@ -164,7 +168,7 @@ def testing(n: int) -> Gadget:
     other read advances one step.  After 2n steps everything is stuck in a
     nonaccepting sink.
     """
-    return _gadget(n, 2 * n + 2, "q1", lambda b: _add_testing(b, n))
+    return _gadget(n, 2, 2, "q1", lambda b: _add_testing(b, n))
 
 
 def test_word(n: int, p: Iterable[int]) -> str:
@@ -183,7 +187,7 @@ def lower_bound_gadget(n: int) -> Gadget:
         _add_gen_state(b, n, "q1")
         _add_testing(b, n)
 
-    return _gadget(n, 15 * n + 3, "a1", add)
+    return _gadget(n, 15, 3, "a1", add)
 
 
 def lower_bound_dfa(n: int) -> Dfa:
@@ -196,12 +200,10 @@ def lower_bound_dfa(n: int) -> Dfa:
 
 def chain_dfa(n: int, finals: Iterable[int]) -> Dfa:
     """1-bounded chain: 0 loops in place, 1 advances, the last state traps."""
-    _check_size(n, n)
+    _check_size(n, 1)
     fin = frozenset(finals)
     if n - 1 in fin:
         raise ValueError("the trap state cannot be final")
-    if not fin <= set(range(n)):
-        raise ValueError("final states out of range")
     delta = tuple((i, min(i + 1, n - 1)) for i in range(n))
     return Dfa(alphabet=("0", "1"), delta=delta, initial=0, finals=fin)
 
@@ -209,15 +211,14 @@ def chain_dfa(n: int, finals: Iterable[int]) -> Dfa:
 def exact_ones_dfa(n: int) -> Dfa:
     """Minimal DFA for words with exactly n ones: a counting chain plus an
     overflow sink."""
-    _check_size(n, n + 2)
+    _check_size(n, 1, 2)
     delta = tuple((i, i + 1) for i in range(n + 1)) + ((n + 1, n + 1),)
     return Dfa(alphabet=("0", "1"), delta=delta, initial=0, finals=frozenset({n}))
 
 
 def exact_ones_wsize(n: int) -> int:
     """Closed-form size of the minimal winning-set DFA: n^3/6 + n^2 + 11n/6 + 2."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_size(n)
     num = n**3 + 6 * n**2 + 11 * n + 12
     assert num % 6 == 0
     return num // 6
@@ -250,11 +251,8 @@ def bounded_upper_bound(cycle_lengths: Sequence[int], ell: int) -> int:
     With a single cycle the pairwise term degenerates to that cycle's
     length; with none, to zero.
     """
-    ks = tuple(int(k) for k in cycle_lengths)
-    if any(k < 1 for k in ks):
-        raise ValueError("cycle lengths must be >= 1")
-    if ell < 0:
-        raise ValueError("ell must be >= 0")
+    ks = _check_range(tuple(cycle_lengths), 1, math.inf, "cycle lengths must be >= 1")
+    _check_range((ell,), 0, math.inf, "ell must be >= 0")
     p = len(ks)
     pair, lcm_all = _lcm_terms(ks)
     base = p * pair + 2 * ell + 2 * lcm_all
@@ -280,6 +278,5 @@ def dyck_closed_form(i: int, j: int, k: int) -> bool:
     The builder must pre-open whatever the opponent may close (i >= j) and
     be able to close everything the opponent may have opened (k >= 2j).
     """
-    if min(i, j, k) < 0:
-        raise ValueError("block lengths must be nonnegative")
+    _check_range((i, j, k), 0, math.inf, "block lengths must be nonnegative")
     return i >= j and k >= 2 * j

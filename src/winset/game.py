@@ -11,6 +11,7 @@ set and stays empty forever.
 
 from __future__ import annotations
 
+from math import inf
 from typing import Iterable, Sequence
 
 from .automata import (
@@ -21,6 +22,7 @@ from .automata import (
     Dfa,
     Nfa,
     _bisimilar,
+    _check_range,
     _image,
     _mask,
     _quotient,
@@ -40,12 +42,8 @@ def game_state(sets: Iterable[Iterable[int]]) -> GameState:
     """Build a (possibly unnormalized) game state from collections of
     states, each a non-negative int."""
 
-    def state(q: int) -> int:
-        if isinstance(q, int) and q >= 0:
-            return q
-        raise ValueError(f"game-state state {q!r} is not a non-negative int")
-
-    return tuple(sorted({_mask(map(state, s)) for s in sets}))
+    message = "game-state state {!r} is not a non-negative int"
+    return tuple(sorted({_mask(_check_range(tuple(s), 0, inf, message)) for s in sets}))
 
 
 # ---------------------------------------------------------------------------
@@ -84,11 +82,8 @@ class _Host:
         """The members of ``g``, each checked to be a set of the host's
         states.  The public entry points check what they are handed; the
         per-member methods below trust their callers."""
-        g, n = tuple(g), len(self.delta)
-        for m in g:
-            if not isinstance(m, int) or m < 0 or m >> n:
-                raise ValueError(f"game-state member {m!r} is not a set of the host's {n} states")
-        return g
+        message = f"game-state member {{!r}} is not a set of the host's {len(self.delta)} states"
+        return _check_range(tuple(g), 0, 1 << len(self.delta), message)
 
     def a_images(self, mask: int) -> tuple[int, ...]:
         """All images of the set ``mask`` under choice functions into {0,1}."""
@@ -326,8 +321,11 @@ def leq(g: GameState, h: GameState) -> bool:
     """g <= h iff every member of g is witnessed by a subset in h.
 
     A smaller game state is weaker for Alice; the step function is monotone
-    for this order.
+    for this order.  Members must be non-negative ints, as no host bounds
+    them here.
     """
+    g, h = tuple(g), tuple(h)
+    _check_range(g + h, 0, inf, "game-state member {!r} is not a non-negative int")
     return all(any(r & s == r for r in h) for s in g)
 
 
@@ -454,10 +452,8 @@ class ReversalDfa:
         public methods check what they are handed; :meth:`to_dfa` and
         :func:`~winset.decision.intersect_nonempty` step only masks that
         :meth:`_successors` made, and skip the check."""
-        n = self.host.state_count
-        if not isinstance(mask, int) or mask < 0 or mask >> n:
-            raise ValueError(f"mask {mask!r} is not a set of the trimmed host's {n} states")
-        return mask
+        message = f"mask {{!r}} is not a set of the trimmed host's {self.host.state_count} states"
+        return _check_range((mask,), 0, 1 << self.host.state_count, message)[0]
 
     def _successors(self, mask: int) -> tuple[int, int]:
         p0, p1 = self._pre(mask)

@@ -8,9 +8,12 @@ this module favors being obviously correct over being fast.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from typing import Callable
 
-from .automata import BINARY, BudgetExceededError, Dfa, _require_alphabet, _turn_index, accepts
+from .automata import (
+    BINARY, BudgetExceededError, Dfa, _check_range, _require_alphabet, _turn_index, accepts
+)
 
 SLICE_LIMIT = 24  # 2^n table entries; past this the "oracle" stops being one
 
@@ -23,8 +26,7 @@ class TargetPredicate:
     member: Callable[[str], bool]
 
     def __post_init__(self):
-        if self.length < 0:
-            raise ValueError("length must be nonnegative")
+        _check_range((self.length,), 0, inf, "length must be nonnegative")
 
 
 def alice_wins(t: TargetPredicate, w: str) -> bool:
@@ -94,8 +96,7 @@ def winning_slice(t: TargetPredicate) -> set[str]:
 
 def dyck_predicate(n: int) -> TargetPredicate:
     """Balanced-parentheses words of length n; 0 opens, 1 closes."""
-    if n < 0:
-        raise ValueError("length must be nonnegative")
+    _check_range((n,), 0, inf, "length must be nonnegative")
     if n % 2:
         raise ValueError(f"no balanced word has odd length {n}")
 

@@ -179,6 +179,9 @@ def test_parse_dfa_errors(text, fragment, tmp_path, capsys):
 
 
 NO_MOVES = (frozenset(), frozenset())
+# the one message for a container of the wrong type, which would leave the
+# automaton unhashable or mutable
+FIELDS = "^an automaton's delta must be a tuple and its state sets frozensets$"
 
 
 @pytest.mark.parametrize(
@@ -190,10 +193,49 @@ NO_MOVES = (frozenset(), frozenset())
         (lambda: Dfa(BINARY, ((0, 1),), 0, frozenset()), "target 1 out of range"),
         (lambda: Dfa(BINARY, ((0, 0),), 0, frozenset({1})), "final state 1 out of range"),
         (lambda: Dfa(BINARY, ((0, 0, 0),), 0, frozenset()), "a target per symbol"),
+        (lambda: Dfa(BINARY, ((0, 0),), -1, frozenset()), "^initial state -1 out of range$"),
+        (lambda: Dfa(BINARY, ((0, -1),), 0, frozenset()), "^target -1 out of range$"),
+        (lambda: Dfa(BINARY, ((0, 0),), 0, frozenset({-1})), "^final state -1 out of range$"),
+        # a state that is not an int is out of range, named by its repr
+        (lambda: Dfa(BINARY, ((0, 0.5), (1, 1)), 0, frozenset({1})), "^target 0.5 out of range$"),
+        (lambda: Dfa(BINARY, ((0, "0"),), 0, frozenset()), "^target '0' out of range$"),
+        (lambda: Dfa(BINARY, ((None, 0),), 0, frozenset()), "^target None out of range$"),
+        (lambda: Dfa(BINARY, ((0, 0),), 0.5, frozenset()), "^initial state 0.5 out of range$"),
+        (lambda: Dfa(BINARY, ((0, 0),), "0", frozenset()), "^initial state '0' out of range$"),
+        (lambda: Dfa(BINARY, ((0, 0),), None, frozenset()), "^initial state None out of range$"),
+        (lambda: Dfa(BINARY, ((0, 1), (1, 1)), 0, frozenset({0.5})),
+         "^final state 0.5 out of range$"),
+        (lambda: Dfa(BINARY, ((0, 0),), 0, frozenset({"0"})), "^final state '0' out of range$"),
+        (lambda: Dfa(BINARY, ((0, 0),), 0, frozenset({None})), "^final state None out of range$"),
+        # lists and sets would leave the automaton unhashable and mutable
+        (lambda: Dfa(BINARY, [[0, 1], [1, 1]], 0, frozenset({1})), FIELDS),
+        (lambda: Dfa(BINARY, None, 0, frozenset()), FIELDS),
+        (lambda: Dfa(BINARY, ((0, 0),), 0, {0}), FIELDS),
+        (lambda: Dfa(BINARY, ((0, 1), [1, 1]), 0, frozenset({1})),
+         "^state 1: need a target per symbol$"),
         (lambda: Nfa(("0",), (NO_MOVES,), frozenset({0}), frozenset()), "exactly 2 symbols"),
         (lambda: Nfa(BINARY, ((frozenset({1}), frozenset()),), frozenset(), frozenset()),
          "target 1 out of range"),
         (lambda: Nfa(BINARY, (NO_MOVES,), frozenset({1}), frozenset()), "state 1 out of range"),
+        (lambda: Nfa(BINARY, ((frozenset(), frozenset({2})),), frozenset(), frozenset()),
+         "^target 2 out of range$"),
+        (lambda: Nfa(BINARY, (NO_MOVES,), frozenset(), frozenset({-1})),
+         "^state -1 out of range$"),
+        (lambda: Nfa(BINARY, ((frozenset({0.5}), frozenset()),), frozenset(), frozenset()),
+         "^target 0.5 out of range$"),
+        (lambda: Nfa(BINARY, ((frozenset(), frozenset({"0"})),), frozenset(), frozenset()),
+         "^target '0' out of range$"),
+        (lambda: Nfa(BINARY, (NO_MOVES,), frozenset({"0"}), frozenset()),
+         "^state '0' out of range$"),
+        (lambda: Nfa(BINARY, (NO_MOVES,), frozenset(), frozenset({None})),
+         "^state None out of range$"),
+        (lambda: Nfa(BINARY, [NO_MOVES], frozenset({0}), frozenset()), FIELDS),
+        (lambda: Nfa(BINARY, (NO_MOVES,), [0], frozenset()), FIELDS),
+        (lambda: Nfa(BINARY, (NO_MOVES,), frozenset({0}), {0}), FIELDS),
+        (lambda: Nfa(BINARY, (NO_MOVES, NO_MOVES, (set(), frozenset())), frozenset({0}),
+                     frozenset()), "^state 2: need a target set per symbol$"),
+        (lambda: Nfa(BINARY, (NO_MOVES, NO_MOVES, NO_MOVES, [frozenset(), frozenset()]),
+                     frozenset({0}), frozenset()), "^state 3: need a target set per symbol$"),
         (lambda: Nfa(TURNS, ((frozenset(),),), frozenset({0}), frozenset({0})),
          "^state 0: need a target set per symbol$"),
         (lambda: Nfa(BINARY, (NO_MOVES, NO_MOVES + (frozenset(),)), frozenset({0}), frozenset()),

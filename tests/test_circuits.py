@@ -208,8 +208,9 @@ def test_value_instance_validation():
     with pytest.raises(ValueError):
         circuit_value_instance(c, (True, False))  # two outputs
     c1 = random_circuit(random.Random(0), 2, 2, 1)
-    with pytest.raises(ValueError):
-        circuit_value_instance(c1, (True,))  # arity mismatch
+    for a in ((True,), (True, False, True)):
+        with pytest.raises(ValueError, match="^assignment length must match the input count$"):
+            circuit_value_instance(c1, a)
 
 
 def test_or_with_index_semantics():
@@ -256,10 +257,13 @@ def test_iterated_validation():
     with pytest.raises(ValueError):
         iterated_instance(c, (True, False), 0)  # output arity mismatch
     c2 = random_circuit(random.Random(1), 2, 2, 2)
-    with pytest.raises(ValueError):
-        iterated_instance(c2, (True, False), 5)  # index out of range
-    with pytest.raises(ValueError):
-        iterated_instance(c2, (True,), 0)  # assignment too short
+    # an index that is not an int is out of range too
+    for i in (5, 2, -1, 0.5, 1.0, "0", None):
+        with pytest.raises(ValueError, match="^persistent index out of range$"):
+            iterated_instance(c2, (True, False), i)
+    for a in ((True,), (True, False, True)):
+        with pytest.raises(ValueError, match="^assignment length must match the input count$"):
+            iterated_instance(c2, a, 0)
 
 
 # sha256 of every reduction over a seeded corpus: it pins each state number,

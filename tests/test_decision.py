@@ -132,6 +132,15 @@ def test_intersect_budget_is_enforced():
             intersect_nonempty(everything, A_STAR, budget=budget)
 
 
+def test_intersect_refuses_a_budget_that_is_not_a_number():
+    for bad in ("5", None, (5,)):
+        with pytest.raises(ValueError) as got:
+            intersect_nonempty(PARITY, A_STAR, budget=bad)
+        assert str(got.value) == f"budget must be a number, got {bad!r}"
+    # a float budget works as an int one does
+    assert intersect_nonempty(PARITY, A_STAR, budget=50.0) == intersect_nonempty(PARITY, A_STAR)
+
+
 def test_intersect_budget_defaults_to_the_state_budget():
     default = inspect.signature(intersect_nonempty).parameters["budget"].default
     assert default == automata.STATE_BUDGET

@@ -104,15 +104,20 @@ def test_budget_returns_partial_result():
 def test_nan_budget_is_refused():
     with pytest.raises(ValueError, match="^budget_seconds must be a number, got nan$"):
         max_winset_complexity(3, budget_seconds=float("nan"))
+    # so is a budget that is not a number at all
+    for bad in ("1", [1]):
+        with pytest.raises(ValueError) as got:
+            max_winset_complexity(2, budget_seconds=bad)
+        assert str(got.value) == f"budget_seconds must be a number, got {bad!r}"
 
 
 def test_size_guard():
-    with pytest.raises(ValueError):
-        max_winset_complexity(0)
+    # a size that is not an int is out of range too
+    for n in (0, 7, 2.5, 2.0, "2", None):
+        with pytest.raises(ValueError, match="^n must be between 1 and 6$"):
+            max_winset_complexity(n)
     with pytest.raises(ValueError):
         next(host_corpus(0))
-    with pytest.raises(ValueError):
-        max_winset_complexity(7)
     assert not max_winset_complexity(6, budget_seconds=0.0).exhausted
 
 

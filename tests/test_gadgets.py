@@ -4,6 +4,8 @@ from itertools import combinations
 from typing import Iterable, Optional
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from winset import gadgets
 from winset.automata import BudgetExceededError, Dfa, accepts, coaccessible, explore
@@ -31,10 +33,11 @@ from winset.game import (
     game_state,
     game_states_equivalent,
     is_accepting,
+    leq,
     winning_run,
     winset_dfa,
 )
-from winset.oracle import alice_wins, dyck_predicate
+from winset.oracle import TargetPredicate, alice_wins, dyck_predicate
 
 
 def subsets(n, include_empty=True):
@@ -103,6 +106,37 @@ def test_subset_word_validation():
 def test_gadget_arguments_are_checked(call):
     with pytest.raises(ValueError):
         call()
+
+
+# What the library may be handed for a number: small ints, so that a valid
+# draw builds in milliseconds, and values of other types
+NUMBERS = st.one_of(
+    st.integers(-3, 40), st.floats(), st.text(max_size=2), st.none(), st.booleans()
+)
+NUMERIC_CALLS = {
+    "chain_dfa": lambda x, xs: chain_dfa(x, xs),
+    "exact_ones_dfa": lambda x, xs: exact_ones_dfa(x),
+    "gen_subset": lambda x, xs: gen_subset(x),
+    "gen_state": lambda x, xs: gen_state(x),
+    "testing": lambda x, xs: build_tester(x),
+    "lower_bound_dfa": lambda x, xs: lower_bound_dfa(x),
+    "exact_ones_wsize": lambda x, xs: exact_ones_wsize(x),
+    "TargetPredicate": lambda x, xs: TargetPredicate(x, bool),
+    "dyck_predicate": lambda x, xs: dyck_predicate(x),
+    "bounded_upper_bound": lambda x, xs: bounded_upper_bound(xs, x),
+    "dyck_closed_form": lambda x, xs: dyck_closed_form(x, *(xs + [0, 0])[:2]),
+    "game_state": lambda x, xs: game_state([xs, [x]]),
+    "leq": lambda x, xs: leq(tuple(xs), (x,)),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(NUMERIC_CALLS)), NUMBERS, st.lists(NUMBERS, max_size=3))
+def test_numeric_arguments_raise_only_value_errors(name, x, xs):
+    try:
+        NUMERIC_CALLS[name](x, xs)
+    except (ValueError, BudgetExceededError):
+        pass
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +227,14 @@ def test_size_cap_is_the_state_count(family, monkeypatch):
         build(4)
 
 
+@pytest.mark.parametrize("family", sorted(FAMILIES) + ["exact_ones_wsize"])
+def test_a_size_must_be_an_int_of_at_least_1(family):
+    build = FAMILIES.get(family, exact_ones_wsize)
+    for bad in (0, -1, 0.5, 1.5, 2.0, "0", None):
+        with pytest.raises(ValueError, match="^n must be >= 1$"):
+            build(bad)
+
+
 def test_lower_bound_winset_exceeds_antichain_count():
     w = winset_dfa(lower_bound_dfa(1))
     assert w.state_count >= 3
@@ -209,10 +251,13 @@ def test_chain_accepts_by_ones_count():
 
 
 def test_chain_validation():
-    with pytest.raises(ValueError):
-        chain_dfa(3, {2})  # the trap cannot be final
-    with pytest.raises(ValueError):
-        chain_dfa(3, {5})
+    with pytest.raises(ValueError, match="^the trap state cannot be final$"):
+        chain_dfa(3, {2})
+    # the Dfa checks the other finals
+    for bad in (5, -1, 0.5, "0", None):
+        with pytest.raises(ValueError) as got:
+            chain_dfa(3, {bad})
+        assert str(got.value) == f"final state {bad!r} out of range"
 
 
 def test_chain_congruence_example():
@@ -335,10 +380,13 @@ def test_bounded_upper_bound_values():
     assert bounded_upper_bound((1, 1), 0) == 85
     assert bounded_upper_bound((2, 3), 1) == 475255
     assert bounded_upper_bound((), 0) == 3  # empty profile: base 2, two terms
-    with pytest.raises(ValueError):
-        bounded_upper_bound((0,), 0)
-    with pytest.raises(ValueError):
-        bounded_upper_bound((2,), -1)
+    # a cycle length that is not an int is refused, never truncated
+    for bad in (0, 2.7, 2.0, "3", None):
+        with pytest.raises(ValueError, match="^cycle lengths must be >= 1$"):
+            bounded_upper_bound((2, bad), 0)
+    for bad in (-1, 0.5, "0", None):
+        with pytest.raises(ValueError, match="^ell must be >= 0$"):
+            bounded_upper_bound((2,), bad)
 
 
 def test_cycle_profile_of_families():
@@ -426,8 +474,10 @@ def test_dyck_closed_form_examples():
     assert dyck_closed_form(1, 1, 2)
     assert not dyck_closed_form(0, 1, 2)
     assert dyck_closed_form(0, 0, 0)
-    with pytest.raises(ValueError):
-        dyck_closed_form(-1, 0, 0)
+    for bad in (-1, 0.5, "0", None):
+        for blocks in ((bad, 0, 0), (0, bad, 0), (0, 0, bad)):
+            with pytest.raises(ValueError, match="^block lengths must be nonnegative$"):
+                dyck_closed_form(*blocks)
 
 
 def test_dyck_closed_form_matches_oracle_small():

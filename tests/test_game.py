@@ -159,15 +159,20 @@ def test_every_game_state_entry_point_refuses_a_member_outside_the_host():
         "game_states_equivalent g": (PARITY, lambda g: game_states_equivalent(PARITY, g, (1,))),
         "game_states_equivalent h": (PARITY, lambda g: game_states_equivalent(PARITY, (1,), g)),
     }
-    # game_state has no host, so it checks only that each state is a
-    # state number
-    for bad in (-1, "a", 1.0, None):
+    # game_state and leq have no host, so they check only that each state,
+    # or each member, is a non-negative int
+    for bad in (-1, "a", 1.0, 0.5, "0", None):
         with pytest.raises(ValueError) as got:
             game_state([[0], [1, bad]])
         assert str(got.value) == f"game-state state {bad!r} is not a non-negative int", bad
+        for g, h in (((1,), (2, bad)), ((2, bad), (1,))):
+            with pytest.raises(ValueError) as got:
+                leq(g, h)
+            assert str(got.value) == f"game-state member {bad!r} is not a non-negative int"
+    assert leq([1], (m for m in (1, 2))) and not leq((m for m in (1, 2)), [2])
     for name, (host, call) in calls.items():
         n = host.state_count
-        for bad in (1 << n, 1 << (n + 3), -1, "a", 1.5, None):
+        for bad in (1 << n, 1 << (n + 3), -1, "a", 1.5, 0.5, "0", None):
             with pytest.raises(ValueError) as got:
                 call((1, bad))
             assert str(got.value) == (
@@ -306,6 +311,25 @@ def test_winset_budget_is_enforced():
         winset_dfa(empty, max_game_states=0)
     with pytest.raises(BudgetExceededError):
         _forward_winset_dfa(empty, 0)
+
+
+def test_a_budget_that_is_not_a_number_is_refused():
+    # every route into explore compares the budget first, the reversal
+    # engine's determinize_reverse and the forward engine's members included
+    builds = {
+        "winset_dfa": lambda b: winset_dfa(PARITY, max_game_states=b),
+        "forward": lambda b: _forward_winset_dfa(PARITY, b),
+        "to_dfa": lambda b: ReversalDfa(PARITY).to_dfa(max_states=b),
+        "determinize_reverse": lambda b: determinize_reverse(PARITY, b),
+        "explore": lambda b: explore(0, lambda x: (), b, "states"),
+    }
+    for name, build in builds.items():
+        for bad in ("5", None, (5,)):
+            with pytest.raises(ValueError) as got:
+                build(bad)
+            assert str(got.value) == f"budget must be a number, got {bad!r}", name
+        # a float budget works as an int one does
+        assert build(5.0) == build(5), name
 
 
 def test_forward_route_budget_counts_normalized_game_states():
@@ -584,7 +608,7 @@ def test_reversal_methods_refuse_a_mask_outside_the_trimmed_host():
         "is_final": rev.is_final,
     }
     for name, call in calls.items():
-        for bad in (-1, 1 << n, "a", 1.5, None):
+        for bad in (-1, 1 << n, "a", 1.5, 0.5, "0", None):
             with pytest.raises(ValueError) as got:
                 call(bad)
             assert str(got.value) == f"mask {bad!r} is not a set of the trimmed host's 2 states", name

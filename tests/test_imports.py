@@ -98,3 +98,46 @@ def test_every_package_name_has_a_user():
     assert unused_names(
         ["def f(n):\n    return f(n - 1)\ndef g():\n    return h\nh = 1\n"], "g"
     ) == ["f"]
+
+
+def int_type_tests(source: str) -> list[str]:
+    """The functions of ``source`` that hold an ``isinstance(..., int)``
+    test, the class given alone or in a tuple; ``<module>`` for one outside
+    every function."""
+    found = []
+
+    def visit(node: ast.AST, where: str):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance"
+            and len(node.args) == 2
+        ):
+            cls = node.args[1]
+            names = cls.elts if isinstance(cls, ast.Tuple) else [cls]
+            if any(isinstance(c, ast.Name) and c.id == "int" for c in names):
+                found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_ints_are_checked_only_by_the_range_helper():
+    # every state, state set, size and index goes through one check, so a
+    # per-site int test cannot creep back
+    found = {
+        path.name: int_type_tests(path.read_text())
+        for path in sorted(ROOT.glob("src/winset/*.py"))
+    }
+    assert {name: where for name, where in found.items() if where} == {
+        "automata.py": ["_check_range"]
+    }
+    assert int_type_tests(
+        "def f(x):\n    return isinstance(x, (str, int))\n"
+        "class C:\n    def g(self, y):\n        return isinstance(y, int)\n"
+        "ok = isinstance(1, float)\nbad = isinstance(1, int)\n"
+    ) == ["f", "g", "<module>"]

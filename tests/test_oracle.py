@@ -92,10 +92,15 @@ def test_dyck_basics():
     assert not alice_wins(t, "BBBB")
     with pytest.raises(ValueError, match="no balanced word has odd length 3"):
         dyck_predicate(3)
-    # a negative length is refused as such, not as an odd one
-    for n in (-2, -3):
+    # a negative length is refused as such, not as an odd one, and so is a
+    # length that is not an int
+    for n in (-2, -3, 0.5, 2.0, "0", None):
         with pytest.raises(ValueError, match="^length must be nonnegative$"):
             dyck_predicate(n)
+        with pytest.raises(ValueError, match="^length must be nonnegative$"):
+            TargetPredicate(length=n, member=lambda v: True)
+    with pytest.raises(ValueError, match="^length must be nonnegative$"):
+        winning_slice(parity_predicate(2.0))
 
 
 def test_dfa_predicate_matches_language():
