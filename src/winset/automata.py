@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from collections import deque
 from itertools import chain
 from operator import itemgetter
-from typing import Callable, Collection, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 BINARY = ("0", "1")
 TURNS = ("A", "B")
@@ -45,10 +45,10 @@ def _check_range(xs: Iterable, lo: int, hi: float, message: str):
 
 
 def _check_fields(a: Dfa | Nfa, sets: tuple[frozenset[int], ...]):
-    """What :class:`Dfa` and :class:`Nfa` check alike: an alphabet of two
-    symbols that differ, a tuple ``delta``, and the frozensets ``sets`` of
-    states, which keep the automaton hashable."""
-    if len(a.alphabet) != 2 or a.alphabet[0] == a.alphabet[1]:
+    """What :class:`Dfa` and :class:`Nfa` check alike: an alphabet that is
+    a tuple of two symbols that differ, a tuple ``delta``, and the frozensets
+    ``sets`` of states, which keep the automaton hashable."""
+    if type(a.alphabet) is not tuple or len(a.alphabet) != 2 or a.alphabet[0] == a.alphabet[1]:
         raise ValueError("alphabet must have exactly 2 symbols, and they must differ")
     if type(a.delta) is not tuple or set(map(type, sets)) != {frozenset}:
         raise ValueError("an automaton's delta must be a tuple and its state sets frozensets")
@@ -229,16 +229,16 @@ def nfa_accepts(n: Nfa, word: str) -> bool:
 # text format
 
 
-def _tokenize(text: str) -> list[tuple[int, list[str]]]:
-    """Numbered token lists of the non-blank lines; ``#`` starts a comment."""
-    lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split("#", 1)[0].split()
-        if tokens:
-            lines.append((lineno, tokens))
-    if not lines:
+def _tokenize(text: str) -> Iterator[tuple[int, list[str]]]:
+    """The numbered token lists of the non-blank lines, each split off as
+    the caller reads it; ``#`` starts a comment.  Text without tokens raises
+    :class:`FormatError`."""
+    tokens = (raw.split("#", 1)[0].split() for raw in text.splitlines())
+    lines = filter(itemgetter(1), enumerate(tokens, start=1))
+    first = next(lines, None)
+    if first is None:
         raise FormatError("empty input")
-    return lines
+    return chain((first,), lines)
 
 
 def _fail(lineno: int, msg: str):
@@ -246,25 +246,26 @@ def _fail(lineno: int, msg: str):
 
 
 def _read_automaton(text: str, kind: str):
-    """Read the text format shared by DFAs (``kind`` ``dfa``) and NFAs (``nfa``).
+    """Read the text format shared by DFAs (``kind`` ``dfa``) and NFAs
+    (``nfa``) in one pass over its lines.
 
-    Returns the state count, the alphabet, the initial states, the final
-    states and the transitions as ``{(state, symbol index): target}``.  A
-    DFA needs at least one state, exactly one initial state and exactly one
-    target per transition line; an NFA allows any number of each, and its
-    targets are lists.
+    Returns the alphabet, the list of initial states, the frozenset of final
+    states and the transitions as a pair of columns of length n, one per
+    symbol: ``cols[i][q]`` is the target of state q on symbol i (for an NFA,
+    the frozenset of its targets), or None where no line gives one.  A DFA
+    needs at least one state, exactly one initial state and exactly one
+    target per transition line; an NFA allows any number of each.
     """
     dfa = kind == "dfa"
-    many = "" if dfa else "..."
+    least, many = (1, "") if dfa else (0, "...")
     lines = _tokenize(text)
-    lineno, header = lines[0]
+    lineno, header = next(lines)
     if len(header) != 3 or header[0] != kind:
         _fail(lineno, f"expected header '{kind} <state_count> <alphabet>'")
     try:
         n = int(header[1])
     except ValueError:
         _fail(lineno, f"bad state count {header[1]!r}")
-    least = 1 if dfa else 0
     if n < least:
         _fail(lineno, f"state count must be at least {least}")
     if n > STATE_BUDGET:
@@ -282,32 +283,47 @@ def _read_automaton(text: str, kind: str):
             _fail(lineno, f"state index {q} out of range 0..{n - 1}")
         return q
 
-    if len(lines) < 3:
+    init, fin = next(lines, None), next(lines, None)
+    if fin is None:
         raise FormatError("missing 'initial' or 'finals' line")
-    lineno, init_line = lines[1]
+    lineno, init_line = init
     if init_line[0] != "initial" or (dfa and len(init_line) != 2):
         _fail(lineno, f"expected 'initial <q>{many}'")
     initial = [state(tok, lineno) for tok in init_line[1:]]
-    lineno, finals_line = lines[2]
+    lineno, finals_line = fin
     if finals_line[0] != "finals":
         _fail(lineno, "expected 'finals <q>...'")
     finals = frozenset(state(tok, lineno) for tok in finals_line[1:])
 
-    table: dict[tuple[int, int], int | list[int]] = {}
-    for lineno, parts in lines[3:]:
+    column = {sym: [None] * n for sym in alphabet}
+
+    def transition(lineno: int, parts: list[str]):
+        """The column, state and target (the set of targets, for an NFA)
+        of a transition line, checked in the order the line is read."""
         if len(parts) < 2 or (dfa and len(parts) != 3):
             _fail(lineno, f"expected '<state> <symbol> <target>{many}'")
         q = state(parts[0], lineno)
-        if parts[1] not in alphabet:
+        col = column.get(parts[1])
+        if col is None:
             _fail(lineno, f"symbol {parts[1]!r} not in alphabet")
-        i = alphabet.index(parts[1])
-        if (q, i) in table:
+        if col[q] is not None:
             _fail(lineno, f"duplicate transition for state {q} symbol {parts[1]}")
-        if dfa:
-            table[(q, i)] = state(parts[2], lineno)
-        else:
-            table[(q, i)] = [state(tok, lineno) for tok in parts[2:]]
-    return n, alphabet, initial, finals, table
+        targets = [state(tok, lineno) for tok in parts[2:]]
+        return col, q, targets[0] if dfa else frozenset(targets)
+
+    for lineno, parts in lines:
+        # a DFA line checked inline; any other line, and one that fails a
+        # check, is read by transition(), which names the first fault
+        try:
+            q, sym, t = parts
+            q, t, col = int(q), int(t), column[sym]
+            ok = dfa and 0 <= q < n and 0 <= t < n and col[q] is None
+        except (ValueError, KeyError):
+            ok = False
+        if not ok:
+            col, q, t = transition(lineno, parts)
+        col[q] = t
+    return alphabet, initial, finals, tuple(column.values())
 
 
 def parse_dfa(text: str) -> Dfa:
@@ -318,24 +334,19 @@ def parse_dfa(text: str) -> Dfa:
     (state, symbol) pair.  ``#`` starts a comment; blank lines are ignored.
     Missing or duplicate transitions are errors.
     """
-    n, alphabet, (initial,), finals, table = _read_automaton(text, "dfa")
-    delta = []
-    for q in range(n):
-        for i, sym in enumerate(alphabet):
-            if (q, i) not in table:
-                raise FormatError(f"missing transition for state {q} symbol {sym}")
-        delta.append((table[(q, 0)], table[(q, 1)]))
-    return Dfa(alphabet=alphabet, delta=tuple(delta), initial=initial, finals=finals)
+    alphabet, (initial,), finals, cols = _read_automaton(text, "dfa")
+    if None in cols[0] or None in cols[1]:
+        q, i = min((col.index(None), i) for i, col in enumerate(cols) if None in col)
+        raise FormatError(f"missing transition for state {q} symbol {alphabet[i]}")
+    return Dfa(alphabet=alphabet, delta=tuple(zip(*cols)), initial=initial, finals=finals)
 
 
 def dfa_to_text(d: Dfa) -> str:
-    out = [f"dfa {d.state_count} {''.join(d.alphabet)}"]
-    out.append(f"initial {d.initial}")
-    out.append("finals " + " ".join(str(q) for q in sorted(d.finals)))
-    for q in range(d.state_count):
-        for i, sym in enumerate(d.alphabet):
-            out.append(f"{q} {sym} {d.delta[q][i]}")
-    return "\n".join(out).rstrip() + "\n"
+    a, b = d.alphabet
+    out = [f"dfa {d.state_count} {a}{b}", f"initial {d.initial}"]
+    out.append("finals " + " ".join(map(str, sorted(d.finals))))
+    out += (f"{q} {a} {t0}\n{q} {b} {t1}" for q, (t0, t1) in enumerate(d.delta))
+    return "\n".join(out) + "\n"
 
 
 def parse_nfa(text: str) -> Nfa:
@@ -346,18 +357,14 @@ def parse_nfa(text: str) -> Nfa:
     ``<q> <symbol> <target>...`` with zero or more targets, at most one line
     per (state, symbol) pair.  Omitted pairs mean no successor.
     """
-    _, header = _tokenize(text)[0]
-    if header[0] == "dfa":
+    if next(_tokenize(text))[1][0] == "dfa":
         return as_nfa(parse_dfa(text))
-    n, alphabet, initial, finals, table = _read_automaton(text, "nfa")
-    # states without transitions share one empty row
+    alphabet, initial, finals, cols = _read_automaton(text, "nfa")
     none = frozenset()
-    delta = [(none, none)] * n
-    for q in {q for q, _ in table}:
-        delta[q] = (frozenset(table.get((q, 0), ())), frozenset(table.get((q, 1), ())))
-    return Nfa(
-        alphabet=alphabet, delta=tuple(delta), initial=frozenset(initial), finals=finals
-    )
+    # states without transitions share one empty row
+    empty = (none, none)
+    delta = tuple(empty if a is b is None else (a or none, b or none) for a, b in zip(*cols))
+    return Nfa(alphabet=alphabet, delta=delta, initial=frozenset(initial), finals=finals)
 
 
 def to_dot(d: Dfa) -> str:
@@ -410,13 +417,16 @@ def explore(start, successors, budget: int, what: str):
     inputs give byte-identical automata.  Raises
     :class:`BudgetExceededError` when more than ``budget`` states would be
     discovered, ``start`` included; ``what`` names them in the message.
-    A ``budget`` that does not compare with numbers raises ``ValueError``.
+    A ``budget`` that does not compare with numbers, or is nan, raises
+    ``ValueError``.
     """
     try:
         if budget < 1:
             raise BudgetExceededError(f"more than {budget} {what} materialized")
     except TypeError as e:
         raise ValueError(f"budget must be a number, got {budget!r}") from e
+    if budget != budget:
+        raise ValueError("budget must be a number, got nan")
     index = {start: 0}
     order = [start]
     rows = []

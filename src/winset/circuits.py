@@ -325,7 +325,6 @@ def iterated_instance(
     k = c.input_count
     if c.output_count != k:
         raise ValueError("iterated instances need matching input/output arity")
-    _check_range((i,), 0, k, "persistent index out of range")
 
     b, p, inputs, _ = _assemble(or_with_index(c, i), merge=True)
     # fan-in tree: depth rounds of AAB turn {root} into all k T-rails; for
@@ -350,6 +349,7 @@ def iterated_instance(
 def or_with_index(c: Circuit, i: int) -> Circuit:
     """Replace each output y_j by y_j or y_i (computed on fresh OR gates)."""
     srcs = [src for _, src in c.outputs]
+    _check_range((i,), 0, len(srcs), "persistent index out of range")
     gates = list(c.gates)
     outputs = []
     for j, src in enumerate(srcs):

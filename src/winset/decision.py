@@ -74,7 +74,8 @@ def intersect_nonempty(
     :class:`BudgetExceededError` when more than ``budget`` product states
     would be visited, the start state included, so a ``budget`` below 1
     fails before any search; that is a resource verdict, not an emptiness
-    one.  A ``budget`` that is not a number raises ``ValueError``.
+    one.  A ``budget`` that is not a number, nan included, raises
+    ``ValueError``.
     """
     _require_alphabet(b, TURNS, "intersection NFA")
     try:
@@ -82,6 +83,8 @@ def intersect_nonempty(
             raise BudgetExceededError(f"more than {budget} product states visited")
     except TypeError as e:
         raise ValueError(f"budget must be a number, got {budget!r}") from e
+    if budget != budget:
+        raise ValueError("budget must be a number, got nan")
     rev = _reversal(host)
 
     # predecessor masks of b, per symbol: reading b's language backwards

@@ -39,7 +39,7 @@ def _check_size(n: int, per: int = 0, extra: int = 0) -> None:
     :data:`~winset.automata.STATE_BUDGET`.  Families call this before they
     build anything, so it takes the state count's coefficients rather than
     the count, which a size that is not a number could not make; with none
-    given, only the size is checked."""
+    given, as for the driver and probe words, only the size is checked."""
     _check_range((n,), 1, math.inf, "n must be >= 1")
     if per * n + extra > STATE_BUDGET:
         raise BudgetExceededError(
@@ -100,6 +100,7 @@ def gen_subset(n: int, *, closure: str = "reject") -> Gadget:
 
 def subset_word(n: int, s: Iterable[int]) -> str:
     """Driver word of length 2n: block i is BA to commit index i, AB to skip."""
+    _check_size(n)
     chosen = set(s)
     if not chosen <= set(range(1, n + 1)):
         raise ValueError(f"subset {sorted(chosen)} not within 1..{n}")
@@ -135,6 +136,7 @@ def state_word(n: int, antichain: Iterable[Iterable[int]]) -> str:
     already parked in the r-cycle rotate back into place while a new one is
     being manufactured.
     """
+    _check_size(n)
     members = [frozenset(s) for s in antichain]
     for s in members:
         if not s:
@@ -173,6 +175,7 @@ def testing(n: int) -> Gadget:
 
 def test_word(n: int, p: Iterable[int]) -> str:
     """Length-n probe accepting exactly the planted sets inside p."""
+    _check_size(n)
     chosen = set(p)
     if not chosen <= set(range(1, n + 1)):
         raise ValueError(f"subset {sorted(chosen)} not within 1..{n}")
@@ -226,6 +229,7 @@ def exact_ones_wsize(n: int) -> int:
 
 def exact_ones_winset_member(n: int, w: str) -> bool:
     """Suffix law: enough A's, not too many B's, and no suffix majority of B's."""
+    _check_size(n)
     for c in w:
         _turn_index(c)
     if w.count("A") < n or w.count("B") > n:

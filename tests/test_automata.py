@@ -31,7 +31,7 @@ from winset.automata import (
     to_dot,
     transformation,
 )
-from winset.circuits import parse_circuit
+from winset.circuits import circuit_value_instance, parse_circuit
 from winset.cli import main
 from .conftest import (
     count_words,
@@ -153,6 +153,75 @@ def test_parse_nfa_accepts_dfa_text():
         assert nfa_accepts(n, w) == (w.count("1") % 2 == 1)
 
 
+@st.composite
+def nfas(draw, max_states: int = 4) -> Nfa:
+    """NFAs with 0 to ``max_states`` states over either alphabet."""
+    n = draw(st.integers(min_value=0, max_value=max_states))
+    sets = st.frozensets(st.integers(min_value=0, max_value=n - 1)) if n else st.just(frozenset())
+    delta = tuple((draw(sets), draw(sets)) for _ in range(n))
+    return Nfa(draw(st.sampled_from([BINARY, TURNS])), delta, draw(sets), draw(sets))
+
+
+def noisy_text(rng: random.Random, a: Dfa | Nfa, initial, transitions) -> str:
+    """Text of automaton ``a``, whose initial states are ``initial``, with
+    every liberty the format allows: the transition lines
+    ``(q, symbol, targets)`` in any order, blank and comment lines, trailing
+    comments, tabs and runs of blanks, ``\\r\\n`` line ends, and state
+    tokens such as ``007`` and ``+3``."""
+
+    def state(q: int) -> str:
+        return rng.choice(["", "0", "00", "+"]) + str(q)
+
+    def line(tokens: list[str]) -> str:
+        indent, sep = rng.choice(["", " ", "\t"]), rng.choice([" ", "\t", "  ", " \t "])
+        return indent + sep.join(tokens) + rng.choice(["", "", " # note", "#", "\t# 0 1 2"])
+
+    kind = "dfa" if isinstance(a, Dfa) else "nfa"
+    body = [line([state(q), c, *map(state, t)]) for q, c, t in transitions]
+    rng.shuffle(body)
+    text = ""
+    for ln in [line([kind, state(a.state_count), "".join(a.alphabet)]),
+               line(["initial", *map(state, initial)]), line(["finals", *map(state, a.finals)]),
+               *body]:
+        for extra in rng.choices(["", "  ", "# a comment", "\t#"], k=rng.randint(0, 2)):
+            text += extra + rng.choice(["\n", "\r\n"])
+        text += ln + rng.choice(["\n", "\r\n"])
+    return text
+
+
+@settings(max_examples=150, deadline=None)
+@given(dfas(max_states=6), nfas(), st.randoms(use_true_random=False))
+def test_parsers_read_noisy_text(d, n, rng):
+    rows = [(q, c, [t]) for q, row in enumerate(d.delta) for c, t in zip(d.alphabet, row)]
+    text = noisy_text(rng, d, [d.initial], rows)
+    assert parse_dfa(text) == d
+    assert parse_nfa(text) == as_nfa(d)
+    # a pair with no targets may have a line of its own or none at all
+    rows = [(q, c, sorted(t)) for q, row in enumerate(n.delta) for c, t in zip(n.alphabet, row)
+            if t or rng.random() < 0.5]
+    assert parse_nfa(noisy_text(rng, n, n.initial, rows)) == n
+
+
+def test_a_large_circuit_value_host_reads_back():
+    # the shape of the benchmark's deep circuits, which gives 4,467 states
+    lines = [f"input x{j}" for j in range(4)]
+    prev = "x3"
+    for g in range(30):
+        kind = "not" if g % 5 == 4 else ("and", "or")[g % 2]
+        lines.append(f"{kind} g{g} {prev}" + ("" if kind == "not" else f" x{g % 4}"))
+        prev = f"g{g}"
+    host, _ = circuit_value_instance(parse_circuit("\n".join(lines + [f"output y {prev}"])),
+                                     (True, False, True, False))
+    assert host.state_count == 4_467
+    text = dfa_to_text(host)
+    assert parse_dfa(text) == host
+    assert parse_nfa(text) == as_nfa(host)
+    lines = text.splitlines()
+    body = lines[3:]
+    random.Random(5).shuffle(body)
+    assert parse_dfa("\n".join(lines[:3] + body)) == host
+
+
 @pytest.mark.parametrize(
     "text,fragment",
     [
@@ -167,6 +236,12 @@ def test_parse_nfa_accepts_dfa_text():
         ("dfa 1 01\ninitial 0\nfinal 0\n0 0 0\n0 1 0\n", "line 3: expected 'finals"),
         ("dfa 1 01\ninitial 0\nfinals 0\n0 0\n0 1 0\n", "line 4: expected '<state>"),
         ("dfa 1 01\ninitial 0\nfinals 0\n0 2 0\n0 1 0\n", "line 4: symbol '2' not in"),
+        # a missing line is named before a bad token on the lines that are there
+        ("dfa 2 01\ninitial x\n", "missing 'initial' or 'finals' line"),
+        # a line's first fault is named, in the order the line is read
+        ("dfa 2 01\ninitial 0\nfinals\n0 2 x\n", "line 4: symbol '2' not in"),
+        ("dfa 2 01\ninitial 0\nfinals\n0 0 1\n0 0 x\n", "line 5: duplicate transition"),
+        ("dfa 2 01\ninitial 0\nfinals\n0 0 1\n2 0 x\n", "line 5: state index 2 out of"),
     ],
 )
 def test_parse_dfa_errors(text, fragment, tmp_path, capsys):
@@ -175,6 +250,36 @@ def test_parse_dfa_errors(text, fragment, tmp_path, capsys):
     path = tmp_path / "bad.dfa"
     path.write_text(text)
     assert main(["wdfa", str(path)]) == 2
+    assert fragment in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text,fragment",
+    [
+        ("", "empty input"),
+        ("# only a comment\n\n", "empty input"),
+        ("nfa x AB\n", "line 1: bad state count 'x'"),
+        ("nfa 1 AB extra\n", "line 1: expected header 'nfa <state_count> <alphabet>'"),
+        ("nfa 1 02\n", "line 1: alphabet must be 01 or AB, got '02'"),
+        ("nfa -1 AB\n", "line 1: state count must be at least 0"),
+        ("nfa 2 AB\ninitial x\n", "missing 'initial' or 'finals' line"),
+        ("nfa 2 AB\ninitial 0 x\nfinals 1\n", "line 2: bad state index 'x'"),
+        ("nfa 1 AB\ninitial 0\nfinal 0\n", "line 3: expected 'finals <q>...'"),
+        ("nfa 1 AB\ninitial 0\nfinals 0\n0\n", "line 4: expected '<state> <symbol> <target>...'"),
+        ("nfa 1 AB\ninitial 0\nfinals 0\n0 0 0\n", "line 4: symbol '0' not in alphabet"),
+        ("nfa 1 AB\ninitial 0\nfinals 0\n0 A 0\n0 B 0 9\n", "line 5: state index 9 out of"),
+        ("nfa 1 AB\ninitial 0\nfinals 0\n0 A\n0 A 0\n", "line 5: duplicate transition"),
+        ("nfa 2 AB\ninitial\nfinals\nx Z 9\n", "line 4: bad state index 'x'"),
+        ("nfa 2 AB\ninitial\nfinals\n1 B 0 -1\n", "line 4: state index -1 out of range 0..1"),
+    ],
+)
+def test_parse_nfa_errors(text, fragment, tmp_path, capsys):
+    with pytest.raises(FormatError, match=fragment):
+        parse_nfa(text)
+    host, path = tmp_path / "host.dfa", tmp_path / "bad.nfa"
+    host.write_text(PARITY_TEXT)
+    path.write_text(text)
+    assert main(["decide", "intersect", str(host), str(path)]) == 2
     assert fragment in capsys.readouterr().err
 
 
@@ -243,6 +348,15 @@ FIELDS = "^an automaton's delta must be a tuple and its state sets frozensets$"
         (lambda: Dfa(("0", "0"), ((0, 0),), 0, frozenset()),
          "^alphabet must have exactly 2 symbols, and they must differ$"),
         (lambda: Nfa(("A", "A"), (NO_MOVES,), frozenset({0}), frozenset()),
+         "^alphabet must have exactly 2 symbols, and they must differ$"),
+        # a list alphabet would leave the automaton unhashable
+        (lambda: Dfa(["0", "1"], ((0, 0),), 0, frozenset()),
+         "^alphabet must have exactly 2 symbols, and they must differ$"),
+        (lambda: Dfa(None, ((0, 0),), 0, frozenset()),
+         "^alphabet must have exactly 2 symbols, and they must differ$"),
+        (lambda: Nfa(["A", "B"], (NO_MOVES,), frozenset({0}), frozenset()),
+         "^alphabet must have exactly 2 symbols, and they must differ$"),
+        (lambda: Nfa(None, (NO_MOVES,), frozenset({0}), frozenset()),
          "^alphabet must have exactly 2 symbols, and they must differ$"),
     ],
 )

@@ -261,6 +261,9 @@ def test_iterated_validation():
     for i in (5, 2, -1, 0.5, 1.0, "0", None):
         with pytest.raises(ValueError, match="^persistent index out of range$"):
             iterated_instance(c2, (True, False), i)
+        # -1 would pick the last output
+        with pytest.raises(ValueError, match="^persistent index out of range$"):
+            or_with_index(c2, i)
     for a in ((True,), (True, False, True)):
         with pytest.raises(ValueError, match="^assignment length must match the input count$"):
             iterated_instance(c2, a, 0)

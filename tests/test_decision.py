@@ -133,7 +133,7 @@ def test_intersect_budget_is_enforced():
 
 
 def test_intersect_refuses_a_budget_that_is_not_a_number():
-    for bad in ("5", None, (5,)):
+    for bad in ("5", None, (5,), float("nan")):
         with pytest.raises(ValueError) as got:
             intersect_nonempty(PARITY, A_STAR, budget=bad)
         assert str(got.value) == f"budget must be a number, got {bad!r}"

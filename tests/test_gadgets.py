@@ -227,9 +227,19 @@ def test_size_cap_is_the_state_count(family, monkeypatch):
         build(4)
 
 
-@pytest.mark.parametrize("family", sorted(FAMILIES) + ["exact_ones_wsize"])
+# what takes a size but builds no host: the closed form and the words
+SIZED = {
+    "exact_ones_wsize": exact_ones_wsize,
+    "subset_word": lambda n: subset_word(n, set()),
+    "test_word": lambda n: probe_word(n, []),
+    "state_word": lambda n: state_word(n, [[1]]),
+    "exact_ones_winset_member": lambda n: exact_ones_winset_member(n, "AB"),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES) + sorted(SIZED))
 def test_a_size_must_be_an_int_of_at_least_1(family):
-    build = FAMILIES.get(family, exact_ones_wsize)
+    build = FAMILIES.get(family) or SIZED[family]
     for bad in (0, -1, 0.5, 1.5, 2.0, "0", None):
         with pytest.raises(ValueError, match="^n must be >= 1$"):
             build(bad)

@@ -324,7 +324,8 @@ def test_a_budget_that_is_not_a_number_is_refused():
         "explore": lambda b: explore(0, lambda x: (), b, "states"),
     }
     for name, build in builds.items():
-        for bad in ("5", None, (5,)):
+        # nan compares false with everything, so it would cap nothing
+        for bad in ("5", None, (5,), float("nan")):
             with pytest.raises(ValueError) as got:
                 build(bad)
             assert str(got.value) == f"budget must be a number, got {bad!r}", name
