@@ -61,6 +61,18 @@ def _require_alphabet(a: Dfa | Nfa, alphabet: tuple[str, str], what: str):
         raise ValueError(f"{what} must be over the {''.join(alphabet)} alphabet")
 
 
+def _check_budget(budget, name: str = "budget"):
+    """``budget``, once it compares with numbers and is not nan; else
+    ``ValueError`` names it.  The one check on the budgets the searches
+    take: nan compares false with everything, so it would cap nothing."""
+    try:
+        if budget == budget and (budget < 0 or budget >= 0):
+            return budget
+    except TypeError:
+        pass
+    raise ValueError(f"{name} must be a number, got {budget!r}")
+
+
 def _symbol_index(alphabet: tuple[str, str], symbol: str) -> int:
     try:
         return alphabet.index(symbol)
@@ -245,23 +257,26 @@ def _fail(lineno: int, msg: str):
     raise FormatError(f"line {lineno}: {msg}")
 
 
-def _read_automaton(text: str, kind: str):
-    """Read the text format shared by DFAs (``kind`` ``dfa``) and NFAs
-    (``nfa``) in one pass over its lines.
+def _read_automaton(text: str, kinds: tuple[str, ...]):
+    """Read the text format shared by DFAs (kind ``dfa``) and NFAs (``nfa``)
+    in one pass over its lines; the header names the kind, one of
+    ``kinds``, and a header that does not is refused naming ``kinds[0]``.
 
-    Returns the alphabet, the list of initial states, the frozenset of final
-    states and the transitions as a pair of columns of length n, one per
-    symbol: ``cols[i][q]`` is the target of state q on symbol i (for an NFA,
-    the frozenset of its targets), or None where no line gives one.  A DFA
-    needs at least one state, exactly one initial state and exactly one
-    target per transition line; an NFA allows any number of each.
+    Returns the kind, the alphabet, the list of initial states, the
+    frozenset of final states and the transitions as a pair of columns of
+    length n, one per symbol: ``cols[i][q]`` is the target of state q on
+    symbol i (for an NFA, the frozenset of its targets), or None where no
+    line gives one.  A DFA needs at least one state, exactly one initial
+    state and exactly one target per transition line; an NFA allows any
+    number of each.
     """
-    dfa = kind == "dfa"
-    least, many = (1, "") if dfa else (0, "...")
     lines = _tokenize(text)
     lineno, header = next(lines)
+    kind = header[0] if header[0] in kinds else kinds[0]
     if len(header) != 3 or header[0] != kind:
         _fail(lineno, f"expected header '{kind} <state_count> <alphabet>'")
+    dfa = kind == "dfa"
+    least, many = (1, "") if dfa else (0, "...")
     try:
         n = int(header[1])
     except ValueError:
@@ -323,7 +338,16 @@ def _read_automaton(text: str, kind: str):
         if not ok:
             col, q, t = transition(lineno, parts)
         col[q] = t
-    return alphabet, initial, finals, tuple(column.values())
+    return kind, alphabet, initial, finals, tuple(column.values())
+
+
+def _dfa_from_columns(alphabet, initial: list[int], finals, cols) -> Dfa:
+    """The DFA of what :func:`_read_automaton` read from DFA text, once
+    every transition is given."""
+    if None in cols[0] or None in cols[1]:
+        q, i = min((col.index(None), i) for i, col in enumerate(cols) if None in col)
+        raise FormatError(f"missing transition for state {q} symbol {alphabet[i]}")
+    return Dfa(alphabet=alphabet, delta=tuple(zip(*cols)), initial=initial[0], finals=finals)
 
 
 def parse_dfa(text: str) -> Dfa:
@@ -334,11 +358,7 @@ def parse_dfa(text: str) -> Dfa:
     (state, symbol) pair.  ``#`` starts a comment; blank lines are ignored.
     Missing or duplicate transitions are errors.
     """
-    alphabet, (initial,), finals, cols = _read_automaton(text, "dfa")
-    if None in cols[0] or None in cols[1]:
-        q, i = min((col.index(None), i) for i, col in enumerate(cols) if None in col)
-        raise FormatError(f"missing transition for state {q} symbol {alphabet[i]}")
-    return Dfa(alphabet=alphabet, delta=tuple(zip(*cols)), initial=initial, finals=finals)
+    return _dfa_from_columns(*_read_automaton(text, ("dfa",))[1:])
 
 
 def dfa_to_text(d: Dfa) -> str:
@@ -357,9 +377,9 @@ def parse_nfa(text: str) -> Nfa:
     ``<q> <symbol> <target>...`` with zero or more targets, at most one line
     per (state, symbol) pair.  Omitted pairs mean no successor.
     """
-    if next(_tokenize(text))[1][0] == "dfa":
-        return as_nfa(parse_dfa(text))
-    alphabet, initial, finals, cols = _read_automaton(text, "nfa")
+    kind, alphabet, initial, finals, cols = _read_automaton(text, ("nfa", "dfa"))
+    if kind == "dfa":
+        return as_nfa(_dfa_from_columns(alphabet, initial, finals, cols))
     none = frozenset()
     # states without transitions share one empty row
     empty = (none, none)
@@ -420,13 +440,8 @@ def explore(start, successors, budget: int, what: str):
     A ``budget`` that does not compare with numbers, or is nan, raises
     ``ValueError``.
     """
-    try:
-        if budget < 1:
-            raise BudgetExceededError(f"more than {budget} {what} materialized")
-    except TypeError as e:
-        raise ValueError(f"budget must be a number, got {budget!r}") from e
-    if budget != budget:
-        raise ValueError("budget must be a number, got nan")
+    if _check_budget(budget) < 1:
+        raise BudgetExceededError(f"more than {budget} {what} materialized")
     index = {start: 0}
     order = [start]
     rows = []

@@ -30,6 +30,13 @@ class Circuit:
     outputs: tuple[tuple[str, str], ...]
 
     def __post_init__(self):
+        # tuples all the way down keep a circuit hashable, and a list could
+        # change after it is checked
+        if type(self.inputs) is not tuple:
+            raise ValueError("circuit inputs must be a tuple")
+        for field, rows, k in (("gates", self.gates, 3), ("outputs", self.outputs, 2)):
+            if type(rows) is not tuple or any(type(r) is not tuple or len(r) != k for r in rows):
+                raise ValueError(f"circuit {field} must be a tuple of {k}-tuples")
         # every node name defined so far; a gate's own name joins after its
         # arguments are checked, so a gate cannot name itself
         seen: set[str] = set()
@@ -45,6 +52,8 @@ class Circuit:
             fresh(name)
             if kind not in GATE_ARITY:
                 raise ValueError(f"unknown gate kind {kind!r}")
+            if type(args) is not tuple:
+                raise ValueError(f"gate {name!r}: arguments must be a tuple")
             if len(args) != GATE_ARITY[kind]:
                 raise ValueError(
                     f"gate {name!r}: {kind} takes {GATE_ARITY[kind]} arguments"

@@ -22,6 +22,7 @@ from .automata import (
     BudgetExceededError,
     Dfa,
     Nfa,
+    _check_budget,
     _image,
     _mask,
     _require_alphabet,
@@ -78,13 +79,8 @@ def intersect_nonempty(
     ``ValueError``.
     """
     _require_alphabet(b, TURNS, "intersection NFA")
-    try:
-        if budget < 1:
-            raise BudgetExceededError(f"more than {budget} product states visited")
-    except TypeError as e:
-        raise ValueError(f"budget must be a number, got {budget!r}") from e
-    if budget != budget:
-        raise ValueError("budget must be a number, got nan")
+    if _check_budget(budget) < 1:
+        raise BudgetExceededError(f"more than {budget} product states visited")
     rev = _reversal(host)
 
     # predecessor masks of b, per symbol: reading b's language backwards

@@ -25,11 +25,10 @@ halves the counting: the size at F is mirrored to full ^ F.
 
 from __future__ import annotations
 
-import math
 import time
 from typing import Callable, Iterator, NamedTuple, Optional
 
-from .automata import BINARY, STATE_BUDGET, Dfa, _check_range, explore, preimages
+from .automata import BINARY, STATE_BUDGET, Dfa, _check_budget, _check_range, explore, preimages
 
 # The largest n run in full: `winset enumerate 6 --emit-witness w.dfa`, on the
 # commit after dd51bd9, gave max=15624 exhausted=true in 228.1 s wall at 20.9 MB
@@ -172,6 +171,7 @@ def max_winset_complexity(
     Returns the maximum, the lexicographically least (delta, finals) witness
     achieving it, and whether the search ran to completion; a budget in
     seconds turns partial results into exhausted=False instead of an error,
+    one past every float, such as 10**400, sets no deadline, as inf does,
     and one that is nan or not a number raises ``ValueError``, as does an n
     that is not an int from 1 to ``SIZE_GUARD``.
     ``observe`` sees every computed size (for bound checks); ``progress``
@@ -181,12 +181,13 @@ def max_winset_complexity(
     ``progress`` is given).
     """
     _check_range((n,), 1, SIZE_GUARD + 1, f"n must be between 1 and {SIZE_GUARD}")
-    try:
-        if budget_seconds is not None and math.isnan(budget_seconds):
-            raise ValueError("budget_seconds must be a number, got nan")
-    except TypeError as e:
-        raise ValueError(f"budget_seconds must be a number, got {budget_seconds!r}") from e
-    deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
+    deadline = None
+    if budget_seconds is not None:
+        try:
+            deadline = time.monotonic() + _check_budget(budget_seconds, "budget_seconds")
+        except OverflowError:
+            # an int past every float acts as inf (no deadline) or -inf (one passed)
+            deadline = None if budget_seconds > 0 else -float("inf")
     total = None if progress is None else sum(1 for _ in _bfs_ordered(n))
 
     best_size = 0

@@ -98,12 +98,19 @@ def gen_subset(n: int, *, closure: str = "reject") -> Gadget:
     return _gadget(n, 7, 0, "b1", add)
 
 
+def _within(n: int, s: Iterable[int], what: str = "subset") -> frozenset:
+    """The set of ``s``, once it lies within 1..n; ``what`` names it in the
+    message."""
+    chosen = frozenset(s)
+    if not chosen <= set(range(1, n + 1)):
+        raise ValueError(f"{what} {sorted(chosen)} not within 1..{n}")
+    return chosen
+
+
 def subset_word(n: int, s: Iterable[int]) -> str:
     """Driver word of length 2n: block i is BA to commit index i, AB to skip."""
     _check_size(n)
-    chosen = set(s)
-    if not chosen <= set(range(1, n + 1)):
-        raise ValueError(f"subset {sorted(chosen)} not within 1..{n}")
+    chosen = _within(n, s)
     return "".join("BA" if i in chosen else "AB" for i in range(1, n + 1))
 
 
@@ -141,8 +148,7 @@ def state_word(n: int, antichain: Iterable[Iterable[int]]) -> str:
     for s in members:
         if not s:
             raise ValueError("antichain members must be nonempty")
-        if not s <= set(range(1, n + 1)):
-            raise ValueError(f"member {sorted(s)} not within 1..{n}")
+        _within(n, s, "member")
     for x, y in combinations(members, 2):
         if x <= y or y <= x:
             raise ValueError("members must form an antichain")
@@ -176,9 +182,7 @@ def testing(n: int) -> Gadget:
 def test_word(n: int, p: Iterable[int]) -> str:
     """Length-n probe accepting exactly the planted sets inside p."""
     _check_size(n)
-    chosen = set(p)
-    if not chosen <= set(range(1, n + 1)):
-        raise ValueError(f"subset {sorted(chosen)} not within 1..{n}")
+    chosen = _within(n, p)
     return "".join("A" if n - i + 1 in chosen else "B" for i in range(1, n + 1))
 
 

@@ -64,9 +64,12 @@ def _minimal(members: set[int]) -> GameState:
 
 
 class _Host:
-    """A host DFA compiled for the game: state-set masks and step memos."""
+    """A host DFA compiled for the game: state-set masks and step memos.
+    A host that is not over the 01 alphabet is refused here, so every entry
+    point that compiles one checks it."""
 
     def __init__(self, host: Dfa):
+        _require_alphabet(host, BINARY, "host DFA")
         self.delta = host.delta
         # per state, the mask of its successors on either symbol
         self.succ = [(1 << t0) | (1 << t1) for t0, t1 in host.delta]
@@ -340,7 +343,6 @@ def winset_nfa(host: Dfa) -> Nfa:
     it sits inside the host finals.  Only reachable sets are materialized,
     at most :data:`~winset.automata.STATE_BUDGET` of them.
     """
-    _require_alphabet(host, BINARY, "host DFA")
     h = _Host(host)
     order, rows = explore(
         1 << host.initial,

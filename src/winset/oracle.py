@@ -120,6 +120,7 @@ def contains_011_predicate(n: int) -> TargetPredicate:
 
 
 def exact_ones_predicate(n: int, k: int) -> TargetPredicate:
+    _check_range((k,), 0, inf, "k must be >= 0")
     return TargetPredicate(length=n, member=lambda v: v.count("1") == k)
 
 

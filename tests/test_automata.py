@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from winset import automata
 from winset.automata import (
     BINARY,
     TURNS,
@@ -222,28 +223,28 @@ def test_a_large_circuit_value_host_reads_back():
     assert parse_dfa("\n".join(lines[:3] + body)) == host
 
 
-@pytest.mark.parametrize(
-    "text,fragment",
-    [
-        ("", "empty input"),
-        ("dfa x 01\n", "line 1"),
-        ("dfa 1 02\n", "alphabet"),
-        ("dfa 1 01\ninitial 0\nfinals 0\n0 0 0\n0 1 9\n", "line 5"),
-        ("dfa 1 01\ninitial 0\nfinals 0\n0 0 0\n0 0 0\n0 1 0\n", "duplicate"),
-        ("dfa 2 01\ninitial 0\nfinals\n0 0 0\n0 1 1\n1 0 1\n", "missing transition"),
-        ("dfa 0 01\n", "line 1: state count must be at least 1"),
-        ("dfa 2 01\ninitial 0 1\nfinals 1\n", "line 2: expected 'initial <q>'"),
-        ("dfa 1 01\ninitial 0\nfinal 0\n0 0 0\n0 1 0\n", "line 3: expected 'finals"),
-        ("dfa 1 01\ninitial 0\nfinals 0\n0 0\n0 1 0\n", "line 4: expected '<state>"),
-        ("dfa 1 01\ninitial 0\nfinals 0\n0 2 0\n0 1 0\n", "line 4: symbol '2' not in"),
-        # a missing line is named before a bad token on the lines that are there
-        ("dfa 2 01\ninitial x\n", "missing 'initial' or 'finals' line"),
-        # a line's first fault is named, in the order the line is read
-        ("dfa 2 01\ninitial 0\nfinals\n0 2 x\n", "line 4: symbol '2' not in"),
-        ("dfa 2 01\ninitial 0\nfinals\n0 0 1\n0 0 x\n", "line 5: duplicate transition"),
-        ("dfa 2 01\ninitial 0\nfinals\n0 0 1\n2 0 x\n", "line 5: state index 2 out of"),
-    ],
-)
+DFA_ERRORS = [
+    ("", "empty input"),
+    ("dfa x 01\n", "line 1"),
+    ("dfa 1 02\n", "alphabet"),
+    ("dfa 1 01\ninitial 0\nfinals 0\n0 0 0\n0 1 9\n", "line 5"),
+    ("dfa 1 01\ninitial 0\nfinals 0\n0 0 0\n0 0 0\n0 1 0\n", "duplicate"),
+    ("dfa 2 01\ninitial 0\nfinals\n0 0 0\n0 1 1\n1 0 1\n", "missing transition"),
+    ("dfa 0 01\n", "line 1: state count must be at least 1"),
+    ("dfa 2 01\ninitial 0 1\nfinals 1\n", "line 2: expected 'initial <q>'"),
+    ("dfa 1 01\ninitial 0\nfinal 0\n0 0 0\n0 1 0\n", "line 3: expected 'finals"),
+    ("dfa 1 01\ninitial 0\nfinals 0\n0 0\n0 1 0\n", "line 4: expected '<state>"),
+    ("dfa 1 01\ninitial 0\nfinals 0\n0 2 0\n0 1 0\n", "line 4: symbol '2' not in"),
+    # a missing line is named before a bad token on the lines that are there
+    ("dfa 2 01\ninitial x\n", "missing 'initial' or 'finals' line"),
+    # a line's first fault is named, in the order the line is read
+    ("dfa 2 01\ninitial 0\nfinals\n0 2 x\n", "line 4: symbol '2' not in"),
+    ("dfa 2 01\ninitial 0\nfinals\n0 0 1\n0 0 x\n", "line 5: duplicate transition"),
+    ("dfa 2 01\ninitial 0\nfinals\n0 0 1\n2 0 x\n", "line 5: state index 2 out of"),
+]
+
+
+@pytest.mark.parametrize("text,fragment", DFA_ERRORS)
 def test_parse_dfa_errors(text, fragment, tmp_path, capsys):
     with pytest.raises(FormatError, match=fragment):
         parse_dfa(text)
@@ -281,6 +282,30 @@ def test_parse_nfa_errors(text, fragment, tmp_path, capsys):
     path.write_text(text)
     assert main(["decide", "intersect", str(host), str(path)]) == 2
     assert fragment in capsys.readouterr().err
+
+
+def test_each_parse_reads_its_text_once(monkeypatch):
+    calls = []
+    tokenize = automata._tokenize
+    monkeypatch.setattr(automata, "_tokenize", lambda text: calls.append(text) or tokenize(text))
+    nfa_text = "nfa 2 AB\ninitial 0 1\nfinals 1\n0 A 0 1\n"
+    for parse, text in ((parse_dfa, PARITY_TEXT), (parse_nfa, PARITY_TEXT), (parse_nfa, nfa_text)):
+        calls.clear()
+        parse(text)
+        assert calls == [text], parse
+    # parse_nfa reads DFA text as parse_dfa does, faults included, and
+    # names the nfa header when the header is neither
+    assert parse_nfa(PARITY_TEXT) == as_nfa(parse_dfa(PARITY_TEXT))
+    for text, _ in DFA_ERRORS:
+        with pytest.raises(FormatError) as want:
+            parse_dfa(text)
+        with pytest.raises(FormatError) as got:
+            parse_nfa(text)
+        assert str(got.value) == str(want.value), text
+    with pytest.raises(FormatError, match="^line 1: expected header 'dfa <state_count>"):
+        parse_dfa("nfa 1 AB\n")
+    with pytest.raises(FormatError, match="^line 1: expected header 'nfa <state_count>"):
+        parse_nfa("xyz 1 AB\n")
 
 
 NO_MOVES = (frozenset(), frozenset())

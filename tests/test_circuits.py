@@ -83,6 +83,28 @@ def test_parse_rejects_malformed(text, tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {MALFORMED[text]}\n"
 
 
+def test_circuit_fields_must_be_tuples():
+    # a list field leaves the circuit unhashable, and could change after
+    # the check: an input appended later would reach circuit_to_dfa unchecked
+    good = dict(inputs=("a",), gates=(("g", "NOT", ("a",)),), outputs=(("y", "g"),))
+    hash(Circuit(**good))
+    cases = [
+        (dict(inputs=["a"], gates=[["g", "NOT", ["a"]]], outputs=[["y", "g"]]),
+         "circuit inputs must be a tuple"),
+        (dict(good, gates=[("g", "NOT", ("a",))]), "circuit gates must be a tuple of 3-tuples"),
+        (dict(good, gates=(["g", "NOT", ("a",)],)), "circuit gates must be a tuple of 3-tuples"),
+        (dict(good, gates=(("g", "NOT"),)), "circuit gates must be a tuple of 3-tuples"),
+        (dict(good, gates=(("g", "NOT", ["a"]),)), "gate 'g': arguments must be a tuple"),
+        (dict(good, outputs=[("y", "g")]), "circuit outputs must be a tuple of 2-tuples"),
+        (dict(good, outputs=(["y", "g"],)), "circuit outputs must be a tuple of 2-tuples"),
+        (dict(good, outputs=None), "circuit outputs must be a tuple of 2-tuples"),
+    ]
+    for fields, message in cases:
+        with pytest.raises(ValueError) as got:
+            Circuit(**fields)
+        assert str(got.value) == message, fields
+
+
 def test_reduction_shape():
     art = circuit_to_dfa(parse_circuit(MAJORITY_TEXT))
     assert art.p >= 1 and art.p % 2 == 1  # p = 2d - 3

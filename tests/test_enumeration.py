@@ -111,6 +111,15 @@ def test_nan_budget_is_refused():
         assert str(got.value) == f"budget_seconds must be a number, got {bad!r}"
 
 
+def test_a_budget_past_every_float_sets_no_deadline():
+    # 10**400 seconds is no float, so it cannot be added to the clock
+    unbounded = max_winset_complexity(2)
+    assert unbounded.exhausted
+    assert max_winset_complexity(2, 10**400) == max_winset_complexity(2, float("inf")) == unbounded
+    assert max_winset_complexity(2, -10**400) == max_winset_complexity(2, float("-inf"))
+    assert not max_winset_complexity(2, -10**400).exhausted
+
+
 def test_size_guard():
     # a size that is not an int is out of range too
     for n in (0, 7, 2.5, 2.0, "2", None):

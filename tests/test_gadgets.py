@@ -85,8 +85,11 @@ def test_subset_factory_manufactures_every_subset():
 def test_subset_word_validation():
     assert subset_word(3, {1, 3}) == "BAABBA"
     assert subset_word(2, set()) == "ABAB"
-    with pytest.raises(ValueError):
-        subset_word(2, {3})
+    for word in (subset_word, probe_word):
+        for bad in ({0}, {3}, {1, 2, 5}):
+            with pytest.raises(ValueError) as got:
+                word(2, bad)
+            assert str(got.value) == f"subset {sorted(bad)} not within 1..2"
 
 
 @pytest.mark.parametrize(
@@ -163,10 +166,19 @@ def test_state_factory_plants_antichains():
 def test_state_word_validation():
     assert state_word(2, []) == ""
     assert len(state_word(2, [[1], [2]])) == 2 * (3 * 2 + 1)
-    with pytest.raises(ValueError):
-        state_word(2, [[]])
-    with pytest.raises(ValueError):
-        state_word(2, [[1], [1, 2]])  # not an antichain
+    # each member is checked for emptiness, then range, member by member,
+    # and the antichain only after every member has passed
+    cases = [
+        ([[]], "antichain members must be nonempty"),
+        ([[3], []], "member [3] not within 1..2"),
+        ([[], [3]], "antichain members must be nonempty"),
+        ([[1], [1, 2], [3]], "member [3] not within 1..2"),
+        ([[1], [1, 2]], "members must form an antichain"),
+    ]
+    for antichain, message in cases:
+        with pytest.raises(ValueError) as got:
+            state_word(2, antichain)
+        assert str(got.value) == message, antichain
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from winset import automata, game
 from winset.automata import (
     Dfa,
+    Nfa,
     accepts,
     determinize,
     determinize_reverse,
@@ -37,6 +38,8 @@ from winset.game import (
     winset_dfa,
     winset_nfa,
 )
+from winset.decision import intersect_nonempty
+from winset.enumeration import max_winset_complexity
 from winset.gadgets import (
     testing as build_tester,
     chain_dfa,
@@ -315,22 +318,49 @@ def test_winset_budget_is_enforced():
 
 def test_a_budget_that_is_not_a_number_is_refused():
     # every route into explore compares the budget first, the reversal
-    # engine's determinize_reverse and the forward engine's members included
+    # engine's determinize_reverse and the forward engine's members included,
+    # and so do the product search and the enumeration's deadline
+    a_star = Nfa(TURNS, ((frozenset({0}), frozenset()),), frozenset({0}), frozenset({0}))
     builds = {
         "winset_dfa": lambda b: winset_dfa(PARITY, max_game_states=b),
         "forward": lambda b: _forward_winset_dfa(PARITY, b),
         "to_dfa": lambda b: ReversalDfa(PARITY).to_dfa(max_states=b),
         "determinize_reverse": lambda b: determinize_reverse(PARITY, b),
         "explore": lambda b: explore(0, lambda x: (), b, "states"),
+        "intersect_nonempty": lambda b: intersect_nonempty(PARITY, a_star, budget=b),
+        "max_winset_complexity": lambda b: max_winset_complexity(2, b),
     }
     for name, build in builds.items():
         # nan compares false with everything, so it would cap nothing
-        for bad in ("5", None, (5,), float("nan")):
+        bads = ["5", None, (5,), float("nan")]
+        what = "budget"
+        if name == "max_winset_complexity":
+            # there None sets no deadline
+            bads.remove(None)
+            what = "budget_seconds"
+        for bad in bads:
             with pytest.raises(ValueError) as got:
                 build(bad)
-            assert str(got.value) == f"budget must be a number, got {bad!r}", name
+            assert str(got.value) == f"{what} must be a number, got {bad!r}", name
         # a float budget works as an int one does
         assert build(5.0) == build(5), name
+
+
+def test_every_game_state_entry_point_refuses_a_host_that_is_not_binary():
+    # the compiled host checks its host, so none of them can skip the check
+    ab = Dfa(alphabet=TURNS, delta=((0, 1), (1, 1)), initial=0, finals=frozenset({1}))
+    calls = {
+        "normalize": lambda: normalize(ab, [1]),
+        "is_accepting": lambda: is_accepting(ab, (1,)),
+        "winning_step": lambda: winning_step(ab, (1,), "A"),
+        "winning_run": lambda: winning_run(ab, (1,), "AB"),
+        "game_states_equivalent": lambda: game_states_equivalent(ab, (1,), (2,)),
+        "winset_nfa": lambda: winset_nfa(ab),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError) as got:
+            call()
+        assert str(got.value) == "host DFA must be over the 01 alphabet", name
 
 
 def test_forward_route_budget_counts_normalized_game_states():

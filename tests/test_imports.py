@@ -6,6 +6,7 @@ package outside its own definition, so test-only helpers live in tests/."""
 import ast
 import re
 from pathlib import Path
+from typing import Callable
 
 import pytest
 
@@ -100,25 +101,17 @@ def test_every_package_name_has_a_user():
     ) == ["f"]
 
 
-def int_type_tests(source: str) -> list[str]:
-    """The functions of ``source`` that hold an ``isinstance(..., int)``
-    test, the class given alone or in a tuple; ``<module>`` for one outside
-    every function."""
+def holders(source: str, match: Callable[[ast.AST], bool]) -> list[str]:
+    """The functions of ``source``, by qualified name, that hold a node
+    ``match`` accepts, once per node; ``<module>`` for one outside every
+    function."""
     found = []
 
     def visit(node: ast.AST, where: str):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            where = node.name
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id == "isinstance"
-            and len(node.args) == 2
-        ):
-            cls = node.args[1]
-            names = cls.elts if isinstance(cls, ast.Tuple) else [cls]
-            if any(isinstance(c, ast.Name) and c.id == "int" for c in names):
-                found.append(where)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = node.name if where == "<module>" else f"{where}.{node.name}"
+        if match(node):
+            found.append(where)
         for child in ast.iter_child_nodes(node):
             visit(child, where)
 
@@ -126,18 +119,58 @@ def int_type_tests(source: str) -> list[str]:
     return found
 
 
+def is_int_type_test(node: ast.AST) -> bool:
+    """An ``isinstance(..., int)`` call, the class given alone or in a tuple."""
+    if not (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "isinstance"
+        and len(node.args) == 2
+    ):
+        return False
+    cls = node.args[1]
+    names = cls.elts if isinstance(cls, ast.Tuple) else [cls]
+    return any(isinstance(c, ast.Name) and c.id == "int" for c in names)
+
+
+def package_holders(match: Callable[[ast.AST], bool]) -> dict[str, list[str]]:
+    """Per module of the package that has any, the :func:`holders` of ``match``."""
+    found = {
+        path.name: holders(path.read_text(), match)
+        for path in sorted(ROOT.glob("src/winset/*.py"))
+    }
+    return {name: where for name, where in found.items() if where}
+
+
 def test_ints_are_checked_only_by_the_range_helper():
     # every state, state set, size and index goes through one check, so a
     # per-site int test cannot creep back
-    found = {
-        path.name: int_type_tests(path.read_text())
-        for path in sorted(ROOT.glob("src/winset/*.py"))
-    }
-    assert {name: where for name, where in found.items() if where} == {
-        "automata.py": ["_check_range"]
-    }
-    assert int_type_tests(
+    assert package_holders(is_int_type_test) == {"automata.py": ["_check_range"]}
+    assert holders(
         "def f(x):\n    return isinstance(x, (str, int))\n"
         "class C:\n    def g(self, y):\n        return isinstance(y, int)\n"
-        "ok = isinstance(1, float)\nbad = isinstance(1, int)\n"
-    ) == ["f", "g", "<module>"]
+        "ok = isinstance(1, float)\nbad = isinstance(1, int)\n",
+        is_int_type_test,
+    ) == ["f", "C.g", "<module>"]
+
+
+def test_budgets_and_hosts_are_checked_only_by_their_helpers():
+    # every search's budget goes through one check, and each compiled host
+    # table checks its host once, so neither can be written by hand again
+    def budget_message(node: ast.AST) -> bool:
+        return isinstance(node, ast.Constant) and "must be a number" in str(node.value)
+
+    def host_check(node: ast.AST) -> bool:
+        return isinstance(node, ast.Call) and any(
+            isinstance(a, ast.Constant) and a.value == "host DFA" for a in node.args
+        )
+
+    assert package_holders(budget_message) == {"automata.py": ["_check_budget"]}
+    assert package_holders(host_check) == {
+        "game.py": ["_Host.__init__", "ReversalDfa.__init__"]
+    }
+    assert holders(
+        "class C:\n    def __init__(self, h):\n        check(h, 'host DFA')\n"
+        "def f(h):\n    check(h, BINARY, 'host DFA')\n    return 'host DFA'\n",
+        host_check,
+    ) == ["C.__init__", "f"]

@@ -129,6 +129,12 @@ def test_input_validation():
     ab = Dfa(alphabet=("A", "B"), delta=((0, 0),), initial=0, finals=frozenset({0}))
     with pytest.raises(ValueError, match="^predicate DFA must be over the 01 alphabet$"):
         dfa_predicate(ab, 2)
+    # a float count would match no word's count of ones
+    for bad in (2.0, -1, 0.5, "2", None):
+        with pytest.raises(ValueError, match="^k must be >= 0$"):
+            exact_ones_predicate(4, bad)
+    assert alice_wins(exact_ones_predicate(4, 2), "AAAA")
+    assert not alice_wins(exact_ones_predicate(4, 2), "BBBB")
 
 
 def test_empty_length_edge_case():
