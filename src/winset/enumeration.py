@@ -181,19 +181,17 @@ def max_winset_complexity(
     ``progress`` is given).
     """
     _check_range((n,), 1, SIZE_GUARD + 1, f"n must be between 1 and {SIZE_GUARD}")
-    deadline = None
     if budget_seconds is not None:
-        try:
-            deadline = time.monotonic() + _check_budget(budget_seconds, "budget_seconds")
-        except OverflowError:
-            # an int past every float acts as inf (no deadline) or -inf (one passed)
-            deadline = None if budget_seconds > 0 else -float("inf")
+        _check_budget(budget_seconds, "budget_seconds")
+    # elapsed time is compared with the budget, never added to it, so an int
+    # past every float acts as inf does
+    start = time.monotonic()
     total = None if progress is None else sum(1 for _ in _bfs_ordered(n))
 
     best_size = 0
     best: Optional[Dfa] = None
     for done, delta in _structures(n):
-        if deadline is not None and time.monotonic() > deadline:
+        if budget_seconds is not None and time.monotonic() - start > budget_seconds:
             return EnumerationResult(best_size, best, False)
         for fmask, size in enumerate(_structure_sizes(delta, n)):
             if observe is not None:
