@@ -30,8 +30,9 @@ def _turn_index(c: str) -> int:
 
 
 def _check_range(xs: Iterable, lo: int, hi: float, message: str):
-    """``xs``, once every x in it is an int with ``lo <= x < hi``; the
-    first x that is not raises ``ValueError(message.format(x))``.
+    """``xs``, once every x in it is an int, not a bool, with
+    ``lo <= x < hi``; the first x that is not raises
+    ``ValueError(message.format(x))``.
 
     The one check on the states, state sets, sizes and indices the library
     is handed.  ``message`` holds ``{!r}`` where the value goes, or no
@@ -39,7 +40,7 @@ def _check_range(xs: Iterable, lo: int, hi: float, message: str):
     an f-string would.  A caller that uses the result passes a tuple, not
     an iterator."""
     for x in xs:
-        if not isinstance(x, int) or not lo <= x < hi:
+        if not isinstance(x, int) or type(x) is bool or not lo <= x < hi:
             raise ValueError(message.format(x))
     return xs
 
@@ -499,8 +500,8 @@ def determinize(n: Nfa) -> Dfa:
 # The reversal step's route, chosen once per table.  Tables of at most
 # _GATHER_STATES states take the gather.  A larger table with at most
 # _SHIFT_RUNS distinct offsets takes the shift step for every mask.  Any
-# other table picks per mask: a mask of k set bits takes the sparse route
-# when _SPARSE_DENSITY * k <= n, and the gather otherwise.  Swept on random
+# other table picks per mask by one limit, n // _SPARSE_DENSITY, on the k
+# set bits of a mask and on their sources (see preimages).  Swept on random
 # hosts (two sources per target on average), in microseconds per step,
 # gather/sparse, on a 2-core Xeon VM with Python 3.11: the gather costs
 # about 0.028 us per state whatever the mask holds (2.3 at n = 64, 130 at
@@ -513,15 +514,18 @@ def determinize(n: Nfa) -> Dfa:
 # route would save at most 1.3 us a step; on larger tables the choice adds
 # 0.03-0.06 us to a step that takes the gather.
 #
-# A state with more than n/_HEAVY_SHARE sources sends every sparse mask
-# that holds it to the gather, since the sparse route pays for each source
-# of each set bit.  In the reversal automaton such a state is, say, an
-# accepting sink that most states fall into: it is its own preimage, so it
-# stays in every mask from the host finals on.  Measured with masks of n/20
-# bits plus the sink, in microseconds per step, sparse route without this
-# limit/gather, on the same VM: 97-99/40 with 1,026 sources at n = 1,000,
-# 414-453/155-177 with 4,033 sources at n = 4,096, and 39/42-44 with 242
-# sources at n = 1,000.
+# The same limit caps one state's sources: the sparse route pays for each
+# source of each set bit.  In the reversal automaton a state with many is,
+# say, an accepting sink that most states fall into: it is its own
+# preimage, so it stays in every mask from the host finals on.  Measured
+# on random hosts whose accepting sink has s sources, with masks of n/20
+# bits plus the sink, in microseconds per step, min of 7 over 200 masks,
+# sparse route/gather, on the same VM: at n = 4,096, 97-100/159-222 at
+# s = 265 and 101-112/155-160 at s = 301 and 401; at n = 1,000, 25-26/40
+# at s = 91.  Past the limit the gather keeps the mask: at n = 1,000,
+# 38/38-39 at s = 243; at n = 4,096, 129/157-160 at s = 601, but
+# 237-411/153-156 at s = 2,001 to 4,096, where the gather wins by up to
+# 2.7x.
 #
 # _SHIFT_RUNS caps the offsets of a table that takes the shift step.  Swept
 # on banded tables with mid-density masks, in microseconds per step,
@@ -547,7 +551,6 @@ def determinize(n: Nfa) -> Dfa:
 # the walked bits.
 _GATHER_STATES = 64
 _SPARSE_DENSITY = 10
-_HEAVY_SHARE = 16
 _SHIFT_RUNS = 32
 
 
@@ -574,10 +577,10 @@ def preimages(delta: tuple[tuple[int, int], ...]) -> Callable[[int], tuple[int, 
     and its table of offsets, O(n) in size, is built now.  Every other
     table builds the gather's index of 2n digits now.  Tables of at most
     ``_GATHER_STATES`` states take the gather.  The larger ones pick per
-    mask: a mask of at most n/``_SPARSE_DENSITY`` set bits, none of them a
-    state with more than n/``_HEAVY_SHARE`` sources, takes the sparse route,
-    and every other mask the gather.  Their table of sources, O(n) in size,
-    is built on the sparse route's first use.
+    mask, with one limit ``lo = n // _SPARSE_DENSITY``: a mask of at most
+    ``lo`` set bits, none of them a state with more than ``lo`` sources,
+    takes the sparse route, and every other mask the gather.  Their table
+    of sources, O(n) in size, is built on the sparse route's first use.
     """
     n = len(delta)
     shift_step = _shift_step(delta) if n > _GATHER_STATES else None
@@ -595,11 +598,11 @@ def preimages(delta: tuple[tuple[int, int], ...]) -> Callable[[int], tuple[int, 
 
     if n <= _GATHER_STATES:
         return gather
-    lo = n // _SPARSE_DENSITY  # the sparse route takes masks of at most lo bits
+    lo = n // _SPARSE_DENSITY
     nbytes = (n + 7) >> 3
     shift = nbytes << 3  # p1's bits sit this far above p0's in one buffer
     sources: tuple[tuple[int, ...], ...] = ()
-    heavy = 0  # the states with more than n/_HEAVY_SHARE sources
+    heavy = 0  # the states with more than lo sources
 
     def pre(mask: int) -> tuple[int, int]:
         nonlocal sources, heavy
@@ -615,7 +618,7 @@ def preimages(delta: tuple[tuple[int, int], ...]) -> Callable[[int], tuple[int, 
                 rows[n + 2 - t0].append(q)
                 rows[n + 2 - t1].append(q + shift)
             sources = tuple(tuple(r) if r else () for r in rows)
-            heavy = _mask(n + 2 - i for i, r in enumerate(rows) if len(r) * _HEAVY_SHARE > n)
+            heavy = _mask(n + 2 - i for i, r in enumerate(rows) if len(r) > lo)
         if mask & heavy:
             return gather(mask)
         out = bytearray(2 * nbytes)

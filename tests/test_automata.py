@@ -383,6 +383,14 @@ FIELDS = "^an automaton's delta must be a tuple and its state sets frozensets$"
          "^alphabet must have exactly 2 symbols, and they must differ$"),
         (lambda: Nfa(None, (NO_MOVES,), frozenset({0}), frozenset()),
          "^alphabet must have exactly 2 symbols, and they must differ$"),
+        # a bool is an int to isinstance, but no text writes it as a state
+        (lambda: Dfa(BINARY, ((0, True), (True, True)), 0, frozenset({True})),
+         "^target True out of range$"),
+        (lambda: Dfa(BINARY, ((0, 0),), False, frozenset()), "^initial state False out of range$"),
+        (lambda: Dfa(BINARY, ((0, 1), (1, 1)), 0, frozenset({True})),
+         "^final state True out of range$"),
+        (lambda: Nfa(BINARY, ((frozenset({False}), frozenset()),), frozenset({0}), frozenset()),
+         "^target False out of range$"),
     ],
 )
 def test_constructors_reject_malformed_automata(build, message):

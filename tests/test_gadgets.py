@@ -252,7 +252,7 @@ SIZED = {
 @pytest.mark.parametrize("family", sorted(FAMILIES) + sorted(SIZED))
 def test_a_size_must_be_an_int_of_at_least_1(family):
     build = FAMILIES.get(family) or SIZED[family]
-    for bad in (0, -1, 0.5, 1.5, 2.0, "0", None):
+    for bad in (0, -1, 0.5, 1.5, 2.0, "0", None, True, False):
         with pytest.raises(ValueError, match="^n must be >= 1$"):
             build(bad)
 

@@ -675,6 +675,17 @@ def masks_of_every_route(rng: random.Random, host: Dfa) -> list[int]:
     return masks_of_every_density(rng, n) + [1 << top, ((1 << n) - 1) ^ (1 << top)]
 
 
+def sink_host(rng: random.Random, n: int, s: int) -> Dfa:
+    """A random n-state host whose accepting sink, state n - 1, has s
+    sources: its own two loops and s - 2 other states' moves on 0."""
+    sink = n - 1
+    delta = [[rng.randrange(sink), rng.randrange(sink)] for _ in range(sink)]
+    for q in rng.sample(range(sink), s - 2):
+        delta[q][0] = sink
+    return Dfa(alphabet=("0", "1"), delta=tuple(map(tuple, delta)) + ((sink, sink),),
+               initial=0, finals=frozenset({sink}))
+
+
 def test_both_step_routes_match_the_per_state_loop():
     rng = random.Random(2611)
     sizes = [60, automata._GATHER_STATES, automata._GATHER_STATES + 1, 66, 100, 203, 400]
@@ -682,6 +693,9 @@ def test_both_step_routes_match_the_per_state_loop():
     # a funnel: every state moves to state 0 on 1, so one target has n sources
     hosts.append(Dfa(alphabet=("0", "1"), delta=tuple(((q + 1) % 150, 0) for q in range(150)),
                      initial=0, finals=frozenset({149})))
+    # a sink with as many sources as the sparse route's limit allows, and one more
+    lo = 400 // automata._SPARSE_DENSITY
+    hosts += [sink_host(rng, 400, s) for s in (lo, lo + 1)]
     for host in hosts:
         n = host.state_count
         pre, rev = preimages(host.delta), ReversalDfa(host)

@@ -174,3 +174,23 @@ def test_budgets_and_hosts_are_checked_only_by_their_helpers():
         "def f(h):\n    check(h, BINARY, 'host DFA')\n    return 'host DFA'\n",
         host_check,
     ) == ["C.__init__", "f"]
+
+
+def test_the_step_route_limits_are_read_only_where_the_step_is_compiled():
+    # the reversal step's tuned limits are read only where preimages picks
+    # each table's route, so the route decision stays behind one function
+    limits = {"_GATHER_STATES", "_SPARSE_DENSITY", "_SHIFT_RUNS"}
+
+    def reads_a_limit(node: ast.AST) -> bool:
+        if isinstance(node, ast.Name):
+            return node.id in limits and isinstance(node.ctx, ast.Load)
+        return isinstance(node, ast.Attribute) and node.attr in limits
+
+    found = package_holders(reads_a_limit)
+    assert set(found) == {"automata.py"}
+    assert set(found["automata.py"]) <= {"preimages", "preimages.pre", "_shift_step"}
+    assert holders(
+        "_SHIFT_RUNS = 32\ndef f():\n    return automata._SHIFT_RUNS\n"
+        "def g(n):\n    return n // _SPARSE_DENSITY\ndoc = '_GATHER_STATES'\n",
+        reads_a_limit,
+    ) == ["f", "g"]
