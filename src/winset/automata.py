@@ -30,9 +30,10 @@ def _turn_index(c: str) -> int:
 
 
 def _check_range(xs: Iterable, lo: int, hi: float, message: str):
-    """``xs``, once every x in it is an int, not a bool, with
+    """``xs``, once every x in it is an int, of type int itself, with
     ``lo <= x < hi``; the first x that is not raises
-    ``ValueError(message.format(x))``.
+    ``ValueError(message.format(x))``.  A bool, or any other int subclass
+    such as an ``IntEnum`` member, is refused: no text writes it as a number.
 
     The one check on the states, state sets, sizes and indices the library
     is handed.  ``message`` holds ``{!r}`` where the value goes, or no
@@ -40,17 +41,17 @@ def _check_range(xs: Iterable, lo: int, hi: float, message: str):
     an f-string would.  A caller that uses the result passes a tuple, not
     an iterator."""
     for x in xs:
-        if not isinstance(x, int) or type(x) is bool or not lo <= x < hi:
+        if type(x) is not int or not lo <= x < hi:
             raise ValueError(message.format(x))
     return xs
 
 
 def _check_fields(a: Dfa | Nfa, sets: tuple[frozenset[int], ...]):
-    """What :class:`Dfa` and :class:`Nfa` check alike: an alphabet that is
-    a tuple of two symbols that differ, a tuple ``delta``, and the frozensets
-    ``sets`` of states, which keep the automaton hashable."""
-    if type(a.alphabet) is not tuple or len(a.alphabet) != 2 or a.alphabet[0] == a.alphabet[1]:
-        raise ValueError("alphabet must have exactly 2 symbols, and they must differ")
+    """What :class:`Dfa` and :class:`Nfa` check alike: one of the two
+    alphabets the text format reads, 01 and AB, a tuple ``delta``, and the
+    frozensets ``sets`` of states, which keep the automaton hashable."""
+    if a.alphabet not in _ALPHABETS.values():
+        raise ValueError(f"alphabet must be 01 or AB, got {a.alphabet!r}")
     if type(a.delta) is not tuple or set(map(type, sets)) != {frozenset}:
         raise ValueError("an automaton's delta must be a tuple and its state sets frozensets")
 
@@ -63,11 +64,12 @@ def _require_alphabet(a: Dfa | Nfa, alphabet: tuple[str, str], what: str):
 
 
 def _check_budget(budget, name: str = "budget"):
-    """``budget``, once it compares with numbers and is not nan; else
-    ``ValueError`` names it.  The one check on the budgets the searches
-    take: nan compares false with everything, so it would cap nothing."""
+    """``budget``, once it compares with numbers and is neither nan nor a
+    bool; else ``ValueError`` names it.  The one check on the budgets the
+    searches take: nan compares false with everything, so it would cap
+    nothing, and a bool is no count."""
     try:
-        if budget == budget and (budget < 0 or budget >= 0):
+        if type(budget) is not bool and budget == budget and (budget < 0 or budget >= 0):
             return budget
     except TypeError:
         pass
@@ -179,12 +181,8 @@ class GraphBuilder:
         if None in rows:
             name = list(self._index)[rows.index(None)]
             raise ValueError(f"state {name!r} has no transition on 0")
-        return Dfa(
-            alphabet=BINARY,
-            delta=tuple(rows),
-            initial=self._index[initial],
-            finals=frozenset(self._finals),
-        )
+        finals = frozenset(self._finals)
+        return Dfa(alphabet=BINARY, delta=tuple(rows), initial=self._index[initial], finals=finals)
 
 
 @dataclass(frozen=True)
@@ -215,14 +213,8 @@ class Nfa:
 
 
 def as_nfa(d: Dfa) -> Nfa:
-    return Nfa(
-        alphabet=d.alphabet,
-        delta=tuple(
-            (frozenset({row[0]}), frozenset({row[1]})) for row in d.delta
-        ),
-        initial=frozenset({d.initial}),
-        finals=d.finals,
-    )
+    delta = tuple((frozenset({t0}), frozenset({t1})) for t0, t1 in d.delta)
+    return Nfa(alphabet=d.alphabet, delta=delta, initial=frozenset({d.initial}), finals=d.finals)
 
 
 def accepts(d: Dfa, word: str) -> bool:
@@ -461,6 +453,16 @@ def explore(start, successors, budget: int, what: str):
     return order, rows
 
 
+def _explored_dfa(alphabet, start, successors, budget: int, what: str, accepting) -> Dfa:
+    """The DFA :func:`explore` numbers from ``start``: state i is the i-th
+    state discovered, ``start`` the initial state 0, ``delta[i]`` the numbers
+    of its successors, and it is final when ``accepting`` holds of it.  The
+    one way a search becomes a :class:`Dfa`."""
+    order, rows = explore(start, successors, budget, what)
+    finals = frozenset(i for i, x in enumerate(order) if accepting(x))
+    return Dfa(alphabet=alphabet, delta=tuple(rows), initial=0, finals=finals)
+
+
 def _mask(states: Iterable[int]) -> int:
     m = 0
     for q in states:
@@ -491,10 +493,10 @@ def determinize(n: Nfa) -> Dfa:
     def successors(m: int) -> tuple[int, int]:
         return _image(m, succ0), _image(m, succ1)
 
-    order, rows = explore(_mask(n.initial), successors, STATE_BUDGET, "subsets")
     fmask = _mask(n.finals)
-    finals = frozenset(i for i, m in enumerate(order) if m & fmask)
-    return Dfa(alphabet=n.alphabet, delta=tuple(rows), initial=0, finals=finals)
+    return _explored_dfa(
+        n.alphabet, _mask(n.initial), successors, STATE_BUDGET, "subsets", fmask.__and__
+    )
 
 
 # The reversal step's route, chosen once per table.  Tables of at most
@@ -688,10 +690,10 @@ def determinize_reverse(d: Dfa, budget: int = STATE_BUDGET) -> Dfa:
     accept distinct languages.
     Raises :class:`BudgetExceededError` past ``budget`` subsets.
     """
-    order, rows = explore(_mask(d.finals), preimages(d.delta), budget, "subsets")
     init = 1 << d.initial
-    finals = frozenset(i for i, m in enumerate(order) if m & init)
-    return Dfa(alphabet=d.alphabet, delta=tuple(rows), initial=0, finals=finals)
+    return _explored_dfa(
+        d.alphabet, _mask(d.finals), preimages(d.delta), budget, "subsets", init.__and__
+    )
 
 
 def coaccessible(d: Dfa) -> set[int]:
@@ -776,9 +778,9 @@ def minimize(d: Dfa) -> Dfa:
 def _trim(d: Dfa) -> Dfa:
     """The reachable part of ``d``, numbered 0..k-1 in BFS order with the
     initial state at 0."""
-    order, rows = explore(d.initial, d.delta.__getitem__, d.state_count, "states")
-    finals = frozenset(i for i, q in enumerate(order) if q in d.finals)
-    return Dfa(alphabet=d.alphabet, delta=tuple(rows), initial=0, finals=finals)
+    return _explored_dfa(
+        d.alphabet, d.initial, d.delta.__getitem__, d.state_count, "states", d.finals.__contains__
+    )
 
 
 def _quotient(
@@ -795,9 +797,9 @@ def _quotient(
         t0, t1 = rows[rep[b]]
         return block_of[t0], block_of[t1]
 
-    blocks, quotient = explore(block_of[0], successors, len(rows), "blocks")
-    accepting = frozenset(i for i, b in enumerate(blocks) if rep[b] in finals)
-    return Dfa(alphabet=alphabet, delta=tuple(quotient), initial=0, finals=accepting)
+    return _explored_dfa(
+        alphabet, block_of[0], successors, len(rows), "blocks", lambda b: rep[b] in finals
+    )
 
 
 def _bisimilar(p, q, accepting, successors) -> bool:

@@ -23,6 +23,7 @@ from .automata import (
     Nfa,
     _bisimilar,
     _check_range,
+    _explored_dfa,
     _image,
     _mask,
     _quotient,
@@ -507,10 +508,10 @@ class ReversalDfa:
 
     def to_dfa(self, *, max_states: int = STATE_BUDGET) -> Dfa:
         """Materialize the reachable part as an explicit DFA."""
-        order, rows = explore(self.initial_mask, self._successors, max_states, "subset states")
         init = 1 << self.host.initial
-        finals = frozenset(i for i, m in enumerate(order) if m & init)
-        return Dfa(alphabet=TURNS, delta=tuple(rows), initial=0, finals=finals)
+        return _explored_dfa(
+            TURNS, self.initial_mask, self._successors, max_states, "subset states", init.__and__
+        )
 
 
 def game_states_equivalent(host: Dfa, g: Iterable[int], h: Iterable[int]) -> bool:

@@ -1,5 +1,7 @@
 import random
+import re
 import time
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings
@@ -314,11 +316,23 @@ NO_MOVES = (frozenset(), frozenset())
 FIELDS = "^an automaton's delta must be a tuple and its state sets frozensets$"
 
 
+def alphabet_refused(alphabet) -> str:
+    """The pattern of the parser's message for ``alphabet``, which the
+    constructors raise for every alphabet but 01 and AB."""
+    return "^" + re.escape(f"alphabet must be 01 or AB, got {alphabet!r}") + "$"
+
+
+class Q(IntEnum):
+    ZERO = 0
+    ONE = 1
+
+
 @pytest.mark.parametrize(
     "build,message",
     [
         (lambda: Dfa(BINARY, (), 0, frozenset()), "at least one state"),
-        (lambda: Dfa(("0", "1", "2"), ((0, 0),), 0, frozenset()), "exactly 2 symbols"),
+        (lambda: Dfa(("0", "1", "2"), ((0, 0),), 0, frozenset()),
+         alphabet_refused(("0", "1", "2"))),
         (lambda: Dfa(BINARY, ((0, 0),), 1, frozenset()), "initial state 1 out of range"),
         (lambda: Dfa(BINARY, ((0, 1),), 0, frozenset()), "target 1 out of range"),
         (lambda: Dfa(BINARY, ((0, 0),), 0, frozenset({1})), "final state 1 out of range"),
@@ -343,7 +357,7 @@ FIELDS = "^an automaton's delta must be a tuple and its state sets frozensets$"
         (lambda: Dfa(BINARY, ((0, 0),), 0, {0}), FIELDS),
         (lambda: Dfa(BINARY, ((0, 1), [1, 1]), 0, frozenset({1})),
          "^state 1: need a target per symbol$"),
-        (lambda: Nfa(("0",), (NO_MOVES,), frozenset({0}), frozenset()), "exactly 2 symbols"),
+        (lambda: Nfa(("0",), (NO_MOVES,), frozenset({0}), frozenset()), alphabet_refused(("0",))),
         (lambda: Nfa(BINARY, ((frozenset({1}), frozenset()),), frozenset(), frozenset()),
          "target 1 out of range"),
         (lambda: Nfa(BINARY, (NO_MOVES,), frozenset({1}), frozenset()), "state 1 out of range"),
@@ -370,19 +384,31 @@ FIELDS = "^an automaton's delta must be a tuple and its state sets frozensets$"
          "^state 0: need a target set per symbol$"),
         (lambda: Nfa(BINARY, (NO_MOVES, NO_MOVES + (frozenset(),)), frozenset({0}), frozenset()),
          "^state 1: need a target set per symbol$"),
-        (lambda: Dfa(("0", "0"), ((0, 0),), 0, frozenset()),
-         "^alphabet must have exactly 2 symbols, and they must differ$"),
+        (lambda: Dfa(("0", "0"), ((0, 0),), 0, frozenset()), alphabet_refused(("0", "0"))),
         (lambda: Nfa(("A", "A"), (NO_MOVES,), frozenset({0}), frozenset()),
-         "^alphabet must have exactly 2 symbols, and they must differ$"),
+         alphabet_refused(("A", "A"))),
         # a list alphabet would leave the automaton unhashable
-        (lambda: Dfa(["0", "1"], ((0, 0),), 0, frozenset()),
-         "^alphabet must have exactly 2 symbols, and they must differ$"),
-        (lambda: Dfa(None, ((0, 0),), 0, frozenset()),
-         "^alphabet must have exactly 2 symbols, and they must differ$"),
+        (lambda: Dfa(["0", "1"], ((0, 0),), 0, frozenset()), alphabet_refused(["0", "1"])),
+        (lambda: Dfa(None, ((0, 0),), 0, frozenset()), alphabet_refused(None)),
         (lambda: Nfa(["A", "B"], (NO_MOVES,), frozenset({0}), frozenset()),
-         "^alphabet must have exactly 2 symbols, and they must differ$"),
-        (lambda: Nfa(None, (NO_MOVES,), frozenset({0}), frozenset()),
-         "^alphabet must have exactly 2 symbols, and they must differ$"),
+         alphabet_refused(["A", "B"])),
+        (lambda: Nfa(None, (NO_MOVES,), frozenset({0}), frozenset()), alphabet_refused(None)),
+        # only 01 and AB, in that order, are written as text that reads back:
+        # a DFA over ab writes a header the parser refuses, over 10 one that
+        # it reads as 01 with the symbols swapped, and over 01 and 1 a symbol
+        # no word can spell
+        (lambda: Dfa(("a", "b"), ((0, 1), (1, 1)), 0, frozenset({1})),
+         alphabet_refused(("a", "b"))),
+        (lambda: Dfa(("1", "0"), ((0, 1), (1, 1)), 0, frozenset({1})),
+         alphabet_refused(("1", "0"))),
+        (lambda: Nfa(("01", "1"), (NO_MOVES,), frozenset({0}), frozenset()),
+         alphabet_refused(("01", "1"))),
+        # an IntEnum member is an int subclass whose str() is not its number
+        # on every Python, so no text is sure to write it back
+        (lambda: Dfa(BINARY, ((0, 1), (1, 1)), 0, frozenset({Q.ONE})),
+         "^" + re.escape(f"final state {Q.ONE!r} out of range") + "$"),
+        (lambda: Nfa(BINARY, ((frozenset({Q.ZERO}), frozenset()),), frozenset({0}), frozenset()),
+         "^" + re.escape(f"target {Q.ZERO!r} out of range") + "$"),
         # a bool is an int to isinstance, but no text writes it as a state
         (lambda: Dfa(BINARY, ((0, True), (True, True)), 0, frozenset({True})),
          "^target True out of range$"),
@@ -577,6 +603,34 @@ def test_minimize_acceptance_property(d, w):
 @given(dfas())
 def test_text_round_trip_property(d):
     assert parse_dfa(dfa_to_text(d)) == d
+
+
+# the two alphabets the text format reads, and four it cannot write back
+ALPHABET_POOL = (BINARY, TURNS, ("a", "b"), ("1", "0"), ("01", "1"), ('"', "x"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(ALPHABET_POOL), st.data())
+def test_every_automaton_built_reads_back_from_its_text(alphabet, data):
+    # whatever alphabet and initial state a DFA or an NFA is built with,
+    # the constructor refuses it or its text reads back to it
+    n = data.draw(st.integers(min_value=1, max_value=4))
+    state = st.integers(min_value=0, max_value=n - 1)
+    delta = tuple(data.draw(st.tuples(state, state)) for _ in range(n))
+    try:
+        d = Dfa(alphabet, delta, data.draw(state), data.draw(st.frozensets(state)))
+    except ValueError:
+        pass
+    else:
+        assert parse_dfa(dfa_to_text(d)) == d
+    n = data.draw(st.integers(min_value=0, max_value=4))
+    states = st.frozensets(st.integers(min_value=0, max_value=n - 1)) if n else st.just(frozenset())
+    delta = tuple(data.draw(st.tuples(states, states)) for _ in range(n))
+    try:
+        a = Nfa(alphabet, delta, data.draw(states), data.draw(states))
+    except ValueError:
+        return
+    assert parse_nfa(nfa_to_text(a)) == a
 
 
 @settings(max_examples=60, deadline=None)

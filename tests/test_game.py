@@ -331,8 +331,9 @@ def test_a_budget_that_is_not_a_number_is_refused():
         "max_winset_complexity": lambda b: max_winset_complexity(2, b),
     }
     for name, build in builds.items():
-        # nan compares false with everything, so it would cap nothing
-        bads = ["5", None, (5,), float("nan")]
+        # nan compares false with everything, so it would cap nothing, and
+        # a bool is no count
+        bads = ["5", None, (5,), float("nan"), True, False]
         what = "budget"
         if name == "max_winset_complexity":
             # there None sets no deadline

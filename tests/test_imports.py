@@ -1,10 +1,15 @@
 """Every imported name is used: read in its module, listed in ``__all__``,
 or imported on a line marked ``# noqa``.  Every name the package defines
 has a user: it is exported, named in the README, or referenced in the
-package outside its own definition, so test-only helpers live in tests/."""
+package outside its own definition, so test-only helpers live in tests/.
+
+Run as a script, ``python tests/test_imports.py`` prints the code lines of
+each module of the package and their total, by :func:`code_lines`."""
 
 import ast
+import io
 import re
+import tokenize
 from pathlib import Path
 from typing import Callable
 
@@ -120,7 +125,16 @@ def holders(source: str, match: Callable[[ast.AST], bool]) -> list[str]:
 
 
 def is_int_type_test(node: ast.AST) -> bool:
-    """An ``isinstance(..., int)`` call, the class given alone or in a tuple."""
+    """An ``isinstance(..., int)`` call, the class given alone or in a
+    tuple, or a ``type(...) is int`` or ``type(...) is not int`` test."""
+    if isinstance(node, ast.Compare):
+        return (
+            isinstance(node.left, ast.Call)
+            and isinstance(node.left.func, ast.Name)
+            and node.left.func.id == "type"
+            and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+            and any(isinstance(c, ast.Name) and c.id == "int" for c in node.comparators)
+        )
     if not (
         isinstance(node, ast.Call)
         and isinstance(node.func, ast.Name)
@@ -149,9 +163,10 @@ def test_ints_are_checked_only_by_the_range_helper():
     assert holders(
         "def f(x):\n    return isinstance(x, (str, int))\n"
         "class C:\n    def g(self, y):\n        return isinstance(y, int)\n"
+        "def h(z):\n    return type(z) is not int or type(z) is bool\n"
         "ok = isinstance(1, float)\nbad = isinstance(1, int)\n",
         is_int_type_test,
-    ) == ["f", "C.g", "<module>"]
+    ) == ["f", "C.g", "h", "<module>"]
 
 
 def test_budgets_and_hosts_are_checked_only_by_their_helpers():
@@ -176,6 +191,28 @@ def test_budgets_and_hosts_are_checked_only_by_their_helpers():
     ) == ["C.__init__", "f"]
 
 
+def test_explore_is_called_only_where_no_dfa_is_built_from_it():
+    # a search that ends in a Dfa goes through _explored_dfa, so the
+    # numbering, the finals and the Dfa's check are written once; the other
+    # callers keep explore's order or rows for work of their own
+    def calls_explore(node: ast.AST) -> bool:
+        if not isinstance(node, ast.Call):
+            return False
+        f = node.func
+        return (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == "explore"
+
+    assert package_holders(calls_explore) == {
+        "automata.py": ["_explored_dfa"],
+        "enumeration.py": ["_structure_sizes"],
+        "game.py": ["_member_closures", "winset_nfa", "_forward_winset_dfa"],
+    }
+    assert holders(
+        "def f(d):\n    return explore(0, d, 1, 'x')\n"
+        "def g(d):\n    return automata.explore(0, d, 1, 'x')\nexplore\n",
+        calls_explore,
+    ) == ["f", "g"]
+
+
 def test_the_step_route_limits_are_read_only_where_the_step_is_compiled():
     # the reversal step's tuned limits are read only where preimages picks
     # each table's route, so the route decision stays behind one function
@@ -194,3 +231,50 @@ def test_the_step_route_limits_are_read_only_where_the_step_is_compiled():
         "def g(n):\n    return n // _SPARSE_DENSITY\ndoc = '_GATHER_STATES'\n",
         reads_a_limit,
     ) == ["f", "g"]
+
+
+def code_lines(source: str) -> int:
+    """The lines of ``source`` that hold code: blank lines, comment lines
+    and docstrings (the first statement of a module, class or function,
+    when it is a string) do not count, and a statement over several lines
+    counts each of them."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (
+                isinstance(first, ast.Expr)
+                and isinstance(first.value, ast.Constant)
+                and isinstance(first.value.value, str)
+            ):
+                docstrings.update(range(first.lineno, first.end_lineno + 1))
+    layout = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+              tokenize.ENDMARKER}
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in layout:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - docstrings)
+
+
+def test_code_lines_counts_code_only():
+    source = (
+        '"""A module docstring,\n\nover three lines."""\n\n'
+        "# a comment\n"
+        "def f(x):\n"
+        '    """Its docstring."""\n'
+        "    y = (x +  # a comment after code\n"
+        "         1)\n"
+        "\n"
+        '    return """not a docstring,\n    but a string"""\n'
+    )
+    # def, the two lines of y and the two of the returned string
+    assert code_lines(source) == 5
+    assert code_lines("") == 0
+
+
+if __name__ == "__main__":
+    counts = {p.name: code_lines(p.read_text()) for p in sorted(ROOT.glob("src/winset/*.py"))}
+    for name, count in counts.items():
+        print(f"{name:16} {count:6,}")
+    print(f"{'src/winset':16} {sum(counts.values()):6,}")
