@@ -360,9 +360,13 @@ def or_with_index(c: Circuit, i: int) -> Circuit:
     srcs = [src for _, src in c.outputs]
     _check_range((i,), 0, len(srcs), "persistent index out of range")
     gates = list(c.gates)
+    # one "$" more than any input or gate name starts with, so no new name
+    # is a name the circuit already has
+    names = itertools.chain(c.inputs, (name for name, _, _ in gates))
+    dollars = "$" * (1 + max(len(x) - len(x.lstrip("$")) for x in names))
     outputs = []
     for j, src in enumerate(srcs):
-        name = f"$or{j}"
+        name = f"{dollars}or{j}"
         gates.append((name, "OR", (src, srcs[i])))
-        outputs.append((f"$y{j}", name))
+        outputs.append((f"{dollars}y{j}", name))
     return Circuit(c.inputs, tuple(gates), tuple(outputs))

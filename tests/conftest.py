@@ -1,6 +1,6 @@
 import random
 from itertools import permutations
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import pytest
 from hypothesis import strategies as st
@@ -178,6 +178,20 @@ def random_circuit(rng: random.Random, n_inputs: int, n_gates: int, n_outputs: i
         avail.append(f"g{g}")
     outputs = tuple((f"y{i}", rng.choice(avail)) for i in range(n_outputs))
     return Circuit(inputs, tuple(gates), outputs)
+
+
+def deep_circuit_text(inputs: int, gates: int, kind: Callable[[int], str]) -> str:
+    """A deep circuit, each gate reading the one before it: every fifth gate
+    is a NOT, and gate g otherwise a ``kind(g)``, ``and`` or ``or``, that
+    also reads an input."""
+    lines, prev = [f"input x{j}" for j in range(inputs)], f"x{inputs - 1}"
+    for g in range(gates):
+        if g % 5 == 4:
+            lines.append(f"not g{g} {prev}")
+        else:
+            lines.append(f"{kind(g)} g{g} {prev} x{g % inputs}")
+        prev = f"g{g}"
+    return "\n".join(lines + [f"output y {prev}"]) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Each criterion is a single test function so the ``pytest -v`` report shows
 exactly one PASSED/FAILED line per item.  The n=5 enumeration point (517)
-takes about 7 s on one core and runs with the rest.
+takes about 3 s on one core and runs with the rest.
 """
 
 import random

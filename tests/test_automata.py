@@ -38,6 +38,7 @@ from winset.circuits import circuit_value_instance, parse_circuit
 from winset.cli import main
 from .conftest import (
     count_words,
+    deep_circuit_text,
     dfas,
     language_slice,
     nfa_to_text,
@@ -131,23 +132,11 @@ def test_graph_builder_numbers_names_in_mention_order():
     b.arc("y", "y")  # repeating an arc is allowed
     with pytest.raises(ValueError, match="conflicting transition from 'y' on 1"):
         b.arc("y", "y", ("x", 1))
+    with pytest.raises(ValueError, match="conflicting transition from 'y' on 0"):
+        b.arc("y", ("x", 1), "y")
     b.state("z")
     with pytest.raises(ValueError, match="state 'z' has no transition on 0"):
         b.build("y")
-
-
-def test_dfa_text_round_trip():
-    rng = random.Random(7)
-    for _ in range(50):
-        d = random_host(rng, rng.randint(1, 5))
-        assert parse_dfa(dfa_to_text(d)) == d
-
-
-def test_nfa_text_round_trip():
-    rng = random.Random(8)
-    for _ in range(50):
-        n = random_nfa(rng, rng.randint(1, 4))
-        assert parse_nfa(nfa_to_text(n)) == n
 
 
 def test_parse_nfa_accepts_dfa_text():
@@ -207,14 +196,8 @@ def test_parsers_read_noisy_text(d, n, rng):
 
 def test_a_large_circuit_value_host_reads_back():
     # the shape of the benchmark's deep circuits, which gives 4,467 states
-    lines = [f"input x{j}" for j in range(4)]
-    prev = "x3"
-    for g in range(30):
-        kind = "not" if g % 5 == 4 else ("and", "or")[g % 2]
-        lines.append(f"{kind} g{g} {prev}" + ("" if kind == "not" else f" x{g % 4}"))
-        prev = f"g{g}"
-    host, _ = circuit_value_instance(parse_circuit("\n".join(lines + [f"output y {prev}"])),
-                                     (True, False, True, False))
+    circuit = parse_circuit(deep_circuit_text(4, 30, lambda g: ("and", "or")[g % 2]))
+    host, _ = circuit_value_instance(circuit, (True, False, True, False))
     assert host.state_count == 4_467
     text = dfa_to_text(host)
     assert parse_dfa(text) == host
@@ -232,6 +215,9 @@ DFA_ERRORS = [
     ("dfa 1 01\ninitial 0\nfinals 0\n0 0 0\n0 1 9\n", "line 5"),
     ("dfa 1 01\ninitial 0\nfinals 0\n0 0 0\n0 0 0\n0 1 0\n", "duplicate"),
     ("dfa 2 01\ninitial 0\nfinals\n0 0 0\n0 1 1\n1 0 1\n", "missing transition"),
+    ("dfa 1 01\ninitial 0\nfinals 0\n0 1 0\n", "missing transition for state 0 symbol 0"),
+    ("dfa 1 01\nfinals 0\ninitial 0\n", "line 2: expected 'initial <q>'"),
+    ("dfa 1 01\ninitial 0\nfinals 0\n1 0 0\n", "line 4: state index 1 out of range 0..0"),
     ("dfa 0 01\n", "line 1: state count must be at least 1"),
     ("dfa 2 01\ninitial 0 1\nfinals 1\n", "line 2: expected 'initial <q>'"),
     ("dfa 1 01\ninitial 0\nfinal 0\n0 0 0\n0 1 0\n", "line 3: expected 'finals"),
@@ -450,17 +436,10 @@ def test_parse_rejects_state_counts_over_the_budget(kind, alphabet):
         parse(f"{kind} 3000000 {alphabet}\ninitial 0\nfinals 0\n")
 
 
-def test_minimize_agrees_with_moore():
-    rng = random.Random(9)
-    for _ in range(150):
-        d = random_host(rng, rng.randint(1, 5))
-        a, b = minimize(d), minimize_moore(d)
-        assert a == b  # both are canonical, so equality is the right bar
-
-
 @settings(max_examples=200, deadline=None)
 @given(dfas(max_states=12))
 def test_minimize_agrees_with_moore_property(d):
+    # both are canonical, so equality is the right bar
     assert minimize(d) == minimize_moore(d)
 
 
@@ -599,12 +578,6 @@ def test_minimize_acceptance_property(d, w):
     assert accepts(minimize(d), w) == accepts(d, w)
 
 
-@settings(max_examples=60, deadline=None)
-@given(dfas())
-def test_text_round_trip_property(d):
-    assert parse_dfa(dfa_to_text(d)) == d
-
-
 # the two alphabets the text format reads, and four it cannot write back
 ALPHABET_POOL = (BINARY, TURNS, ("a", "b"), ("1", "0"), ("01", "1"), ('"', "x"))
 
@@ -614,7 +587,7 @@ ALPHABET_POOL = (BINARY, TURNS, ("a", "b"), ("1", "0"), ("01", "1"), ('"', "x"))
 def test_every_automaton_built_reads_back_from_its_text(alphabet, data):
     # whatever alphabet and initial state a DFA or an NFA is built with,
     # the constructor refuses it or its text reads back to it
-    n = data.draw(st.integers(min_value=1, max_value=4))
+    n = data.draw(st.integers(min_value=1, max_value=5))
     state = st.integers(min_value=0, max_value=n - 1)
     delta = tuple(data.draw(st.tuples(state, state)) for _ in range(n))
     try:

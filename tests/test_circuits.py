@@ -267,6 +267,22 @@ def test_iterated_instance_tracks_iteration():
                 assert member(dfa, base + period * t) == want
 
 
+@pytest.mark.parametrize("text", [
+    "input x\nor $or0 x x\noutput y $or0\n",
+    "input $y0\nnot g $y0\noutput y g\n",
+    "input $$y0\ninput x\nor $or0 x $$y0\noutput y $or0\noutput z x\n",
+])
+def test_or_with_index_names_no_node_the_circuit_has(text):
+    # its new gates and outputs get one "$" more than any name starts with
+    c = parse_circuit(text)
+    k = c.input_count
+    prime = or_with_index(c, 0)
+    for bits in all_bits(k):
+        dfa, base, period = iterated_instance(c, bits, 0)
+        for t in range(4):
+            assert member(dfa, base + period * t) == (iterate(prime, bits, t) == (True,) * k)
+
+
 def test_iterated_not_gate_toggles():
     c = parse_circuit("input x\nnot g x\noutput y g\n")
     dfa, base, period = iterated_instance(c, (False,), 0)

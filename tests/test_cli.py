@@ -16,7 +16,7 @@ from winset.circuits import circuit_to_dfa, iterated_instance, parse_circuit
 from winset.cli import _progress_printer, main
 from winset.gadgets import exact_ones_dfa, lower_bound_dfa
 
-from .conftest import dfas, relabeled, shift_steps, token_soup
+from .conftest import deep_circuit_text, dfas, relabeled, shift_steps, token_soup
 
 PARITY_TEXT = """\
 dfa 2 01
@@ -47,20 +47,6 @@ finals 0
 """
 
 NOT_CIRCUIT = "input x\nnot g x\noutput y g\n"
-
-
-def deep_circuit_text() -> str:
-    """A deep circuit, each gate reading the one before it.  Its
-    circuit-value hosts stay scattered once trimmed, so member's walks on
-    them take the sparse route and the gather, not the shift step."""
-    lines, prev = [f"input x{j}" for j in range(4)], "x3"
-    for g in range(30):
-        if g % 5 == 4:
-            lines.append(f"not g{g} {prev}")
-        else:
-            lines.append(f"{('and', 'or')[g % 2]} g{g} {prev} x{g % 4}")
-        prev = f"g{g}"
-    return "\n".join(lines + [f"output y {prev}"]) + "\n"
 
 
 @pytest.fixture
@@ -300,7 +286,9 @@ def test_gadget_circuit_value(not_circuit, tmp_path, monkeypatch, capsys):
     assert main(["gadget", "circuit", not_circuit, "--value", "TX"]) == 2
     assert "assignment must be over T/F" in capsys.readouterr().err
     deep = tmp_path / "deep.circuit"
-    deep.write_text(deep_circuit_text())
+    # its circuit-value hosts stay scattered once trimmed, so member's walks
+    # on them take the sparse route and the gather, not the shift step
+    deep.write_text(deep_circuit_text(4, 30, lambda g: ("and", "or")[g % 2]))
     built, values = shift_steps(monkeypatch), set()
     for circuit, bits in ((not_circuit, "F"), (str(deep), "TFTF"), (str(deep), "FFTT")):
         assert main(["gadget", "circuit", circuit, "--value", bits]) == 0

@@ -9,14 +9,21 @@ from itertools import product
 import pytest
 
 from winset import automata, decision
-from winset.automata import Dfa, Nfa, accepts, nfa_accepts
+from winset.automata import Dfa, Nfa, nfa_accepts
 from winset.circuits import circuit_value_instance, iterated_instance, or_with_index, parse_circuit
 from winset.cli import _build_parser
 from winset.decision import intersect_nonempty, member
-from winset.game import BudgetExceededError, ReversalDfa, winset_dfa
+from winset.game import BudgetExceededError, ReversalDfa
 from winset.gadgets import exact_ones_dfa, exact_ones_winset_member
 from winset.oracle import alice_wins, dfa_predicate
-from .conftest import enumerate_words, random_host, relabeled, shift_steps, words_upto
+from .conftest import (
+    deep_circuit_text,
+    enumerate_words,
+    random_host,
+    relabeled,
+    shift_steps,
+    words_upto,
+)
 
 PARITY = Dfa(alphabet=("0", "1"), delta=((0, 1), (1, 0)), initial=0, finals=frozenset({1}))
 
@@ -35,13 +42,6 @@ def turn_nfa(delta, initial, finals):
 A_STAR = turn_nfa([({0}, set())], {0}, {0})
 B_STAR = turn_nfa([(set(), {0})], {0}, {0})
 BA_STAR = turn_nfa([(set(), {1}), ({0}, set())], {0}, {0})
-
-
-def test_member_agrees_with_winset_dfa(sampled_hosts):
-    for host in sampled_hosts[:30]:
-        w = winset_dfa(host)
-        for word in words_upto("AB", 6):
-            assert member(host, word) == accepts(w, word)
 
 
 def test_member_agrees_with_oracle():
@@ -164,18 +164,24 @@ def sparse_and_dense_steps(host: Dfa, w: str) -> tuple[int, int]:
     return sparse, len(w) - sparse
 
 
+def exact_ones_words(rng: random.Random, n: int, count: int, step: int = 5) -> list[str]:
+    """Seeded turn words of n to n + step(count - 1) letters; a third of
+    them have one A too few, so they are no members of the exact-ones host."""
+    words = []
+    for i in range(count):
+        length = n + step * i
+        b = step * i + 1 if i % 3 == 0 else rng.randint(0, step * i)
+        letters = ["A"] * (length - b) + ["B"] * b
+        rng.shuffle(letters)
+        words.append("".join(letters))
+    return words
+
+
 def test_member_on_a_large_exact_ones_host():
-    rng = random.Random(300)
     n = 300
     host = exact_ones_dfa(n)
     answers, sparse, dense = set(), 0, 0
-    for i in range(16):
-        length = n + 4 * i
-        # a third of the words have one A too few, so they are no members
-        b = 4 * i + 1 if i % 3 == 0 else rng.randint(0, 4 * i)
-        letters = ["A"] * (length - b) + ["B"] * b
-        rng.shuffle(letters)
-        word = "".join(letters)
+    for word in exact_ones_words(random.Random(300), n, 16, step=4):
         want = exact_ones_winset_member(n, word)
         assert member(host, word) == want, word
         answers.add(want)
@@ -195,63 +201,38 @@ def reference_member(host: Dfa, w: str) -> bool:
     return host.initial in m
 
 
-def exact_ones_words(rng: random.Random, n: int, count: int) -> list[str]:
-    """Seeded turn words of n to n + 5(count - 1) letters; a third of them
-    have one A too few, so they are no members of the exact-ones host."""
-    words = []
-    for i in range(count):
-        length = n + 5 * i
-        b = 5 * i + 1 if i % 3 == 0 else rng.randint(0, 5 * i)
-        letters = ["A"] * (length - b) + ["B"] * b
-        rng.shuffle(letters)
-        words.append("".join(letters))
-    return words
-
-
-def test_member_switches_to_the_shift_step_on_a_relabeled_exact_ones_host(monkeypatch):
-    rng = random.Random(301)
+@pytest.mark.parametrize("seed", [301, 302])
+def test_each_compile_of_a_relabeled_exact_ones_host_builds_one_shift_step(seed, monkeypatch):
+    rng = random.Random(seed)
     n = 300
     host = relabeled(exact_ones_dfa(n), rng)
     # its own numbering is too scattered for the shift step
     assert automata._shift_step(host.delta) is None
     built = shift_steps(monkeypatch)
-    answers = set()
-    for word in exact_ones_words(rng, n, 12):
-        want = exact_ones_winset_member(n, word)
-        assert member(host, word) == want, word
-        answers.add(want)
-        # the first call compiles the table in the breadth-first numbers and
-        # builds the shift step there, once; the later calls on this host
-        # only walk
-        assert len(built) == 1
-    assert answers == {False, True}
-    assert None not in built
-
-
-def test_one_reversal_automaton_builds_its_shift_step_once(monkeypatch):
-    rng = random.Random(302)
-    n = 300
-    host = relabeled(exact_ones_dfa(n), rng)
-    built = shift_steps(monkeypatch)
     rev = ReversalDfa(host)
+    assert len(built) == 1
     k = rev.host.state_count
     # every other state: a mid-density mask, whose step is a dense one
     mid = int("01" * k, 2) & (1 << k) - 1
     answers = set()
     for word in exact_ones_words(rng, n, 12):
         want = exact_ones_winset_member(n, word)
-        assert rev.accepts(word[::-1]) == want, word
+        assert member(host, word) == rev.accepts(word[::-1]) == want, word
         answers.add(want)
         rev.successors(mid)
+        # the held automaton and member's first call each compile the table
+        # in the breadth-first numbers and build the shift step there, once;
+        # the later calls on this host only walk
+        assert len(built) == 2
     assert answers == {False, True}
-    assert len(built) == 1 and built[0] is not None
+    assert None not in built
 
 
 def test_member_renumbers_circuit_hosts_with_unreachable_states():
     rng = random.Random(1156)
     answers = set()
     for _ in range(2):
-        c = deep_circuit(rng, 4, 15)
+        c = parse_circuit(deep_circuit_text(4, 15, lambda g: rng.choice(("and", "or"))))
         for bits in product((False, True), repeat=4):
             dfa, word = circuit_value_instance(c, bits)
             host = relabeled(dfa, rng)
@@ -430,26 +411,11 @@ def test_threads_never_pair_a_host_with_another_hosts_table():
     assert failures == []
 
 
-def deep_circuit(rng: random.Random, inputs: int, gates: int):
-    """Each gate reads the one before it; every fifth is a NOT, the others
-    an AND or an OR that also reads an input."""
-    lines = [f"input x{j}" for j in range(inputs)]
-    prev = f"x{inputs - 1}"
-    for g in range(gates):
-        if g % 5 == 4:
-            lines.append(f"not g{g} {prev}")
-        else:
-            lines.append(f"{rng.choice(('and', 'or'))} g{g} {prev} x{g % inputs}")
-        prev = f"g{g}"
-    lines.append(f"output y {prev}")
-    return parse_circuit("\n".join(lines))
-
-
 def test_member_on_large_circuit_value_instances():
     rng = random.Random(1155)
     answers = set()
     for _ in range(3):
-        c = deep_circuit(rng, 4, 15)
+        c = parse_circuit(deep_circuit_text(4, 15, lambda g: rng.choice(("and", "or"))))
         for bits in product((False, True), repeat=4):
             host, word = circuit_value_instance(c, bits)
             assert host.state_count >= 1000

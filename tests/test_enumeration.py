@@ -12,16 +12,11 @@ from .conftest import (
     host_corpus,
     language_slice,
     random_host,
+    relabeled,
     relabeled_host_corpus,
     relabelings,
     structure_hosts,
 )
-
-
-def test_small_sequence():
-    assert max_winset_complexity(1).max_size == 1
-    assert max_winset_complexity(2).max_size == 4
-    assert max_winset_complexity(3).max_size == 16
 
 
 def test_label_swap_never_changes_the_winset():
@@ -44,38 +39,8 @@ def test_label_swap_never_changes_the_winset():
 def test_relabeling_never_changes_the_winset():
     rng = random.Random(72)
     for _ in range(20):
-        n = rng.randint(1, 4)
-        host = random_host(rng, n)
-        perm = list(range(n))
-        rng.shuffle(perm)
-        delta = [None] * n
-        for q in range(n):
-            t0, t1 = host.delta[q]
-            delta[perm[q]] = (perm[t0], perm[t1])
-        relabeled = Dfa(
-            alphabet=host.alphabet,
-            delta=tuple(delta),
-            initial=perm[host.initial],
-            finals=frozenset(perm[q] for q in host.finals),
-        )
-        assert equivalent(winset_dfa(host), winset_dfa(relabeled))
-
-
-def test_corpus_is_reachable_and_complete():
-    hosts = list(host_corpus(2))
-    assert len(hosts) % 4 == 0  # all four final sets per structure
-    for h in hosts:
-        seen = {h.initial}
-        stack = [h.initial]
-        while stack:
-            q = stack.pop()
-            for t in h.delta[q]:
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-        assert len(seen) == 2
-    # the non-canonical corpus is a superset realized by relabeling
-    assert len(list(relabeled_host_corpus(2))) >= len(hosts)
+        host = random_host(rng, rng.randint(1, 4))
+        assert equivalent(winset_dfa(host), winset_dfa(relabeled(host, rng)))
 
 
 def test_witness_attains_the_maximum_deterministically():
@@ -128,13 +93,6 @@ def test_size_guard():
     with pytest.raises(ValueError):
         next(host_corpus(0))
     assert not max_winset_complexity(6, budget_seconds=0.0).exhausted
-
-
-def test_progress_callback_counts_structures():
-    calls = []
-    max_winset_complexity(2, progress=lambda done, total: calls.append((done, total)))
-    assert calls and all(t == calls[0][1] for _, t in calls)
-    assert calls[-1][0] <= calls[0][1]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

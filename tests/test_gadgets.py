@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from winset import gadgets
 from winset.automata import BudgetExceededError, Dfa, accepts, coaccessible, explore
 
-from .conftest import enumerate_words, named_state, subset_targets, words_upto
+from .conftest import enumerate_words, words_upto
 from winset.gadgets import (
     test_word as probe_word,
     testing as build_tester,
@@ -31,23 +31,16 @@ from winset.gadgets import (
 from winset.game import (
     _Host,
     game_state,
-    game_states_equivalent,
     is_accepting,
     leq,
     winning_run,
     winset_dfa,
 )
-from winset.oracle import TargetPredicate, alice_wins, dyck_predicate
-
-
-def subsets(n, include_empty=True):
-    lo = 0 if include_empty else 1
-    for r in range(lo, n + 1):
-        yield from combinations(range(1, n + 1), r)
+from winset.oracle import TargetPredicate, dyck_predicate
 
 
 def antichains(n):
-    subs = [frozenset(s) for s in subsets(n, include_empty=False)]
+    subs = [frozenset(s) for r in range(1, n + 1) for s in combinations(range(1, n + 1), r)]
     out = [[]]
 
     def rec(start, fam):
@@ -70,16 +63,6 @@ def test_subset_factory_shape():
         assert g.dfa.state_count == 7 * n
         assert g.dfa.initial == g["b1"]
         assert g.dfa.finals == frozenset({g[f"b{n + 1}"]})
-
-
-def test_subset_factory_manufactures_every_subset():
-    for n in (1, 2, 3):
-        g = gen_subset(n, closure="accept")
-        start = game_state([[g["b1"]]])
-        for s in subsets(n):
-            run = winning_run(g.dfa, start, subset_word(n, s))
-            target = named_state(g, subset_targets(n, s))
-            assert game_states_equivalent(g.dfa, run, target), (n, s)
 
 
 def test_subset_word_validation():
@@ -185,16 +168,6 @@ def test_state_word_validation():
 # the tester
 
 
-def test_tester_accepts_exactly_contained_subsets():
-    for n in (1, 2, 3):
-        g = build_tester(n)
-        for i_set in subsets(n):
-            planted = game_state([[g[f"q{i}"] for i in i_set]])
-            for p_set in subsets(n):
-                run = winning_run(g.dfa, planted, probe_word(n, p_set))
-                assert is_accepting(g.dfa, run) == (set(i_set) <= set(p_set))
-
-
 def test_tester_dies_after_two_n_steps():
     rng = random.Random(51)
     for n in (1, 2, 3):
@@ -257,11 +230,6 @@ def test_a_size_must_be_an_int_of_at_least_1(family):
             build(bad)
 
 
-def test_lower_bound_winset_exceeds_antichain_count():
-    w = winset_dfa(lower_bound_dfa(1))
-    assert w.state_count >= 3
-
-
 # ---------------------------------------------------------------------------
 # chains and the exact-ones language
 
@@ -282,29 +250,12 @@ def test_chain_validation():
         assert str(got.value) == f"final state {bad!r} out of range"
 
 
-def test_chain_congruence_example():
-    w = winset_dfa(chain_dfa(5, {1}))
-    from winset.automata import congruent
-
-    assert congruent(w, "BABB", "BBAB")
-
-
-def test_exact_ones_winset_size_formula():
-    assert [exact_ones_wsize(n) for n in range(1, 6)] == [5, 11, 21, 36, 57]
-    for n in range(1, 5):
-        assert winset_dfa(exact_ones_dfa(n)).state_count == exact_ones_wsize(n)
-
-
 def test_exact_ones_membership_law():
     for n in range(1, 5):
         w = winset_dfa(exact_ones_dfa(n))
         for length in range(2 * n + 4):
             for word in enumerate_words("AB", length):
                 assert accepts(w, word) == exact_ones_winset_member(n, word)
-
-
-# ---------------------------------------------------------------------------
-# bounds
 
 
 # ---------------------------------------------------------------------------
@@ -500,14 +451,3 @@ def test_dyck_closed_form_examples():
         for blocks in ((bad, 0, 0), (0, bad, 0), (0, 0, bad)):
             with pytest.raises(ValueError, match="^block lengths must be nonnegative$"):
                 dyck_closed_form(*blocks)
-
-
-def test_dyck_closed_form_matches_oracle_small():
-    for i in range(0, 4):
-        for j in range(0, 4):
-            for k in range(0, 4):
-                if 2 * (i + j + k) > 8:
-                    continue
-                word = "A" * 2 * i + "B" * 2 * j + "A" * 2 * k
-                t = dyck_predicate(len(word))
-                assert alice_wins(t, word) == dyck_closed_form(i, j, k)

@@ -4,7 +4,8 @@ has a user: it is exported, named in the README, or referenced in the
 package outside its own definition, so test-only helpers live in tests/.
 
 Run as a script, ``python tests/test_imports.py`` prints the code lines of
-each module of the package and their total, by :func:`code_lines`."""
+each module of the package and their total, then those of the tests, by
+:func:`code_lines`."""
 
 import ast
 import io
@@ -274,7 +275,8 @@ def test_code_lines_counts_code_only():
 
 
 if __name__ == "__main__":
-    counts = {p.name: code_lines(p.read_text()) for p in sorted(ROOT.glob("src/winset/*.py"))}
-    for name, count in counts.items():
-        print(f"{name:16} {count:6,}")
-    print(f"{'src/winset':16} {sum(counts.values()):6,}")
+    for part in ("src/winset", "tests"):
+        counts = {p.name: code_lines(p.read_text()) for p in sorted(ROOT.glob(f"{part}/*.py"))}
+        for name, count in counts.items():
+            print(f"{name:20} {count:6,}")
+        print(f"{part:20} {sum(counts.values()):6,}")
