@@ -9,11 +9,11 @@ from itertools import product
 import pytest
 
 from winset import automata, decision
-from winset.automata import Dfa, Nfa, nfa_accepts
+from winset.automata import Dfa, Nfa, accepts, nfa_accepts
 from winset.circuits import circuit_value_instance, iterated_instance, or_with_index, parse_circuit
 from winset.cli import _build_parser
 from winset.decision import intersect_nonempty, member
-from winset.game import BudgetExceededError, ReversalDfa
+from winset.game import BudgetExceededError, ReversalDfa, winset_dfa
 from winset.gadgets import exact_ones_dfa, exact_ones_winset_member
 from winset.oracle import alice_wins, dfa_predicate
 from .conftest import (
@@ -42,6 +42,13 @@ def turn_nfa(delta, initial, finals):
 A_STAR = turn_nfa([({0}, set())], {0}, {0})
 B_STAR = turn_nfa([(set(), {0})], {0}, {0})
 BA_STAR = turn_nfa([(set(), {1}), ({0}, set())], {0}, {0})
+
+
+def test_member_agrees_with_winset_dfa(sampled_hosts):
+    for host in sampled_hosts[:30]:
+        w = winset_dfa(host)
+        for word in words_upto("AB", 6):
+            assert member(host, word) == accepts(w, word)
 
 
 def test_member_agrees_with_oracle():

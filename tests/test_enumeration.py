@@ -43,6 +43,23 @@ def test_relabeling_never_changes_the_winset():
         assert equivalent(winset_dfa(host), winset_dfa(relabeled(host, rng)))
 
 
+def test_corpus_is_reachable_and_complete():
+    hosts = list(host_corpus(2))
+    assert len(hosts) % 4 == 0  # all four final sets per structure
+    for h in hosts:
+        seen = {h.initial}
+        stack = [h.initial]
+        while stack:
+            q = stack.pop()
+            for t in h.delta[q]:
+                if t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+        assert len(seen) == 2
+    # the non-canonical corpus is a superset realized by relabeling
+    assert len(list(relabeled_host_corpus(2))) >= len(hosts)
+
+
 def test_witness_attains_the_maximum_deterministically():
     first = max_winset_complexity(2)
     second = max_winset_complexity(2)
@@ -93,6 +110,13 @@ def test_size_guard():
     with pytest.raises(ValueError):
         next(host_corpus(0))
     assert not max_winset_complexity(6, budget_seconds=0.0).exhausted
+
+
+def test_progress_callback_counts_structures():
+    calls = []
+    max_winset_complexity(2, progress=lambda done, total: calls.append((done, total)))
+    assert calls and all(t == calls[0][1] for _, t in calls)
+    assert calls[-1][0] <= calls[0][1]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

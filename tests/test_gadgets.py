@@ -250,6 +250,13 @@ def test_chain_validation():
         assert str(got.value) == f"final state {bad!r} out of range"
 
 
+def test_chain_congruence_example():
+    w = winset_dfa(chain_dfa(5, {1}))
+    from winset.automata import congruent
+
+    assert congruent(w, "BABB", "BBAB")
+
+
 def test_exact_ones_membership_law():
     for n in range(1, 5):
         w = winset_dfa(exact_ones_dfa(n))

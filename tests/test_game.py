@@ -52,6 +52,7 @@ from winset.gadgets import (
 )
 from winset.oracle import alice_wins, dfa_predicate, parity_predicate
 from .conftest import (
+    count_words,
     dfas,
     enumerate_words,
     nfa_to_text,
@@ -226,6 +227,14 @@ def test_normalized_and_raw_runs_agree(sampled_hosts):
         raw_run(PARITY, (1,), "X")
 
 
+def test_reversal_recognizes_reversed_winset(sampled_hosts):
+    for host in sampled_hosts[:30]:
+        w = winset_dfa(host)
+        rev = ReversalDfa(host)
+        for word in words_upto("AB", 6):
+            assert rev.accepts(word[::-1]) == accepts(w, word)
+
+
 def test_reversal_to_dfa_matches_lazy_steps():
     rng = random.Random(23)
     for _ in range(15):
@@ -234,6 +243,23 @@ def test_reversal_to_dfa_matches_lazy_steps():
         d = rev.to_dfa()
         for word in words_upto("AB", 5):
             assert accepts(d, word) == rev.accepts(word)
+
+
+def test_slice_cardinality_matches_host(sampled_hosts):
+    for host in sampled_hosts[:30]:
+        w = winset_dfa(host)
+        for n in range(9):
+            assert count_words(w, n) == count_words(host, n)
+
+
+def test_winset_is_downward_closed(sampled_hosts):
+    for host in sampled_hosts[:20]:
+        w = winset_dfa(host)
+        for word in words_upto("AB", 6):
+            if accepts(w, word):
+                for i, c in enumerate(word):
+                    if c == "B":
+                        assert accepts(w, word[:i] + "A" + word[i + 1:])
 
 
 def test_singleton_acceptance_determines_left_contexts(sampled_hosts):
@@ -808,6 +834,13 @@ def test_engines_agree_on_corpus_and_gadgets(small_hosts):
     for host in small_hosts + ENGINE_GADGETS:
         reversal = determinize_reverse(ReversalDfa(host).to_dfa())
         assert dfa_to_text(reversal) == dfa_to_text(_forward_winset_dfa(host))
+
+
+@settings(max_examples=40, deadline=None)
+@given(dfas(max_states=7))
+def test_engines_agree_on_random_hosts(host):
+    reversal = determinize_reverse(ReversalDfa(host).to_dfa())
+    assert dfa_to_text(reversal) == dfa_to_text(_forward_winset_dfa(host))
 
 
 FACTORY_GADGETS = [
