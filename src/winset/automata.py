@@ -177,6 +177,8 @@ class GraphBuilder:
         return dict(self._index)
 
     def build(self, initial) -> Dfa:
+        if initial not in self._index:
+            raise ValueError(f"initial state {initial!r} is not a state of the builder")
         rows = self._rows
         if None in rows:
             name = list(self._index)[rows.index(None)]
@@ -306,8 +308,9 @@ def _read_automaton(text: str, kinds: tuple[str, ...]):
     column = {sym: [None] * n for sym in alphabet}
 
     def transition(lineno: int, parts: list[str]):
-        """The column, state and target (the set of targets, for an NFA)
-        of a transition line, checked in the order the line is read."""
+        """The column, state and set of targets of an NFA transition line,
+        checked in the order the line is read.  A DFA line comes here only
+        once its inline check failed, and fails one of these checks too."""
         if len(parts) < 2 or (dfa and len(parts) != 3):
             _fail(lineno, f"expected '<state> <symbol> <target>{many}'")
         q = state(parts[0], lineno)
@@ -316,8 +319,7 @@ def _read_automaton(text: str, kinds: tuple[str, ...]):
             _fail(lineno, f"symbol {parts[1]!r} not in alphabet")
         if col[q] is not None:
             _fail(lineno, f"duplicate transition for state {q} symbol {parts[1]}")
-        targets = [state(tok, lineno) for tok in parts[2:]]
-        return col, q, targets[0] if dfa else frozenset(targets)
+        return col, q, frozenset(state(tok, lineno) for tok in parts[2:])
 
     for lineno, parts in lines:
         # a DFA line checked inline; any other line, and one that fails a

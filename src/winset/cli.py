@@ -9,6 +9,7 @@ budgets.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from pathlib import Path
@@ -257,14 +258,46 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _Stdout:
+    """The process's own stdout.  Once its reader closes the pipe, file
+    descriptor 1 is pointed at the null device, so a closed stdout is no
+    error: the command runs on and exits as if everything had been read."""
+
+    def __init__(self, stream):
+        self.stream = stream
+
+    def write(self, text: str) -> int:
+        self._guard(self.stream.write, text)
+        return len(text)
+
+    def flush(self) -> None:
+        self._guard(self.stream.flush)
+
+    def _guard(self, call, *args) -> None:
+        try:
+            call(*args)
+        except BrokenPipeError:
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, self.stream.fileno())
+            os.close(null)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # a replaced sys.stdout, as under a test, owns no file descriptor
+    own = sys.stdout is sys.__stdout__
+    if own:
+        sys.stdout = _Stdout(sys.stdout)
     try:
         return args.func(args)
     except (BudgetExceededError, FormatError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    finally:
+        if own:
+            sys.stdout.flush()
+            sys.stdout = sys.__stdout__
 
 
 if __name__ == "__main__":

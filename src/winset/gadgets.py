@@ -99,12 +99,12 @@ def gen_subset(n: int, *, closure: str = "reject") -> Gadget:
 
 
 def _within(n: int, s: Iterable[int], what: str = "subset") -> frozenset:
-    """The set of ``s``, once it lies within 1..n; ``what`` names it in the
-    message."""
+    """The set of ``s``, once its members are ints within 1..n; ``what``
+    names it in the message, which shows the whole set once every member
+    is an int."""
     chosen = frozenset(s)
-    if not chosen <= set(range(1, n + 1)):
-        raise ValueError(f"{what} {sorted(chosen)} not within 1..{n}")
-    return chosen
+    _check_range(chosen, -math.inf, math.inf, f"{what} element {{!r}} is not an int")
+    return _check_range(chosen, 1, n + 1, f"{what} {sorted(chosen)} not within 1..{n}")
 
 
 def subset_word(n: int, s: Iterable[int]) -> str:

@@ -152,11 +152,10 @@ def _closures(
     nodes: Sequence[int],
     a_rows: Sequence[Sequence[int]],
     b_rows: Sequence[Sequence[int]],
-    delta: tuple[tuple[int, int], ...],
-    fmask: int,
+    rev: ReversalDfa,
 ) -> list[int]:
-    """Per node i, the greatest mask R[i] of host states that win every turn
-    word the node wins.
+    """Per node i, the greatest mask R[i] of states of ``rev.host`` that win
+    every turn word the node wins.
 
     A node is a set of host states, won on a word when Alice wins it from
     every one of them.  The node graph must cover the game: a node wins A·v
@@ -175,9 +174,10 @@ def _closures(
     and shrink to the greatest fixpoint.  Each node keeps the preimages
     pair of its row, since preimages distribute over the union U; a row
     that shrinks renews its pair and puts its predecessors back on the
-    worklist.
+    worklist.  The pairs come from the reversal automaton's one compiled
+    preimage map, and F is its initial mask.
     """
-    pre, full = preimages(delta), (1 << len(delta)) - 1
+    pre, full, fmask = rev._pre, rev._full, rev.initial_mask
     rel = [full if t & ~fmask else fmask for t in nodes]
     first = {r: pre(r) for r in {fmask, full}}
     pairs = [first[r] for r in rel]
@@ -205,9 +205,9 @@ def _closures(
     return rel
 
 
-def _game_preorder(delta: tuple[tuple[int, int], ...], fmask: int) -> list[int]:
-    """The game preorder of a binary host: ``rel[p]`` is the mask of the
-    states q with p ⊑ q.
+def _game_preorder(rev: ReversalDfa) -> list[int]:
+    """The game preorder of the trimmed host ``rev.host``: ``rel[p]`` is the
+    mask of the states q with p ⊑ q.
 
     ⊑ is the greatest relation in which p ⊑ q implies (1) p ∈ F ⇒ q ∈ F,
     (2) every successor p_i of p has a successor q_j of q with p_i ⊑ q_j,
@@ -218,10 +218,11 @@ def _game_preorder(delta: tuple[tuple[int, int], ...], fmask: int) -> list[int]:
     from p.  An accepting sink is above every state and a state with no
     path into F below every state.
     """
-    return _closures([1 << p for p in range(len(delta))], delta, delta, delta, fmask)
+    delta = rev.host.delta
+    return _closures([1 << p for p in range(len(delta))], delta, delta, rev)
 
 
-def _member_closures(host: Dfa, budget: int) -> tuple[_Host, GameState, dict[int, int]]:
+def _member_closures(rev: ReversalDfa, budget: int) -> tuple[_Host, GameState, dict[int, int]]:
     """The forward engine's members and their closures.
 
     A member S of a game state stands for "Alice wins from every state of
@@ -243,10 +244,11 @@ def _member_closures(host: Dfa, budget: int) -> tuple[_Host, GameState, dict[int
     R[T] | T.  Returns a compiled host whose step memo maps each closure
     to its images' closures, from the first member found with it, the
     initial game state of closures, and the map from members T to R[T].
-    Raises :class:`BudgetExceededError` past ``budget`` members.
+    Raises :class:`BudgetExceededError` past ``budget`` members.  Masks
+    are over ``rev.host``, the host trimmed and numbered breadth-first.
     """
-    h = _Host(host)
-    rel = _game_preorder(host.delta, h.fmask)
+    h = _Host(rev.host)
+    rel = _game_preorder(rev)
     keep = ~_image(h.acc_sink, rel)
     up = [row & keep for row in rel]
     # equivalent states have equal rows; above[q] holds the states above
@@ -264,12 +266,12 @@ def _member_closures(host: Dfa, budget: int) -> tuple[_Host, GameState, dict[int
         )
         return a + b
 
-    start = h.normalize((up[host.initial],))
+    start = h.normalize((up[rev.host.initial],))
     # the initial game state holds one up-closure at most
     members, rows = explore(start[0], member_images, budget, "members") if start else ([], [])
     a_rows = [row[: len(images[m][0])] for m, row in zip(members, rows)]
     b_rows = [row[len(a) :] for a, row in zip(a_rows, rows)]
-    rel = dict(zip(members, _closures(members, a_rows, b_rows, host.delta, h.fmask)))
+    rel = dict(zip(members, _closures(members, a_rows, b_rows, rev)))
     closure = {m: r | m for m, r in rel.items()}
     for m, c in closure.items():
         if c not in h._memo:
@@ -365,8 +367,10 @@ def winset_nfa(host: Dfa) -> Nfa:
 # host: five random 17- to 22-state hosts with 706 to 1,003 subsets took
 # it 1.3 to 7.8 s, and the forward engine, with the game preorder and the
 # member closures, 116 s and 118 s on two and over 150 s on the others.
-# Giving up here costs ~4 ms.  The subsets counted are those of the host's
-# reachable part, so unreachable states never push a host over the limit.
+# Giving up here costs ~4 ms.  Both engines run on the ReversalDfa's one
+# table, the host trimmed to its reachable part, so unreachable states never
+# push a host over the limit and change neither answer nor work on either
+# route.
 REVERSAL_SUBSETS = 2048
 
 
@@ -378,10 +382,11 @@ def winset_dfa(host: Dfa, *, max_game_states: int = STATE_BUDGET) -> Dfa:
     of that automaton, which yields the minimal DFA directly (Brzozowski's
     double reversal).  It runs first; if the reversal automaton has more
     than :data:`REVERSAL_SUBSETS` subsets of the host's reachable states, it
-    gives up and the forward engine runs instead: it explores the members
-    of game states, closes each under the host states that win every word
-    it wins, and runs a subset construction over antichains of these
-    closures, then Hopcroft minimization.
+    gives up and the forward engine runs instead, on the same
+    :class:`ReversalDfa`'s trimmed host and compiled preimage map: it
+    explores the members of game states, closes each under the host states
+    that win every word it wins, and runs a subset construction over
+    antichains of these closures, then Hopcroft minimization.
 
     ``max_game_states`` caps the states of the result on the reversal
     route.  On the forward route it caps, each on its own, the members
@@ -392,18 +397,19 @@ def winset_dfa(host: Dfa, *, max_game_states: int = STATE_BUDGET) -> Dfa:
     """
     # the forward engine runs after the except clause, so the give-up's
     # traceback, which holds the reversal subsets, is freed before it
+    rev = ReversalDfa(host)
     try:
-        rev = ReversalDfa(host).to_dfa(max_states=REVERSAL_SUBSETS)
+        subsets = rev.to_dfa(max_states=REVERSAL_SUBSETS)
     except BudgetExceededError:
         pass
     else:
-        return determinize_reverse(rev, max_game_states)
-    return _forward_winset_dfa(host, max_game_states)
+        return determinize_reverse(subsets, max_game_states)
+    return _forward_winset_dfa(rev, max_game_states)
 
 
-def _forward_winset_dfa(host: Dfa, max_game_states: int = STATE_BUDGET) -> Dfa:
-    """The forward engine: game states of the closures of
-    :func:`_member_closures`, then minimization.
+def _forward_winset_dfa(rev: ReversalDfa, max_game_states: int = STATE_BUDGET) -> Dfa:
+    """The forward engine on the trimmed host of ``rev``: game states of
+    the closures of :func:`_member_closures`, then minimization.
 
     A closure is won on the same words as its member, so members with equal
     closures merge, and :func:`_minimal` absorbs a closure that holds
@@ -414,7 +420,7 @@ def _forward_winset_dfa(host: Dfa, max_game_states: int = STATE_BUDGET) -> Dfa:
     minimal DFA.
     """
     # the map from members to rows is dropped before the game states
-    h, start = _member_closures(host, max_game_states)[:2]
+    h, start = _member_closures(rev, max_game_states)[:2]
     order, rows = explore(start, h.steps, max_game_states, "game states")
     finals = {i for i, g in enumerate(order) if h.accepting(g)}
     del order, h  # free the game states before the quotient reaches its peak
@@ -449,6 +455,7 @@ class ReversalDfa:
         self.host = _trim(host)
         self._pre = preimages(self.host.delta)
         self.initial_mask = _mask(self.host.finals)
+        self._full = (1 << self.host.state_count) - 1
 
     def _check(self, mask: int) -> int:
         """``mask``, checked to be a set of :attr:`host`'s states.  The
@@ -456,7 +463,7 @@ class ReversalDfa:
         :func:`~winset.decision.intersect_nonempty` step only masks that
         :meth:`_successors` made, and skip the check."""
         message = f"mask {{!r}} is not a set of the trimmed host's {self.host.state_count} states"
-        return _check_range((mask,), 0, 1 << self.host.state_count, message)[0]
+        return _check_range((mask,), 0, self._full + 1, message)[0]
 
     def _successors(self, mask: int) -> tuple[int, int]:
         p0, p1 = self._pre(mask)
@@ -492,13 +499,12 @@ class ReversalDfa:
         if word.count("A") + word.count("B") != len(word):
             for c in word:
                 _turn_index(c)
-        pre, m = self._pre, self.initial_mask
+        pre, m, full = self._pre, self.initial_mask, self._full
         # Both sets are fixed points of both steps: pre_i(0) = 0, and since
         # the table is total every state has an i-successor in the full set,
         # so pre_i(full) = full; their union and intersection are then 0 and
         # full again.  The rest of the word cannot change the answer: 0 does
         # not hold the initial state, and full does.
-        full = (1 << self.host.state_count) - 1
         for c in word:
             if not m or m == full:
                 break

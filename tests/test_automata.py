@@ -137,6 +137,11 @@ def test_graph_builder_numbers_names_in_mention_order():
     b.state("z")
     with pytest.raises(ValueError, match="state 'z' has no transition on 0"):
         b.build("y")
+    # an initial state the builder never named is refused, on an empty
+    # builder too
+    for builder in (b, GraphBuilder()):
+        with pytest.raises(ValueError, match="initial state 'nope' is not a state of the builder"):
+            builder.build("nope")
 
 
 def test_dfa_text_round_trip():

@@ -424,6 +424,21 @@ def test_console_script_entry_point():
         assert proc.stdout.strip() == "n=1 max=1 exhausted=true", module
 
 
+def test_a_closed_stdout_is_no_error(parity_file):
+    # each command prints far more than a pipe holds; its reader reads one
+    # line and closes the pipe, and the exit status is the command's own
+    for args, status in (
+        (["oracle", "slice", "parity", "16"], 0),
+        (["decide", "member", parity_file, *["A"] * 30_000, "B"], 1),
+    ):
+        proc = subprocess.Popen([sys.executable, "-m", "winset", *args],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (status, b""), args[:2]
+
+
 # Pieces of an argument vector, each a list of arguments.  A ("file", name)
 # item stands for a path in the example's directory: "a" and "b" hold drawn
 # text, "missing" does not exist and "" is the directory itself.

@@ -5,7 +5,7 @@ import pytest
 
 from winset.automata import Dfa, dfa_to_text, equivalent, preimages
 from winset.enumeration import _bfs_ordered, _structure_sizes, _structures, max_winset_complexity
-from winset.game import _forward_winset_dfa, winset_dfa
+from winset.game import ReversalDfa, _forward_winset_dfa, winset_dfa
 from winset.oracle import dfa_predicate, winning_slice
 from .conftest import (
     count_words,
@@ -216,7 +216,7 @@ def test_n6_witness_is_pinned():
         w = winset_dfa(host)
         assert w.state_count == 15_624
         if finals == {0, 2, 4}:
-            assert dfa_to_text(w) == dfa_to_text(_forward_winset_dfa(host))
+            assert dfa_to_text(w) == dfa_to_text(_forward_winset_dfa(ReversalDfa(host)))
         slice12 = language_slice(w, 12)
         assert slice12 == winning_slice(dfa_predicate(host, 12))
         assert len(slice12) == count_words(host, 12) == words

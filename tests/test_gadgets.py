@@ -73,6 +73,11 @@ def test_subset_word_validation():
             with pytest.raises(ValueError) as got:
                 word(2, bad)
             assert str(got.value) == f"subset {sorted(bad)} not within 1..2"
+    # a bool or a float is refused, never read as the int it equals
+    for word, n, bad in ((subset_word, 2, True), (subset_word, 2, 1.0), (probe_word, 3, 2.0)):
+        with pytest.raises(ValueError) as got:
+            word(n, [bad])
+        assert str(got.value) == f"subset element {bad!r} is not an int"
 
 
 @pytest.mark.parametrize(
@@ -157,6 +162,7 @@ def test_state_word_validation():
         ([[], [3]], "antichain members must be nonempty"),
         ([[1], [1, 2], [3]], "member [3] not within 1..2"),
         ([[1], [1, 2]], "members must form an antichain"),
+        ([[True], [2]], "member element True is not an int"),
     ]
     for antichain, message in cases:
         with pytest.raises(ValueError) as got:

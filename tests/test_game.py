@@ -313,7 +313,7 @@ def test_winset_budget_is_enforced():
     with pytest.raises(BudgetExceededError):
         winset_dfa(empty, max_game_states=0)
     with pytest.raises(BudgetExceededError):
-        _forward_winset_dfa(empty, 0)
+        _forward_winset_dfa(ReversalDfa(empty), 0)
 
 
 def test_a_budget_that_is_not_a_number_is_refused():
@@ -323,7 +323,7 @@ def test_a_budget_that_is_not_a_number_is_refused():
     a_star = Nfa(TURNS, ((frozenset({0}), frozenset()),), frozenset({0}), frozenset({0}))
     builds = {
         "winset_dfa": lambda b: winset_dfa(PARITY, max_game_states=b),
-        "forward": lambda b: _forward_winset_dfa(PARITY, b),
+        "forward": lambda b: _forward_winset_dfa(ReversalDfa(PARITY), b),
         "to_dfa": lambda b: ReversalDfa(PARITY).to_dfa(max_states=b),
         "determinize_reverse": lambda b: determinize_reverse(PARITY, b),
         "explore": lambda b: explore(0, lambda x: (), b, "states"),
@@ -451,8 +451,9 @@ def test_game_preorder_is_exact():
     hosts += [host_with_sinks(rng, rng.randint(7, 10)) for _ in range(30)]
     strict = 0
     for host in hosts:
-        rel = game._game_preorder(host.delta, automata._mask(host.finals))
-        assert rel == naive_game_preorder(host), host
+        rev = ReversalDfa(host)
+        rel = game._game_preorder(rev)
+        assert rel == naive_game_preorder(rev.host), host
         strict += sum(row.bit_count() - 1 for row in rel)
     assert strict > 200
 
@@ -461,7 +462,7 @@ def test_forward_engine_counts_on_the_lower_bound_gadget():
     # members, their distinct closures and the game states explored: a lost
     # pruning leaves the minimal DFA's bytes as they are but not these
     for n, counts in ((1, (29, 22, 25)), (2, (202, 84, 217)), (3, (997, 254, 3691))):
-        h, start, rel = game._member_closures(lower_bound_dfa(n), 10_000)
+        h, start, rel = game._member_closures(ReversalDfa(lower_bound_dfa(n)), 10_000)
         order, _ = explore(start, h.steps, 10_000, "game states")
         assert (len(rel), len({r | t for t, r in rel.items()}), len(order)) == counts, n
 
@@ -469,9 +470,10 @@ def test_forward_engine_counts_on_the_lower_bound_gadget():
 def test_game_preorder_is_sound_against_the_oracle():
     words = words_upto("AB", 6)
     strict = 0
-    for host in seeded_hosts(2112):
+    for rev in map(ReversalDfa, seeded_hosts(2112)):
+        host = rev.host
         n = host.state_count
-        rel = game._game_preorder(host.delta, automata._mask(host.finals))
+        rel = game._game_preorder(rev)
         wins = oracle_wins(host, words)
         for p in range(n):
             assert rel[p] >> p & 1
@@ -493,8 +495,9 @@ def test_game_preorder_is_sound_against_the_oracle():
 def test_member_closures_are_sound_against_the_oracle():
     words = words_upto("AB", 6)
     members = beyond = 0
-    for host in seeded_hosts(2114):
-        _, _, rel = game._member_closures(host, 10_000)
+    for rev in map(ReversalDfa, seeded_hosts(2114)):
+        host = rev.host
+        _, _, rel = game._member_closures(rev, 10_000)
         wins = oracle_wins(host, words)
         for t, r in rel.items():
             assert t & ~r == 0, (host, t, r)
@@ -831,16 +834,16 @@ ENGINE_GADGETS = (
 
 
 def test_engines_agree_on_corpus_and_gadgets(small_hosts):
-    for host in small_hosts + ENGINE_GADGETS:
-        reversal = determinize_reverse(ReversalDfa(host).to_dfa())
-        assert dfa_to_text(reversal) == dfa_to_text(_forward_winset_dfa(host))
+    for rev in map(ReversalDfa, small_hosts + ENGINE_GADGETS):
+        reversal = determinize_reverse(rev.to_dfa())
+        assert dfa_to_text(reversal) == dfa_to_text(_forward_winset_dfa(rev))
 
 
 @settings(max_examples=40, deadline=None)
 @given(dfas(max_states=7))
 def test_engines_agree_on_random_hosts(host):
-    reversal = determinize_reverse(ReversalDfa(host).to_dfa())
-    assert dfa_to_text(reversal) == dfa_to_text(_forward_winset_dfa(host))
+    rev = ReversalDfa(host)
+    assert dfa_to_text(determinize_reverse(rev.to_dfa())) == dfa_to_text(_forward_winset_dfa(rev))
 
 
 FACTORY_GADGETS = [
@@ -860,8 +863,9 @@ def test_engines_agree_on_many_seeded_hosts():
     assert sum(r < h.state_count and h.initial != 0 for r, h in zip(reached, shuffled)) > 50
     hosts += shuffled
     for host in hosts:
-        reversal = determinize_reverse(ReversalDfa(host).to_dfa())
-        assert dfa_to_text(reversal) == dfa_to_text(_forward_winset_dfa(host)), host
+        rev = ReversalDfa(host)
+        reversal = determinize_reverse(rev.to_dfa())
+        assert dfa_to_text(reversal) == dfa_to_text(_forward_winset_dfa(rev)), host
 
 
 def test_hosts_over_the_threshold_take_the_forward_route(monkeypatch):
@@ -871,17 +875,37 @@ def test_hosts_over_the_threshold_take_the_forward_route(monkeypatch):
         ReversalDfa(deep).to_dfa(max_states=REVERSAL_SUBSETS)
     forward, calls = game._forward_winset_dfa, []
 
-    def spy(host, max_game_states):
+    def spy(rev, max_game_states):
         # the give-up is no longer being handled, so its traceback is freed
         assert sys.exc_info() == (None, None, None)
-        calls.append(host)
-        return forward(host, max_game_states)
+        calls.append(rev.host)
+        return forward(rev, max_game_states)
 
     monkeypatch.setattr(game, "_forward_winset_dfa", spy)
     assert winset_dfa(wide).state_count == exact_ones_wsize(6)
     assert calls == []
     assert winset_dfa(deep).state_count == 215
-    assert calls == [deep]
+    # the forward route steps the table the reversal route built
+    assert calls == [ReversalDfa(deep).host]
+
+
+def test_forward_route_never_sees_unreachable_states(monkeypatch):
+    # 2,000 seeded states that no state of the 33-state gadget reaches
+    host, rng = lower_bound_dfa(2), random.Random(38)
+    n = host.state_count + 2_000
+    extra = tuple((rng.randrange(n), rng.randrange(n)) for _ in range(2_000))
+    finals = host.finals | {q for q in range(host.state_count, n) if rng.random() < 0.5}
+    padded = replace(host, delta=host.delta + extra, finals=finals)
+    expected = dfa_to_text(winset_dfa(host))
+    compile_, compiled = game.preimages, []
+    closures, nodes = game._closures, []
+    monkeypatch.setattr(game, "preimages", lambda d: compiled.append(len(d)) or compile_(d))
+    monkeypatch.setattr(game, "_closures", lambda *a: nodes.append(len(a[0])) or closures(*a))
+    assert dfa_to_text(winset_dfa(padded)) == expected
+    # one compile, of the reachable states, and the game preorder, the
+    # first fixpoint, runs over those states alone
+    assert compiled == [33]
+    assert nodes[0] == 33
 
 
 def test_reversal_route_budget_caps_the_result(monkeypatch):
