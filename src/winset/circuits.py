@@ -20,6 +20,20 @@ from .automata import Dfa, FormatError, GraphBuilder, _check_range, _fail, _toke
 GATE_ARITY = {"AND": 2, "OR": 2, "NOT": 1}
 
 
+def _assignment(a: Iterable[bool], k: int) -> tuple[bool, ...]:
+    """``a`` as a tuple, once every bit in it is of type bool and there are
+    ``k`` of them: the one check on an assignment.  An int 1 or 0 is
+    refused, as ``_check_range`` refuses ``True``, and so is a string,
+    whose letters would each read as true."""
+    bits = tuple(a)
+    for bit in bits:
+        if type(bit) is not bool:
+            raise ValueError(f"assignment bit {bit!r} is not a bool")
+    if len(bits) != k:
+        raise ValueError("assignment length must match the input count")
+    return bits
+
+
 @dataclass(frozen=True)
 class Circuit:
     """A gate-level DAG; ``gates`` is topologically ordered by construction,
@@ -42,6 +56,8 @@ class Circuit:
         seen: set[str] = set()
 
         def fresh(name: str) -> str:
+            if type(name) is not str:
+                raise ValueError(f"node name {name!r} is not a string")
             if name in seen:
                 raise ValueError(f"duplicate node name {name!r}")
             return name
@@ -80,7 +96,7 @@ class Circuit:
         return len(self.outputs)
 
     def evaluate(self, bits: Iterable[bool]) -> tuple[bool, ...]:
-        values = dict(zip(self.inputs, bits, strict=True))
+        values = dict(zip(self.inputs, _assignment(bits, self.input_count)))
         for name, kind, args in self.gates:
             vals = [values[a] for a in args]
             if kind == "AND":
@@ -287,10 +303,7 @@ def _assemble(c: Circuit, *, merge: bool = False):
 def _instance(b: GraphBuilder, initial, inputs, a: Iterable[bool]) -> Dfa:
     """Build ``b`` from ``initial``, accepting on the input rails that
     spell the assignment ``a``, one bit per input."""
-    bits = tuple(a)
-    if len(bits) != len(inputs):
-        raise ValueError("assignment length must match the input count")
-    for (t, f), bit in zip(inputs, bits):
+    for (t, f), bit in zip(inputs, _assignment(a, len(inputs))):
         b.state(t if bit else f, final=True)
     return b.build(initial)
 

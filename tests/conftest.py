@@ -104,6 +104,21 @@ def relabeled(host: Dfa, rng: random.Random) -> Dfa:
                finals=frozenset(perm[q] for q in host.finals))
 
 
+def reference_preimages(host: Dfa, mask: int) -> tuple[int, int]:
+    """``preimages``' pair as a loop over the host states: bit q of the i-th
+    mask is set when q's i-successor is in ``mask``."""
+    return tuple(
+        sum((mask >> row[i] & 1) << q for q, row in enumerate(host.delta)) for i in (0, 1)
+    )
+
+
+def reference_successors(host: Dfa, mask: int) -> tuple[int, int]:
+    """The reversal step's A and B successors of ``mask``, from
+    :func:`reference_preimages`."""
+    p0, p1 = reference_preimages(host, mask)
+    return p0 | p1, p0 & p1
+
+
 @st.composite
 def dfas(draw, max_states: int = 4) -> Dfa:
     """Complete binary DFAs with 1 to ``max_states`` states, initial state 0."""

@@ -98,6 +98,11 @@ def test_circuit_fields_must_be_tuples():
         (dict(good, outputs=[("y", "g")]), "circuit outputs must be a tuple of 2-tuples"),
         (dict(good, outputs=(["y", "g"],)), "circuit outputs must be a tuple of 2-tuples"),
         (dict(good, outputs=None), "circuit outputs must be a tuple of 2-tuples"),
+        # a node name is a string, whichever kind of node it names
+        (dict(inputs=(1,), gates=(), outputs=(("y", 1),)), "node name 1 is not a string"),
+        (dict(good, inputs=(["a"],)), "node name ['a'] is not a string"),
+        (dict(good, gates=((2, "NOT", ("a",)),)), "node name 2 is not a string"),
+        (dict(good, outputs=((3, "g"),)), "node name 3 is not a string"),
     ]
     for fields, message in cases:
         with pytest.raises(ValueError) as got:
@@ -225,6 +230,11 @@ def test_value_instance_decides_circuit_value():
             assert member(dfa, word) == c.evaluate(bits)[0]
 
 
+# assignments of two bits, each with its first bit that is not a bool: a
+# string is not read as its letters' truth, nor an int as a bool
+NOT_BOOLS = (("TF", "'T'"), ((1, 0), "1"), ((True, None), "None"))
+
+
 def test_value_instance_validation():
     c = random_circuit(random.Random(0), 2, 2, 2)
     with pytest.raises(ValueError):
@@ -233,6 +243,14 @@ def test_value_instance_validation():
     for a in ((True,), (True, False, True)):
         with pytest.raises(ValueError, match="^assignment length must match the input count$"):
             circuit_value_instance(c1, a)
+    # evaluate, the reductions' reference, reads an assignment by the same rule
+    with pytest.raises(ValueError, match="^assignment length must match the input count$"):
+        c1.evaluate(())
+    for a, bad in NOT_BOOLS:
+        for call in (circuit_value_instance, Circuit.evaluate):
+            with pytest.raises(ValueError) as got:
+                call(c1, a)
+            assert str(got.value) == f"assignment bit {bad} is not a bool", (call, a)
 
 
 def test_or_with_index_semantics():
@@ -305,6 +323,10 @@ def test_iterated_validation():
     for a in ((True,), (True, False, True)):
         with pytest.raises(ValueError, match="^assignment length must match the input count$"):
             iterated_instance(c2, a, 0)
+    for a, bad in NOT_BOOLS:
+        with pytest.raises(ValueError) as got:
+            iterated_instance(c2, a, 0)
+        assert str(got.value) == f"assignment bit {bad} is not a bool", a
 
 
 # sha256 of every reduction over a seeded corpus: it pins each state number,

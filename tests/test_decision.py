@@ -20,6 +20,7 @@ from .conftest import (
     deep_circuit_text,
     enumerate_words,
     random_host,
+    reference_successors,
     relabeled,
     shift_steps,
     words_upto,
@@ -199,13 +200,12 @@ def test_member_on_a_large_exact_ones_host():
 
 
 def reference_member(host: Dfa, w: str) -> bool:
-    """``member`` as a loop over the host states per letter."""
-    m = {q for q in range(host.state_count) if q in host.finals}
+    """``member`` as the per-state reversal step, walked back over ``w``
+    from the host's finals."""
+    m = sum(1 << q for q in host.finals)
     for c in reversed(w):
-        has = [host.delta[q][i] in m for q in range(host.state_count) for i in (0, 1)]
-        pick = any if c == "A" else all
-        m = {q for q in range(host.state_count) if pick(has[2 * q:2 * q + 2])}
-    return host.initial in m
+        m = reference_successors(host, m)["AB".index(c)]
+    return m >> host.initial & 1 == 1
 
 
 @pytest.mark.parametrize("seed", [301, 302])

@@ -38,7 +38,7 @@ from winset.game import (
     winset_dfa,
     winset_nfa,
 )
-from winset.decision import intersect_nonempty
+from winset.decision import intersect_nonempty, member
 from winset.enumeration import max_winset_complexity
 from winset.gadgets import (
     testing as build_tester,
@@ -59,6 +59,8 @@ from .conftest import (
     random_host,
     raw_run,
     raw_successors,
+    reference_preimages,
+    reference_successors,
     relabeled,
     shift_steps,
     words_upto,
@@ -586,15 +588,6 @@ def test_serialized_output_is_pinned(name, small_hosts):
 # the reversal step: the gather, the sparse route and the shift step
 
 
-def reference_step(host: Dfa, mask: int, c: str) -> int:
-    """The reversal step as a loop over the host states."""
-    out = 0
-    for q, (t0, t1) in enumerate(host.delta):
-        in0, in1 = mask >> t0 & 1, mask >> t1 & 1
-        out |= ((in0 | in1) if c == "A" else (in0 & in1)) << q
-    return out
-
-
 @settings(max_examples=150, deadline=None)
 @given(dfas(max_states=12), st.data())
 def test_gather_step_matches_the_per_state_loop(host, data):
@@ -603,7 +596,7 @@ def test_gather_step_matches_the_per_state_loop(host, data):
     mask = data.draw(st.integers(min_value=0, max_value=(1 << host.state_count + 8) - 1))
     rev = ReversalDfa(host)
     # the automaton's masks are over its trimmed, breadth-first numbered host
-    want = tuple(reference_step(rev.host, mask, c) for c in TURNS)
+    want = reference_successors(rev.host, mask)
     p0, p1 = preimages(rev.host.delta)(mask)
     assert (p0 | p1, p0 & p1) == want
     inside = mask & (1 << rev.host.state_count) - 1
@@ -621,7 +614,7 @@ def test_gather_step_on_one_state_hosts():
         for mask in range(8):
             assert pre(mask) == (mask & 1, mask & 1)
         for mask in range(2):
-            want = tuple(reference_step(host, mask, c) for c in TURNS)
+            want = reference_successors(host, mask)
             assert rev.successors(mask) == want == (mask, mask)
             assert tuple(rev.step(mask, c) for c in TURNS) == want
         for bad in ("0", "", "AB"):
@@ -649,13 +642,6 @@ def test_reversal_methods_refuse_a_mask_outside_the_trimmed_host():
             assert str(got.value) == f"mask {bad!r} is not a set of the trimmed host's 2 states", name
         call((1 << n) - 1)
     assert rev.is_final(1) and not rev.is_final(2)
-
-
-def reference_preimages(host: Dfa, mask: int) -> tuple[int, int]:
-    """``preimages``' pair as a loop over the host states."""
-    return tuple(
-        sum((mask >> row[i] & 1) << q for q, row in enumerate(host.delta)) for i in (0, 1)
-    )
 
 
 def masks_of_every_density(rng: random.Random, n: int) -> list[int]:
@@ -707,7 +693,7 @@ def test_both_step_routes_match_the_per_state_loop():
             assert pre(mask) == reference_preimages(host, mask), (n, mask.bit_count())
         for mask in masks_of_every_route(rng, rev.host):
             mask &= (1 << rev.host.state_count) - 1
-            want = tuple(reference_step(rev.host, mask, c) for c in TURNS)
+            want = reference_successors(rev.host, mask)
             assert rev.successors(mask) == want
             assert tuple(rev.step(mask, c) for c in TURNS) == want
         for bad in ("0", "", "AB"):
@@ -917,6 +903,27 @@ def test_reversal_route_budget_caps_the_result(monkeypatch):
     with pytest.raises(BudgetExceededError):
         winset_dfa(host, max_game_states=size - 1)
     assert calls == []
+
+
+def test_reversal_route_on_exact_ones_40():
+    # past the benchmark's hosts: the reversal automaton has more states than
+    # the gather's limit and too many offsets for a shift step, so
+    # determinize_reverse picks the sparse route or the gather per mask
+    n = 40
+    host = exact_ones_dfa(n)
+    subsets = ReversalDfa(host).to_dfa()
+    assert subsets.state_count == 862 > automata._GATHER_STATES
+    assert automata._shift_step(subsets.delta) is None
+    w = winset_dfa(host)
+    assert w.state_count == exact_ones_wsize(n) == 12_342
+    rng = random.Random(40)
+    answers = set()
+    for _ in range(400):
+        v = "".join(rng.choices("AB", weights=(2, 1), k=rng.randint(0, 3 * n)))
+        want = exact_ones_winset_member(n, v)
+        assert accepts(w, v) == member(host, v) == want, v
+        answers.add(want)
+    assert answers == {False, True}
 
 
 # ---------------------------------------------------------------------------
